@@ -65,11 +65,9 @@ from .local import (
     FittedCwr,
     HyperSearchTrace,
     LocalFit,
-    QueryPoint,
     fit_cwr,
     fit_local,
     predict_at,
-    predict_query,
     select_bandwidth,
     select_rate,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "ObservationTable",
     "OlsModel",
     "ParameterError",
-    "QueryPoint",
     "SchemaError",
     "SearchFailureError",
     "SingularFitError",
@@ -125,7 +122,6 @@ __all__ = [
     "load_schema",
     "predict",
     "predict_at",
-    "predict_query",
     "predictor_importance",
     "rmse",
     "run_batch",

@@ -19,8 +19,10 @@ from .data import (
     load_csv,
     load_query_csv,
     load_schema,
+    read_json,
     table_schema,
     write_csv,
+    write_json,
     write_records,
 )
 from .ensemble import fit_lsboost, predictor_importance
@@ -47,12 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
-
-
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _load_table(args):
@@ -87,8 +83,7 @@ def _parse_bandwidth(text):
 
 def cmd_synth(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            conf = json.load(fh)
+        conf = read_json(args.config)
         regime = conf.get("regime", args.regime)
         n = int(conf.get("n", args.n))
         sigma = float(conf.get("sigma", args.sigma))
@@ -118,11 +113,11 @@ def cmd_synth(args) -> int:
             "slopes": truth.slopes.tolist(),
         }
     if args.schema_out:
-        _write_json(schema, args.schema_out)
+        write_json(schema, args.schema_out)
     if args.truth_out:
         if truth_doc is None:
             raise ParameterError("--truth-out is not available for hedonic data")
-        _write_json(truth_doc, args.truth_out)
+        write_json(truth_doc, args.truth_out)
     print(f"wrote {args.out} ({regime}, n={n}, sigma={sigma}, seed={seed})")
     return 0
 
@@ -210,21 +205,17 @@ def cmd_compare(args) -> int:
     )
     if args.manifest:
         import os
-        with open(args.manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        summary = run_batch(manifest, config,
+        summary = run_batch(read_json(args.manifest), config,
                             base_dir=os.path.dirname(os.path.abspath(args.manifest)))
-        text = json.dumps(summary, indent=2) + "\n"
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_json(summary, args.out)
             for case in summary["cases"]:
                 rmses = " ".join(f"{m}={v:.4g}" if v is not None else f"{m}=failed"
                                  for m, v in case["models"].items())
                 print(f"{case['name']}: {rmses}")
             print(f"wrote {args.out}")
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(json.dumps(summary, indent=2) + "\n")
         return 0
     if not args.data:
         raise ParameterError("compare needs --data or --manifest")

@@ -229,9 +229,24 @@ class _SchemaView:
         return tuple(req)
 
 
-def load_schema(path) -> dict:
+def read_json(path):
+    """Parse a JSON file; content that is not JSON raises ParameterError."""
     with open(path, encoding="utf-8") as fh:
-        schema = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise ParameterError(
+                f"{path}: not a JSON document ({err})") from err
+
+
+def write_json(doc, path) -> None:
+    """Write `doc` as indented JSON plus a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def load_schema(path) -> dict:
+    schema = read_json(path)
     _schema_view(schema)  # validate eagerly
     return schema
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ObservationTable, SplitSpec, load_csv, load_schema, split
+from .data import (
+    ObservationTable,
+    SplitSpec,
+    load_csv,
+    load_schema,
+    split,
+    write_json,
+)
 from .ensemble import fit_lsboost, predictor_importance, select_factors
 from .errors import (
     CwregError,
@@ -204,8 +211,7 @@ class ComparisonReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        write_json(self.to_dict(), path)
 
 
 def fit_model(name: str, train: ObservationTable, config: ComparisonConfig):

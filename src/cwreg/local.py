@@ -20,12 +20,17 @@ centered on the query ("local-fit").
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ObservationTable, StandardizationTransform, standardize
+from .data import (
+    ObservationTable,
+    StandardizationTransform,
+    read_json,
+    standardize,
+    write_json,
+)
 from .distances import (
     DistanceSpec,
     attribute_distances,
@@ -113,21 +118,6 @@ class HyperSearchTrace:
 
 
 @dataclass
-class QueryPoint:
-    """One prediction target: a coordinate plus raw covariate values
-    in the training table's column order."""
-
-    coord: np.ndarray
-    covariates: np.ndarray
-
-    def __post_init__(self):
-        self.coord = np.asarray(self.coord, dtype=float).ravel()
-        self.covariates = np.asarray(self.covariates, dtype=float).ravel()
-        if self.coord.shape[0] != 2:
-            raise DimensionError("query coordinate must have two components")
-
-
-@dataclass
 class LocalFit:
     """Per-location coefficients plus everything distances need.
 
@@ -147,83 +137,98 @@ class LocalFit:
     regularized: np.ndarray
 
 
-def _training_distances(table: ObservationTable, spec: DistanceSpec):
-    """Normalized training geo/attr matrices plus scales and transform."""
-    geo = geographic_distances(table.coords, table.coords)
-    if spec.r < 1.0:
-        transform, _ = standardize(table, list(spec.attribute_columns))
-        attr = attribute_distances(transform.apply_table(table),
-                                   transform.apply_table(table))
-    else:
-        transform = None
-        attr = np.zeros_like(geo)
-    if spec.normalization == "max-scale":
-        geo_scale = training_scale(geo)
-        attr_scale = training_scale(attr)
-    else:
-        geo_scale = attr_scale = 1.0
-    return geo / geo_scale, attr / attr_scale, geo_scale, attr_scale, transform
+class TrainingDistances:
+    """Training geo/attribute distances over their max-scale constants
+    (1.0 under "none"), built once per fit for every blend with
+    r >= spec.r. Attributes are standardized only when spec.r < 1."""
+
+    def __init__(self, table: ObservationTable, spec: DistanceSpec):
+        geo = geographic_distances(table.coords, table.coords)
+        if spec.r < 1.0:
+            self.transform, _ = standardize(table,
+                                            list(spec.attribute_columns))
+            z = self.transform.apply_table(table)
+            attr = attribute_distances(z, z)
+        else:
+            self.transform, attr = None, np.zeros_like(geo)
+        scaled = spec.normalization == "max-scale"
+        self.geo_scale = training_scale(geo) if scaled else 1.0
+        self.attr_scale = training_scale(attr) if scaled else 1.0
+        self.geo = geo / self.geo_scale
+        self.attr = attr / self.attr_scale
+
+    def blend(self, spec: DistanceSpec) -> np.ndarray:
+        return blend_distances(self.geo, self.attr, spec)
 
 
-def _solve_location(X, y, w, location):
+def _solve_location(X, y, w, where):
     """Stable solve with the documented ridge fallback for one location."""
     try:
         return solve_wls(X, y, w), False
     except DegenerateWeightsError as err:
-        raise DegenerateWeightsError(
-            f"local fit at training location {location}: {err}"
-        ) from err
+        raise DegenerateWeightsError(f"local fit at {where}: {err}") from err
     except SingularFitError:
         pass
     trace = float(np.einsum("i,ij,ij->", w, X, X))
     ridge = RIDGE_SCALE * trace / X.shape[1]
     if ridge <= 0:
         raise SingularFitError(
-            f"local fit at training location {location} is singular and has "
-            "no weight mass to regularize"
+            f"local fit at {where} is singular and has no weight mass to "
+            "regularize"
         )
     try:
         return solve_wls(X, y, w, ridge), True
     except (SingularFitError, DegenerateWeightsError) as err:
-        raise SingularFitError(
-            f"local fit at training location {location}: {err}"
-        ) from err
+        raise SingularFitError(f"local fit at {where}: {err}") from err
+
+
+def _solve_rows(X, y, W, label):
+    """Solve one weighted system per row of W: (betas, regularized).
+
+    Only the rows the batched solver flags as failed are re-solved on
+    the stable path, which raises for zero-weight and singular rows.
+    """
+    betas, regularized, failed = solve_wls_batched(X, y, W)
+    for i in np.flatnonzero(failed):
+        betas[i], regularized[i] = _solve_location(X, y, W[i], f"{label} {i}")
+    return betas, regularized
+
+
+def _fit_local(table, dist: TrainingDistances, spec, bandwidth) -> LocalFit:
+    if not np.isfinite(bandwidth) or bandwidth <= 0:
+        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    X = design_matrix(table.covariates)
+    n, p = X.shape
+    if n < p + 1:
+        raise ParameterError(
+            f"need at least {p + 1} records to fit {p} coefficients locally"
+        )
+    W = gaussian_weights(dist.blend(spec), bandwidth)
+    coefficients, regularized = _solve_rows(X, table.y, W,
+                                            "training location")
+    pure_geo = spec.r == 1.0
+    return LocalFit(
+        coefficients=coefficients,
+        bandwidth=float(bandwidth),
+        spec=spec,
+        geo_scale=dist.geo_scale,
+        attr_scale=1.0 if pure_geo else dist.attr_scale,
+        transform=None if pure_geo else dist.transform,
+        regularized=regularized,
+    )
 
 
 def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
               ) -> LocalFit:
     """Fit one weighted least-squares system per training location.
 
-    Near-singular locations (condition estimate of X'WX above 1e12)
-    are retried with ridge = 1e-8 * trace(X'WX) / p and flagged in the
-    returned `regularized` array.
+    Uses the batched solver that scores search candidates. Near-singular
+    locations (condition estimate of X'WX above 1e12) are retried with
+    ridge = 1e-8 * trace(X'WX) / p and flagged in `regularized`; rows it
+    cannot solve go to the stable path, which names them if they fail.
     """
-    if not np.isfinite(bandwidth) or bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    X = design_matrix(table.covariates)
-    y = table.y
-    n, p = X.shape
-    if n < p + 1:
-        raise ParameterError(
-            f"need at least {p + 1} records to fit {p} coefficients locally"
-        )
-    geo_n, attr_n, geo_scale, attr_scale, transform = _training_distances(
-        table, spec)
-    D = blend_distances(geo_n, attr_n, spec)
-    W = gaussian_weights(D, bandwidth)
-    coefficients = np.empty((n, p))
-    regularized = np.zeros(n, dtype=bool)
-    for i in range(n):
-        coefficients[i], regularized[i] = _solve_location(X, y, W[i], i)
-    return LocalFit(
-        coefficients=coefficients,
-        bandwidth=float(bandwidth),
-        spec=spec,
-        geo_scale=geo_scale,
-        attr_scale=attr_scale,
-        transform=transform,
-        regularized=regularized,
-    )
+    return _fit_local(table, TrainingDistances(table, spec), spec,
+                      bandwidth)
 
 
 def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
@@ -287,28 +292,23 @@ def _validate_grid(grid, name):
     return values
 
 
-def select_bandwidth(table: ObservationTable, spec: DistanceSpec,
-                     grid=None, scoring: str = "loo",
-                     size: int = BANDWIDTH_GRID_SIZE):
-    """Grid-search the kernel bandwidth for a fixed distance spec.
+def _first_finite_min(scores) -> int | None:
+    """Index of the first smallest finite score; None if none is finite."""
+    finite = [i for i, s in enumerate(scores) if np.isfinite(s)]
+    return min(finite, key=lambda i: scores[i], default=None)
 
-    Returns (bandwidth, HyperSearchTrace). The default grid comes from
-    bandwidth_grid on the blended training distances. Among equal
-    scores the first candidate wins.
-    """
+
+def _select_bandwidth(table, dist: TrainingDistances, spec, grid, scoring,
+                      size):
     _check_scoring(scoring)
-    X = design_matrix(table.covariates)
-    geo_n, attr_n, _, _, _ = _training_distances(table, spec)
-    D = blend_distances(geo_n, attr_n, spec)
+    D = dist.blend(spec)
     if grid is None:
         grid = bandwidth_grid(D, size=size)
     else:
         grid = _validate_grid(grid, "bandwidth grid")
-    scores = _grid_scores(X, table.y, D, grid, scoring)
-    best = None
-    for i, s in enumerate(scores):
-        if np.isfinite(s) and (best is None or s < scores[best]):
-            best = i
+    scores = _grid_scores(design_matrix(table.covariates), table.y, D, grid,
+                          scoring)
+    best = _first_finite_min(scores)
     if best is None:
         raise SearchFailureError("no bandwidth candidate produced a valid fit")
     trace = HyperSearchTrace(
@@ -320,6 +320,71 @@ def select_bandwidth(table: ObservationTable, spec: DistanceSpec,
         selected_score=scores[best],
     )
     return grid[best], trace
+
+
+def select_bandwidth(table: ObservationTable, spec: DistanceSpec,
+                     grid=None, scoring: str = "loo",
+                     size: int = BANDWIDTH_GRID_SIZE):
+    """Grid-search the kernel bandwidth for a fixed distance spec.
+
+    Returns (bandwidth, HyperSearchTrace). The default grid comes from
+    bandwidth_grid on the blended training distances. Among equal
+    scores the first candidate wins.
+    """
+    return _select_bandwidth(table, TrainingDistances(table, spec),
+                             spec, grid, scoring, size)
+
+
+def _rate_specs(r_grid, attribute_columns, normalization):
+    """One distance spec per blend-ratio candidate, in ascending r."""
+    candidates = sorted(float(r) for r in
+                        (DEFAULT_R_GRID if r_grid is None else r_grid))
+    if not candidates:
+        raise ParameterError("r grid must be non-empty")
+    return [DistanceSpec(r=r, attribute_columns=tuple(attribute_columns),
+                         normalization=normalization) for r in candidates]
+
+
+def _select_rate(table, dist: TrainingDistances, specs, h_strategy, scoring,
+                 size):
+    _check_scoring(scoring)
+    if h_strategy != "joint":
+        h_fixed = float(h_strategy)
+        if not np.isfinite(h_fixed) or h_fixed <= 0:
+            raise ParameterError(f"fixed bandwidth must be positive, got {h_strategy}")
+    X = design_matrix(table.covariates)
+    y = table.y
+    scores: list[float] = []
+    bandwidths: list[float] = []
+    for spec in specs:
+        D = dist.blend(spec)
+        grid = (bandwidth_grid(D, size=size)
+                if h_strategy == "joint" else [h_fixed])
+        h_scores = _grid_scores(X, y, D, grid, "loo")
+        h_best = _first_finite_min(h_scores)
+        if h_best is None:
+            scores.append(np.inf)
+            bandwidths.append(np.nan)
+            continue
+        scores.append(h_scores[h_best] if scoring == "loo" else
+                      _grid_scores(X, y, D, [grid[h_best]], "insample")[0])
+        bandwidths.append(grid[h_best])
+    # Exact score ties go to the larger r, so search from the top.
+    from_top = _first_finite_min(scores[::-1])
+    if from_top is None:
+        raise SearchFailureError("no blend-ratio candidate produced a valid fit")
+    best = len(specs) - 1 - from_top
+    trace = HyperSearchTrace(
+        parameter="rate",
+        criterion=_CRITERION[scoring],
+        candidates=[spec.r for spec in specs],
+        scores=scores,
+        selected=specs[best].r,
+        selected_score=scores[best],
+        bandwidths=bandwidths,
+        selected_bandwidth=bandwidths[best],
+    )
+    return specs[best], trace
 
 
 def select_rate(table: ObservationTable, attribute_columns,
@@ -337,81 +402,9 @@ def select_rate(table: ObservationTable, attribute_columns,
 
     Returns (DistanceSpec with the winning r, HyperSearchTrace).
     """
-    _check_scoring(scoring)
-    if r_grid is None:
-        r_grid = DEFAULT_R_GRID
-    candidates = sorted(float(r) for r in r_grid)
-    if not candidates:
-        raise ParameterError("r grid must be non-empty")
-    if candidates[0] < 0 or candidates[-1] > 1:
-        raise ParameterError("r candidates must lie in [0, 1]")
-    if h_strategy != "joint":
-        h_fixed = float(h_strategy)
-        if not np.isfinite(h_fixed) or h_fixed <= 0:
-            raise ParameterError(f"fixed bandwidth must be positive, got {h_strategy}")
-    X = design_matrix(table.covariates)
-    y = table.y
-
-    # Distance pieces are shared across the whole grid; only the blend
-    # changes with r.
-    geo = geographic_distances(table.coords, table.coords)
-    need_attr = candidates[0] < 1.0
-    if need_attr:
-        probe = DistanceSpec(r=0.0, attribute_columns=tuple(attribute_columns),
-                             normalization=normalization)
-        transform, _ = standardize(table, list(probe.attribute_columns))
-        attr = attribute_distances(transform.apply_table(table),
-                                   transform.apply_table(table))
-    else:
-        attr = np.zeros_like(geo)
-    if normalization == "max-scale":
-        geo_n = geo / training_scale(geo)
-        attr_n = attr / training_scale(attr)
-    else:
-        geo_n, attr_n = geo, attr
-
-    scores: list[float] = []
-    bandwidths: list[float] = []
-    best = None
-    for i, r in enumerate(candidates):
-        spec_r = DistanceSpec(r=r, attribute_columns=tuple(attribute_columns),
-                              normalization=normalization)
-        D = blend_distances(geo_n, attr_n, spec_r)
-        grid = (bandwidth_grid(D, size=bandwidth_grid_size)
-                if h_strategy == "joint" else [h_fixed])
-        h_scores = _grid_scores(X, y, D, grid, "loo")
-        h_best = None
-        for k, s in enumerate(h_scores):
-            if np.isfinite(s) and (h_best is None or s < h_scores[h_best]):
-                h_best = k
-        if h_best is None:
-            scores.append(np.inf)
-            bandwidths.append(np.nan)
-            continue
-        if scoring == "loo":
-            r_score = h_scores[h_best]
-        else:
-            r_score = _grid_scores(X, y, D, [grid[h_best]], "insample")[0]
-        scores.append(r_score)
-        bandwidths.append(grid[h_best])
-        if np.isfinite(r_score) and (best is None or r_score <= scores[best]):
-            best = i
-    if best is None:
-        raise SearchFailureError("no blend-ratio candidate produced a valid fit")
-    trace = HyperSearchTrace(
-        parameter="rate",
-        criterion=_CRITERION[scoring],
-        candidates=candidates,
-        scores=scores,
-        selected=candidates[best],
-        selected_score=scores[best],
-        bandwidths=bandwidths,
-        selected_bandwidth=bandwidths[best],
-    )
-    spec = DistanceSpec(r=candidates[best],
-                        attribute_columns=tuple(attribute_columns),
-                        normalization=normalization)
-    return spec, trace
+    specs = _rate_specs(r_grid, attribute_columns, normalization)
+    return _select_rate(table, TrainingDistances(table, specs[0]),
+                        specs, h_strategy, scoring, bandwidth_grid_size)
 
 
 def _query_blended(fit: LocalFit, table: ObservationTable, coords, covariates):
@@ -446,7 +439,7 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     training points under the blended distance (distance ties broken
     by ascending training-row index) and applies the average to the
     query covariates. "local-fit" solves a fresh weighted fit centered
-    on each query at the stored bandwidth.
+    on each query at the stored bandwidth with fit_local's solver.
     """
     if mode not in PREDICT_MODES:
         raise ParameterError(
@@ -464,17 +457,8 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
         return np.einsum("ij,ij->i", Xq, beta_bar)
     X = design_matrix(table.covariates)
     W = gaussian_weights(D, fit.bandwidth)
-    betas = np.empty((D.shape[0], X.shape[1]))
-    for i in range(D.shape[0]):
-        betas[i], _ = _solve_location(X, table.y, W[i], f"query {i}")
+    betas, _ = _solve_rows(X, table.y, W, "query")
     return np.einsum("ij,ij->i", Xq, betas)
-
-
-def predict_query(fit: LocalFit, table: ObservationTable, query: QueryPoint,
-                  mode: str = "knn-coef", k: int = 3) -> float:
-    """Predict the response at a single query point."""
-    return float(predict_at(fit, table, query.coord[None, :],
-                            query.covariates[None, :], mode=mode, k=k)[0])
 
 
 @dataclass
@@ -531,47 +515,54 @@ class FittedCwr:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedCwr":
-        if doc.get("format") != MODEL_FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise ParameterError(f"not a {MODEL_FORMAT} document")
         if doc.get("version") != MODEL_FORMAT_VERSION:
             raise ParameterError(
                 f"unsupported model version {doc.get('version')!r}"
             )
-        spec = DistanceSpec(
-            r=doc["spec"]["r"],
-            attribute_columns=tuple(doc["spec"]["attribute_columns"]),
-            normalization=doc["spec"]["normalization"],
-        )
-        fit = LocalFit(
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            bandwidth=float(doc["bandwidth"]),
-            spec=spec,
-            geo_scale=float(doc["geo_scale"]),
-            attr_scale=float(doc["attr_scale"]),
-            transform=(None if doc["standardization"] is None
-                       else StandardizationTransform.from_dict(
-                           doc["standardization"])),
-            regularized=np.asarray(doc["regularized"], dtype=bool),
-        )
-        return cls(
-            fit=fit,
-            table=ObservationTable.from_dict(doc["training"]),
-            k=int(doc["k"]),
-            mode=doc["mode"],
-            traces={k: HyperSearchTrace.from_dict(t)
-                    for k, t in doc.get("traces", {}).items()},
-            name=doc.get("model_type", "cwr"),
-        )
+        try:
+            table = ObservationTable.from_dict(doc["training"])
+            fit = LocalFit(
+                coefficients=np.asarray(doc["coefficients"], dtype=float),
+                bandwidth=float(doc["bandwidth"]),
+                spec=DistanceSpec(
+                    r=doc["spec"]["r"],
+                    attribute_columns=tuple(doc["spec"]["attribute_columns"]),
+                    normalization=doc["spec"]["normalization"],
+                ),
+                geo_scale=float(doc["geo_scale"]),
+                attr_scale=float(doc["attr_scale"]),
+                transform=(None if doc["standardization"] is None
+                           else StandardizationTransform.from_dict(
+                               doc["standardization"])),
+                regularized=np.asarray(doc["regularized"], dtype=bool),
+            )
+            model = cls(
+                fit=fit,
+                table=table,
+                k=int(doc["k"]),
+                mode=doc["mode"],
+                traces={k: HyperSearchTrace.from_dict(t)
+                        for k, t in doc.get("traces", {}).items()},
+                name=doc.get("model_type", "cwr"),
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ParameterError(f"malformed {MODEL_FORMAT} document: "
+                                 f"{type(err).__name__}: {err}") from err
+        n, p = table.n, len(table.covariate_names) + 1
+        if fit.coefficients.shape != (n, p) or fit.regularized.shape != (n,):
+            raise ParameterError(
+                f"model coefficients must be ({n}, {p}) and regularized "
+                f"flags ({n},) for its training table")
+        return model
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path) -> "FittedCwr":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
@@ -583,7 +574,8 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     """Search hyperparameters as configured, then fit the local model.
 
     `r` is "search" or a fixed ratio in [0, 1]; `bandwidth` is "cv" or
-    a fixed positive value. Pass r=1.0 for a pure GWR.
+    a fixed positive value. Pass r=1.0 for a pure GWR. The search and
+    the final fit share one set of training distances and one solver.
     """
     if mode not in PREDICT_MODES:
         raise ParameterError(
@@ -594,38 +586,35 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     if attribute_columns is None:
         attribute_columns = train.default_attribute_columns()
     attribute_columns = tuple(attribute_columns)
+    if isinstance(bandwidth, str) and bandwidth != "cv":
+        raise ParameterError(
+            f'bandwidth must be a number or "cv", got {bandwidth!r}'
+        )
+    cv = isinstance(bandwidth, str)
     traces: dict[str, HyperSearchTrace] = {}
     if isinstance(r, str):
         if r != "search":
             raise ParameterError(f'r must be a number or "search", got {r!r}')
-        h_strategy = "joint" if isinstance(bandwidth, str) else float(bandwidth)
-        if isinstance(bandwidth, str) and bandwidth != "cv":
-            raise ParameterError(
-                f'bandwidth must be a number or "cv", got {bandwidth!r}'
-            )
-        spec, trace = select_rate(
-            train, attribute_columns, h_strategy=h_strategy, r_grid=r_grid,
-            scoring=scoring, normalization=normalization,
-            bandwidth_grid_size=bandwidth_grid_size)
+        specs = _rate_specs(r_grid, attribute_columns, normalization)
+        dist = TrainingDistances(train, specs[0])
+        spec, trace = _select_rate(
+            train, dist, specs, "joint" if cv else float(bandwidth), scoring,
+            bandwidth_grid_size)
         traces["rate"] = trace
         h = float(trace.selected_bandwidth)
     else:
         spec = DistanceSpec(r=float(r), attribute_columns=attribute_columns,
                             normalization=normalization)
-        if isinstance(bandwidth, str):
-            if bandwidth != "cv":
-                raise ParameterError(
-                    f'bandwidth must be a number or "cv", got {bandwidth!r}'
-                )
+        dist = TrainingDistances(train, spec)
+        if cv:
             # Bandwidth search stays leave-one-out even under insample
             # scoring: judged in-sample, smaller h always looks better.
             _check_scoring(scoring)
-            h, trace = select_bandwidth(train, spec, grid=bw_grid,
-                                        scoring="loo",
-                                        size=bandwidth_grid_size)
+            h, trace = _select_bandwidth(train, dist, spec, bw_grid, "loo",
+                                         bandwidth_grid_size)
             traces["bandwidth"] = trace
         else:
             h = float(bandwidth)
-    local = fit_local(train, spec, h)
+    local = _fit_local(train, dist, spec, h)
     return FittedCwr(fit=local, table=train, k=k, mode=mode, traces=traces,
                      name=name)

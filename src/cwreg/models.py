@@ -8,11 +8,11 @@ knowing what they contain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_json, write_json
 from .ensemble import BoostedEnsemble
 from .errors import DimensionError, ParameterError
 from .local import MODEL_FORMAT, MODEL_FORMAT_VERSION, FittedCwr
@@ -87,22 +87,22 @@ class LsboostModel:
 
 
 def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(model.to_dict(), path)
 
 
 def load_model(path):
     """Load any saved model; dispatches on its model_type tag."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParameterError(f"{path}: not a {MODEL_FORMAT} document")
     kind = doc.get("model_type")
     if kind in ("cwr", "gwr"):
         return FittedCwr.from_dict(doc)
-    if kind == "ols":
-        return OlsModel.from_dict(doc)
-    if kind == "lsboost":
-        return LsboostModel.from_dict(doc)
-    raise ParameterError(f"{path}: unknown model_type {kind!r}")
+    model_class = {"ols": OlsModel, "lsboost": LsboostModel}.get(kind)
+    if model_class is None:
+        raise ParameterError(f"{path}: unknown model_type {kind!r}")
+    try:
+        return model_class.from_dict(doc)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParameterError(f"{path}: malformed {kind} model: "
+                             f"{type(err).__name__}: {err}") from err

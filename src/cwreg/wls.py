@@ -3,9 +3,10 @@
 Single fits go through a rank-revealing decomposition of the
 square-root-weighted design rather than the normal equations; an
 optional ridge term stabilizes near-singular local systems. The
-batched solver trades that robustness for throughput and is only used
-inside hyperparameter scoring loops, where thousands of small systems
-are solved per candidate; a test pins it to the stable path.
+batched solver trades that robustness for throughput: it scores every
+hyperparameter candidate and solves the final local fits, where
+thousands of small systems are solved at once, and the rows it cannot
+solve fall back to the stable path. A test pins it to the stable path.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cwreg
 from cwreg.cli import main
 from cwreg.models import load_model
 
@@ -246,6 +248,31 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.pop("spec"),
+        lambda doc: doc["coefficients"].pop(),
+        None,
+    ], ids=["missing-spec", "truncated-coefficients", "not-json"])
+    def test_malformed_model_reports_json_error(self, tmp_path, capsys,
+                                                corrupt):
+        data, schema = make_dataset(tmp_path, n=40)
+        model_path = tmp_path / "m.json"
+        run_cli(["fit", "--model", "cwr", "--data", data, "--schema", schema,
+                 "--r", 0.5, "--bandwidth", 0.5, "--out", model_path])
+        if corrupt is None:
+            model_path.write_text("{not json", encoding="utf-8")
+        else:
+            doc = json.loads(model_path.read_text())
+            corrupt(doc)
+            model_path.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "q.csv"
+        query.write_text("u,v,x1\n10.0,20.0,0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["predict", "--model", model_path, "--query", query])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["transmogrify"])
@@ -255,10 +282,14 @@ class TestErrorHandling:
 
     def test_module_entry_point(self, tmp_path):
         # `python3 -m cwreg.cli` must behave like the console script.
+        # The child finds the package where this process imported it.
+        src = os.path.dirname(os.path.dirname(cwreg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "d.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "cwreg.cli", "synth", "--regime", "geo",
              "--n", "20", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert out.exists()

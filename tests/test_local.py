@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
+import cwreg.local
 from cwreg.data import ObservationTable
 from cwreg.distances import DistanceSpec, gaussian_weights
 from cwreg.errors import DimensionError, ParameterError, SearchFailureError
+from cwreg.evaluate import rmse
 from cwreg.local import (
     FittedCwr,
-    QueryPoint,
     bandwidth_grid,
     fit_cwr,
     fit_local,
     predict_at,
-    predict_query,
     select_bandwidth,
     select_rate,
 )
@@ -379,11 +379,9 @@ class TestPredictAt:
         table = ObservationTable(ids=list("abcd"), coords=coords, y=y,
                                  covariates=covs, covariate_names=["x1"])
         fit = fit_local(table, DistanceSpec(r=1.0), 2.0)
-        got = predict_query(fit, table,
-                            QueryPoint(np.array([0.0, 0.0]),
-                                       np.array([1.0])), k=1)
+        got = predict_at(fit, table, [[0.0, 0.0]], [[1.0]], k=1)
         X = design_matrix(table.covariates)
-        assert got == pytest.approx(float(X[0] @ fit.coefficients[0]),
+        assert got[0] == pytest.approx(float(X[0] @ fit.coefficients[0]),
                                     rel=1e-12)
 
     def test_local_fit_mode_at_training_point_matches_fit(self):
@@ -500,3 +498,46 @@ class TestFitCwr:
             fit_cwr(table, k=0)
         with pytest.raises(ParameterError):
             fit_cwr(table, mode="nearest")
+
+    def test_scored_model_is_the_fitted_model(self):
+        # The final fit solves exactly the systems that scored the
+        # winning (r, h), so its training RMSE is the selected score.
+        for seed in range(5):
+            table = random_table(n=30, p=2, seed=seed)
+            model = fit_cwr(table, attribute_columns=["x1", "x2"],
+                            scoring="insample", r_grid=[0.0, 0.5, 1.0],
+                            bandwidth_grid_size=4)
+            X = design_matrix(table.covariates)
+            fitted = np.einsum("ij,ij->i", X, model.fit.coefficients)
+            assert (model.traces["rate"].selected_score
+                    == rmse(table.y, fitted))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"r_grid": [0.0, 0.5, 1.0], "bandwidth_grid_size": 4},
+        {"r": 0.5, "bandwidth": "cv", "bandwidth_grid_size": 4},
+    ])
+    def test_training_distances_built_once(self, monkeypatch, kwargs):
+        calls = {"geographic_distances": 0, "standardize": 0}
+
+        def counted(name):
+            original = getattr(cwreg.local, name)
+
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cwreg.local, name, counted(name))
+        table = random_table(n=25, p=2, seed=64)
+        fit_cwr(table, attribute_columns=["x1", "x2"], **kwargs)
+        assert calls == {"geographic_distances": 1, "standardize": 1}
+
+    def test_selected_pure_geographic_drops_attribute_state(self):
+        # A search that lands on r = 1 saves no standardization.
+        table = tie_table()
+        model = fit_cwr(table, attribute_columns=["x1", "x2"],
+                        r_grid=[0.0, 1.0], bandwidth_grid_size=5)
+        assert model.fit.spec.r == 1.0
+        assert model.fit.transform is None
+        assert model.fit.attr_scale == 1.0
