@@ -130,9 +130,13 @@ def gaussian_weights(distances, bandwidth: float) -> np.ndarray:
     if np.any(d < 0):
         raise ParameterError("distances must be nonnegative")
     # d/h can overflow for extreme candidate bandwidths; the weight is
-    # then a legitimate 0, so silence the spurious warning.
+    # then a legitimate 0, so silence the spurious warning. The kernel
+    # is computed in place in the one array d / h allocates.
     with np.errstate(over="ignore"):
-        return np.exp(-((d / bandwidth) ** 2))
+        w = d / bandwidth
+        np.square(w, out=w)
+        np.negative(w, out=w)
+        return np.exp(w, out=w)
 
 
 def training_scale(distances) -> float:

@@ -243,13 +243,13 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     off = D[~np.eye(n, dtype=bool)]
-    positive = off[off > 0]
-    if positive.size == 0:
+    hi = float(np.max(off, initial=0.0))
+    if hi <= 0:
         return [1.0]
-    hi = float(positive.max())
-    lo = float(np.percentile(off, 1.0))
+    # `off` is already a copy, so the percentile may reorder it.
+    lo = float(np.percentile(off, 1.0, overwrite_input=True))
     if lo <= 0:
-        lo = float(positive.min())
+        lo = float(np.min(off, where=off > 0, initial=np.inf))
     if lo >= hi:
         return [hi]
     return [float(h) for h in np.geomspace(lo, hi, size)]
@@ -268,6 +268,8 @@ def _grid_scores(X, y, D, grid, scoring) -> list[float]:
         if scoring == "loo":
             np.fill_diagonal(W, 0.0)
         betas, _, failed = solve_wls_batched(X, y, W)
+        # Free this kernel before the next one is built.
+        del W
         if np.any(failed):
             scores.append(np.inf)
             continue
@@ -365,10 +367,13 @@ def _select_rate(table, dist: TrainingDistances, specs, h_strategy, scoring,
         if h_best is None:
             scores.append(np.inf)
             bandwidths.append(np.nan)
-            continue
-        scores.append(h_scores[h_best] if scoring == "loo" else
-                      _grid_scores(X, y, D, [grid[h_best]], "insample")[0])
-        bandwidths.append(grid[h_best])
+        else:
+            scores.append(h_scores[h_best] if scoring == "loo" else
+                          _grid_scores(X, y, D, [grid[h_best]],
+                                       "insample")[0])
+            bandwidths.append(grid[h_best])
+        # Free this blend before the next one is built.
+        del D
     # Exact score ties go to the larger r, so search from the top.
     from_top = _first_finite_min(scores[::-1])
     if from_top is None:

@@ -5,7 +5,9 @@ square-root-weighted design rather than the normal equations; an
 optional ridge term stabilizes near-singular local systems. The
 batched solver trades that robustness for throughput: it scores every
 hyperparameter candidate and solves the final local fits, where
-thousands of small systems are solved at once, and the rows it cannot
+thousands of small systems are solved at once. It assembles all normal
+systems with two matrix products (GEMM) and estimates their condition
+from the extreme eigenvalues of the symmetric X'WX; the rows it cannot
 solve fall back to the stable path. A test pins it to the stable path.
 """
 
@@ -114,11 +116,14 @@ def solve_wls_batched(X, y, W, cond_limit: float = CONDITION_LIMIT,
                       ridge_scale: float = RIDGE_SCALE):
     """Solve one weighted system per row of W through the normal equations.
 
-    Builds the stacked normal systems with einsum and solves them in a
-    single batched call. Rows whose condition estimate exceeds
-    cond_limit are re-solved with ridge = ridge_scale * trace / p and
-    flagged in `regularized`; rows that remain unsolvable are flagged
-    in `failed` and their coefficients zeroed.
+    Builds every normal matrix X'W_iX with one GEMM, W @ vec(x x'), and
+    every right-hand side X'W_iy with a second, then solves them in a
+    single batched call. The condition estimate of X'W_iX, which is
+    symmetric positive semidefinite, is lambda_max / lambda_min from
+    eigvalsh, infinite when lambda_min <= 0 or NaN. Rows whose estimate
+    exceeds cond_limit are re-solved with ridge = ridge_scale * trace / p
+    and flagged in `regularized`; rows that remain unsolvable are
+    flagged in `failed` and their coefficients zeroed.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
@@ -130,11 +135,14 @@ def solve_wls_batched(X, y, W, cond_limit: float = CONDITION_LIMIT,
             f"shape mismatch: X {X.shape}, y {y.shape}, W {W.shape}"
         )
     m = W.shape[0]
-    p = X.shape[1]
-    N = np.einsum("ij,jk,jl->ikl", W, X, X)
-    c = np.einsum("ij,jk,j->ik", W, X, y)
+    n, p = X.shape
+    outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+    N = (W @ outer).reshape(m, p, p)
+    c = W @ (X * y[:, None])
+    eig = np.linalg.eigvalsh(N)
+    lo, hi = eig[:, 0], eig[:, -1]
     with np.errstate(all="ignore"):
-        conds = np.linalg.cond(N)
+        conds = np.where(lo > 0, hi / lo, np.inf)
     bad = ~np.isfinite(conds) | (conds > cond_limit)
     failed = np.zeros(m, dtype=bool)
     if np.any(bad):

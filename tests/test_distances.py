@@ -1,5 +1,7 @@
 """Distance matrices, blending, and the Gaussian kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,27 @@ class TestGaussianWeights:
             np.testing.assert_allclose(gaussian_weights(d, 1.7),
                                        gaussian_weights(c * d, c * 1.7),
                                        rtol=1e-12)
+
+    def test_tiny_bandwidth_is_silent_and_exact(self):
+        # d / h overflows for every positive distance; the weights are
+        # then exactly 0, and no RuntimeWarning escapes.
+        d = np.array([[0.0, 1e-10, 0.5], [3.0, 0.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = gaussian_weights(d, 1e-300)
+        np.testing.assert_array_equal(w, (d == 0).astype(float))
+
+    def test_bit_identical_to_reference_expression(self):
+        rng = np.random.default_rng(13)
+        for h in (1e-3, 0.37, 1.0, 250.0):
+            d = np.abs(rng.normal(size=(17, 23))) * rng.choice([1e-2, 1, 1e3])
+            w = gaussian_weights(d, h)
+            assert w.tobytes() == np.exp(-((d / h) ** 2)).tobytes()
+
+    def test_input_left_unchanged(self):
+        d = np.array([[0.0, 1.0], [2.0, 0.0]])
+        gaussian_weights(d, 1.5)
+        np.testing.assert_array_equal(d, [[0.0, 1.0], [2.0, 0.0]])
 
     def test_bandwidth_must_be_positive(self):
         for bad in (0.0, -1.0, np.nan, np.inf):

@@ -1,6 +1,7 @@
 """Local weighted fits, hyperparameter search, prediction modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,32 @@ class TestBandwidthGrid:
         ratios = [grid[i + 1] / grid[i] for i in range(19)]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
+    def test_many_zero_distances_fall_back_to_smallest_positive(self):
+        # More than 1% of the off-diagonal entries are zero (duplicate
+        # locations), so the 1st percentile is 0 and the grid starts at
+        # the smallest positive distance instead.
+        rng = np.random.default_rng(43)
+        D = np.abs(rng.normal(size=(30, 30))) + 0.5
+        D[:3, :3] = 0.0
+        D[10:13, 20:23] = 0.0
+        np.fill_diagonal(D, 0.0)
+        off = D[~np.eye(30, dtype=bool)]
+        assert np.mean(off == 0) > 0.01
+        assert np.percentile(off, 1.0) == 0.0
+        grid = bandwidth_grid(D, size=8)
+        assert len(grid) == 8
+        assert grid[0] == pytest.approx(off[off > 0].min(), rel=1e-12)
+        assert grid[-1] == pytest.approx(off.max(), rel=1e-12)
+        assert grid == sorted(grid)
+
+    def test_input_left_unchanged(self):
+        rng = np.random.default_rng(44)
+        D = np.abs(rng.normal(size=(12, 12)))
+        np.fill_diagonal(D, 0.0)
+        before = D.copy()
+        bandwidth_grid(D)
+        np.testing.assert_array_equal(D, before)
+
     def test_all_zero_distances_degenerate(self):
         assert bandwidth_grid(np.zeros((5, 5))) == [1.0]
 
@@ -189,6 +216,52 @@ class TestBandwidthGrid:
     def test_size_validated(self):
         with pytest.raises(ParameterError):
             bandwidth_grid(np.ones((3, 3)), size=0)
+
+
+class TestSearchMemory:
+    """The r/h search holds one blend and one kernel at a time."""
+
+    N = 300
+
+    def _peak_matrices(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (self.N * self.N * 8)
+
+    def _distances(self):
+        rng = np.random.default_rng(45)
+        D = np.abs(rng.normal(size=(self.N, self.N)))
+        D = D + D.T
+        np.fill_diagonal(D, 0.0)
+        return D
+
+    def test_grid_scores_keep_one_kernel_live(self):
+        rng = np.random.default_rng(46)
+        X = design_matrix(rng.normal(size=(self.N, 2)))
+        y = rng.normal(size=self.N)
+        D = self._distances()
+        grid = bandwidth_grid(D, size=4)
+        peak = self._peak_matrices(
+            lambda: cwreg.local._grid_scores(X, y, D, grid, "loo"))
+        assert peak < 1.5
+
+    def test_bandwidth_grid_copies_distances_once(self):
+        D = self._distances()
+        assert self._peak_matrices(lambda: bandwidth_grid(D)) < 1.5
+
+    def test_search_peak_is_the_training_distances(self):
+        # Building the training distances needs four n x n arrays (raw
+        # and scaled, geographic and attribute); no later step of the
+        # search may need more.
+        table = random_table(n=self.N, p=2, seed=47)
+        peak = self._peak_matrices(
+            lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
+                            bandwidth_grid_size=3))
+        assert peak < 4.5
 
 
 class TestSelectBandwidth:

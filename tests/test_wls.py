@@ -10,6 +10,7 @@ from cwreg.errors import (
     SingularFitError,
 )
 from cwreg.wls import (
+    CONDITION_LIMIT,
     design_matrix,
     fit_ols,
     predict,
@@ -201,3 +202,32 @@ class TestSolveWlsBatched:
         assert not failed[0]
         assert failed[1]
         np.testing.assert_allclose(betas[0], [0.0, 1.0], atol=1e-10)
+
+    def test_condition_flags_follow_svd_condition_number(self):
+        # The last covariate is zero on the first half of the rows, so
+        # weight eps on the second half sets cond(X'WX) to about 14 / eps,
+        # from about 1e6 to 1e16. eps = 0 leaves X'WX exactly singular
+        # (a zero eigenvalue) and the last system carries no weight.
+        rng = np.random.default_rng(7)
+        n = 40
+        b = np.zeros(n)
+        b[n // 2:] = rng.normal(size=n // 2)
+        X = np.column_stack([np.ones(n), rng.normal(size=n), b])
+        y = rng.normal(size=n)
+        eps = np.append(np.logspace(-6, -16, 21), 0.0)
+        W = np.ones((eps.size + 1, n))
+        W[:-1, n // 2:] = eps[:, None]
+        W[-1] = 0.0
+        conds = np.linalg.cond(np.einsum("ij,jk,jl->ikl", W[:-2], X, X))
+        assert conds.min() < 1e7 and conds.max() > 1e16
+        # No system sits within 20% of the limit, where the SVD and the
+        # eigenvalue estimates could round to different sides.
+        assert np.all(np.abs(np.log(conds / CONDITION_LIMIT)) > np.log(1.2))
+        betas, regularized, failed = solve_wls_batched(X, y, W)
+        np.testing.assert_array_equal(regularized[:-2],
+                                      conds > CONDITION_LIMIT)
+        assert regularized[-2] and not failed[-2]
+        assert failed[-1] and not regularized[-1]
+        assert not failed[:-1].any()
+        assert np.all(np.isfinite(betas))
+        np.testing.assert_array_equal(betas[-1], 0.0)
