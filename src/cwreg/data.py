@@ -252,14 +252,17 @@ def load_schema(path) -> dict:
 
 
 def _schema_view(schema: dict) -> _SchemaView:
-    if not isinstance(schema, dict) or "columns" not in schema:
+    if not (isinstance(schema, dict)
+            and isinstance(schema.get("columns"), list)):
         raise SchemaError('schema must be an object with a "columns" list')
     ids, coords, responses, covs, dummies = [], [], [], [], []
     seen = set()
     for col in schema["columns"]:
+        if not isinstance(col, dict):
+            raise SchemaError(f"bad schema column {col!r}")
         name = col.get("name")
         role = col.get("role")
-        if not name or role not in ROLES:
+        if not (isinstance(name, str) and name) or role not in ROLES:
             raise SchemaError(f"bad schema column {col!r}")
         if name in seen:
             raise SchemaError(f"duplicate schema column {name!r}")

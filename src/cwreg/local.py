@@ -194,30 +194,6 @@ def _solve_rows(X, y, W, label):
     return betas, regularized
 
 
-def _fit_local(table, dist: TrainingDistances, spec, bandwidth) -> LocalFit:
-    if not np.isfinite(bandwidth) or bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    X = design_matrix(table.covariates)
-    n, p = X.shape
-    if n < p + 1:
-        raise ParameterError(
-            f"need at least {p + 1} records to fit {p} coefficients locally"
-        )
-    W = gaussian_weights(dist.blend(spec), bandwidth)
-    coefficients, regularized = _solve_rows(X, table.y, W,
-                                            "training location")
-    pure_geo = spec.r == 1.0
-    return LocalFit(
-        coefficients=coefficients,
-        bandwidth=float(bandwidth),
-        spec=spec,
-        geo_scale=dist.geo_scale,
-        attr_scale=1.0 if pure_geo else dist.attr_scale,
-        transform=None if pure_geo else dist.transform,
-        regularized=regularized,
-    )
-
-
 def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
               ) -> LocalFit:
     """Fit one weighted least-squares system per training location.
@@ -227,8 +203,9 @@ def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
     ridge = 1e-8 * trace(X'WX) / p and flagged in `regularized`; rows it
     cannot solve go to the stable path, which names them if they fail.
     """
-    return _fit_local(table, TrainingDistances(table, spec), spec,
-                      bandwidth)
+    return fit_cwr(table, spec.attribute_columns, r=spec.r,
+                   bandwidth=bandwidth, k=1,
+                   normalization=spec.normalization).fit
 
 
 def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
@@ -278,19 +255,12 @@ def _grid_scores(X, y, D, grid, scoring) -> list[float]:
     return scores
 
 
-def _check_scoring(scoring):
-    if scoring not in SCORING_MODES:
-        raise ParameterError(
-            f"unknown scoring {scoring!r}, expected one of {SCORING_MODES}"
-        )
-
-
 def _validate_grid(grid, name):
     values = [float(g) for g in grid]
     if not values:
         raise ParameterError(f"{name} must be non-empty")
     if any(not np.isfinite(g) or g <= 0 for g in values):
-        raise ParameterError(f"{name} candidates must be positive")
+        raise ParameterError(f"{name} must be positive, got {values}")
     return values
 
 
@@ -300,96 +270,18 @@ def _first_finite_min(scores) -> int | None:
     return min(finite, key=lambda i: scores[i], default=None)
 
 
-def _select_bandwidth(table, dist: TrainingDistances, spec, grid, scoring,
-                      size):
-    _check_scoring(scoring)
-    D = dist.blend(spec)
-    if grid is None:
-        grid = bandwidth_grid(D, size=size)
-    else:
-        grid = _validate_grid(grid, "bandwidth grid")
-    scores = _grid_scores(design_matrix(table.covariates), table.y, D, grid,
-                          scoring)
-    best = _first_finite_min(scores)
-    if best is None:
-        raise SearchFailureError("no bandwidth candidate produced a valid fit")
-    trace = HyperSearchTrace(
-        parameter="bandwidth",
-        criterion=_CRITERION[scoring],
-        candidates=list(grid),
-        scores=scores,
-        selected=grid[best],
-        selected_score=scores[best],
-    )
-    return grid[best], trace
-
-
 def select_bandwidth(table: ObservationTable, spec: DistanceSpec,
-                     grid=None, scoring: str = "loo",
-                     size: int = BANDWIDTH_GRID_SIZE):
+                     grid=None, size: int = BANDWIDTH_GRID_SIZE):
     """Grid-search the kernel bandwidth for a fixed distance spec.
 
     Returns (bandwidth, HyperSearchTrace). The default grid comes from
-    bandwidth_grid on the blended training distances. Among equal
-    scores the first candidate wins.
+    bandwidth_grid on the blended training distances. Candidates are
+    scored by leave-one-out RMSE; among equal scores the first wins.
     """
-    return _select_bandwidth(table, TrainingDistances(table, spec),
-                             spec, grid, scoring, size)
-
-
-def _rate_specs(r_grid, attribute_columns, normalization):
-    """One distance spec per blend-ratio candidate, in ascending r."""
-    candidates = sorted(float(r) for r in
-                        (DEFAULT_R_GRID if r_grid is None else r_grid))
-    if not candidates:
-        raise ParameterError("r grid must be non-empty")
-    return [DistanceSpec(r=r, attribute_columns=tuple(attribute_columns),
-                         normalization=normalization) for r in candidates]
-
-
-def _select_rate(table, dist: TrainingDistances, specs, h_strategy, scoring,
-                 size):
-    _check_scoring(scoring)
-    if h_strategy != "joint":
-        h_fixed = float(h_strategy)
-        if not np.isfinite(h_fixed) or h_fixed <= 0:
-            raise ParameterError(f"fixed bandwidth must be positive, got {h_strategy}")
-    X = design_matrix(table.covariates)
-    y = table.y
-    scores: list[float] = []
-    bandwidths: list[float] = []
-    for spec in specs:
-        D = dist.blend(spec)
-        grid = (bandwidth_grid(D, size=size)
-                if h_strategy == "joint" else [h_fixed])
-        h_scores = _grid_scores(X, y, D, grid, "loo")
-        h_best = _first_finite_min(h_scores)
-        if h_best is None:
-            scores.append(np.inf)
-            bandwidths.append(np.nan)
-        else:
-            scores.append(h_scores[h_best] if scoring == "loo" else
-                          _grid_scores(X, y, D, [grid[h_best]],
-                                       "insample")[0])
-            bandwidths.append(grid[h_best])
-        # Free this blend before the next one is built.
-        del D
-    # Exact score ties go to the larger r, so search from the top.
-    from_top = _first_finite_min(scores[::-1])
-    if from_top is None:
-        raise SearchFailureError("no blend-ratio candidate produced a valid fit")
-    best = len(specs) - 1 - from_top
-    trace = HyperSearchTrace(
-        parameter="rate",
-        criterion=_CRITERION[scoring],
-        candidates=[spec.r for spec in specs],
-        scores=scores,
-        selected=specs[best].r,
-        selected_score=scores[best],
-        bandwidths=bandwidths,
-        selected_bandwidth=bandwidths[best],
-    )
-    return specs[best], trace
+    model = fit_cwr(table, spec.attribute_columns, r=spec.r, k=1,
+                    normalization=spec.normalization, bw_grid=grid,
+                    bandwidth_grid_size=size)
+    return model.fit.bandwidth, model.traces["bandwidth"]
 
 
 def select_rate(table: ObservationTable, attribute_columns,
@@ -407,9 +299,12 @@ def select_rate(table: ObservationTable, attribute_columns,
 
     Returns (DistanceSpec with the winning r, HyperSearchTrace).
     """
-    specs = _rate_specs(r_grid, attribute_columns, normalization)
-    return _select_rate(table, TrainingDistances(table, specs[0]),
-                        specs, h_strategy, scoring, bandwidth_grid_size)
+    model = fit_cwr(table, attribute_columns, r="search",
+                    bandwidth="cv" if h_strategy == "joint"
+                    else float(h_strategy),
+                    k=1, scoring=scoring, normalization=normalization,
+                    r_grid=r_grid, bandwidth_grid_size=bandwidth_grid_size)
+    return model.fit.spec, model.traces["rate"]
 
 
 def _query_blended(fit: LocalFit, table: ObservationTable, coords, covariates):
@@ -578,9 +473,13 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
             name: str = "cwr") -> FittedCwr:
     """Search hyperparameters as configured, then fit the local model.
 
-    `r` is "search" or a fixed ratio in [0, 1]; `bandwidth` is "cv" or
-    a fixed positive value. Pass r=1.0 for a pure GWR. The search and
-    the final fit share one set of training distances and one solver.
+    `r` is "search" (over `r_grid`) or a fixed ratio in [0, 1];
+    `bandwidth` is "cv" or a fixed positive value. Pass r=1.0 for a
+    pure GWR. Under "cv" every r scores the bandwidths of `bw_grid`,
+    or by default of bandwidth_grid on its blend. This is the only r/h
+    search; select_rate, select_bandwidth and fit_local are views of
+    it. The search and the final fit share one set of training
+    distances and one solver.
     """
     if mode not in PREDICT_MODES:
         raise ParameterError(
@@ -588,38 +487,92 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
         )
     if not 1 <= k <= train.n:
         raise ParameterError(f"k must be in [1, {train.n}], got {k}")
-    if attribute_columns is None:
-        attribute_columns = train.default_attribute_columns()
-    attribute_columns = tuple(attribute_columns)
+    if scoring not in SCORING_MODES:
+        raise ParameterError(
+            f"unknown scoring {scoring!r}, expected one of {SCORING_MODES}"
+        )
+    if isinstance(r, str) and r != "search":
+        raise ParameterError(f'r must be a number or "search", got {r!r}')
     if isinstance(bandwidth, str) and bandwidth != "cv":
         raise ParameterError(
             f'bandwidth must be a number or "cv", got {bandwidth!r}'
         )
+    search_r = isinstance(r, str)
     cv = isinstance(bandwidth, str)
+    if cv and bw_grid is not None:
+        bw_grid = _validate_grid(bw_grid, "bandwidth grid")
+    elif not cv:
+        if bw_grid is not None:
+            raise ParameterError('bw_grid needs bandwidth="cv"')
+        bw_grid = _validate_grid([bandwidth], "bandwidth")
+    rates = (sorted(float(c) for c in
+                    (DEFAULT_R_GRID if r_grid is None else r_grid))
+             if search_r else [r])
+    if not rates:
+        raise ParameterError("r grid must be non-empty")
+    if attribute_columns is None:
+        attribute_columns = train.default_attribute_columns()
+    specs = [DistanceSpec(r=c, attribute_columns=tuple(attribute_columns),
+                          normalization=normalization) for c in rates]
+    X = design_matrix(train.covariates)
+    n, p = X.shape
+    if n < p + 1:
+        raise ParameterError(
+            f"need at least {p + 1} records to fit {p} coefficients locally"
+        )
+    dist = TrainingDistances(train, specs[0])
     traces: dict[str, HyperSearchTrace] = {}
-    if isinstance(r, str):
-        if r != "search":
-            raise ParameterError(f'r must be a number or "search", got {r!r}')
-        specs = _rate_specs(r_grid, attribute_columns, normalization)
-        dist = TrainingDistances(train, specs[0])
-        spec, trace = _select_rate(
-            train, dist, specs, "joint" if cv else float(bandwidth), scoring,
-            bandwidth_grid_size)
-        traces["rate"] = trace
-        h = float(trace.selected_bandwidth)
-    else:
-        spec = DistanceSpec(r=float(r), attribute_columns=attribute_columns,
-                            normalization=normalization)
-        dist = TrainingDistances(train, spec)
-        if cv:
-            # Bandwidth search stays leave-one-out even under insample
-            # scoring: judged in-sample, smaller h always looks better.
-            _check_scoring(scoring)
-            h, trace = _select_bandwidth(train, dist, spec, bw_grid, "loo",
-                                         bandwidth_grid_size)
-            traces["bandwidth"] = trace
+    best, bandwidths = 0, bw_grid
+    if search_r or cv:
+        scores, bandwidths = [], []
+        for spec in specs:
+            D = dist.blend(spec)
+            grid = (bandwidth_grid(D, size=bandwidth_grid_size)
+                    if bw_grid is None else bw_grid)
+            # Bandwidths are always chosen by leave-one-out: judged
+            # in-sample, a smaller h always looks better.
+            h_scores = _grid_scores(X, train.y, D, grid, "loo")
+            h_best = _first_finite_min(h_scores)
+            if h_best is None:
+                scores.append(np.inf)
+                bandwidths.append(np.nan)
+            else:
+                scores.append(h_scores[h_best]
+                              if scoring == "loo" or not search_r else
+                              _grid_scores(X, train.y, D, [grid[h_best]],
+                                           "insample")[0])
+                bandwidths.append(grid[h_best])
+            # Free this blend before the next one is built.
+            del D
+        # Exact score ties go to the larger r, so search from the top.
+        from_top = _first_finite_min(scores[::-1])
+        if from_top is None:
+            raise SearchFailureError(
+                f"no {'blend-ratio' if search_r else 'bandwidth'} "
+                "candidate produced a valid fit")
+        best = len(specs) - 1 - from_top
+        if search_r:
+            traces["rate"] = HyperSearchTrace(
+                parameter="rate", criterion=_CRITERION[scoring],
+                candidates=rates, scores=scores, selected=rates[best],
+                selected_score=scores[best], bandwidths=bandwidths,
+                selected_bandwidth=bandwidths[best])
         else:
-            h = float(bandwidth)
-    local = _fit_local(train, dist, spec, h)
+            # A fixed r ran the loop once; report its bandwidth search.
+            traces["bandwidth"] = HyperSearchTrace(
+                parameter="bandwidth", criterion=_CRITERION["loo"],
+                candidates=list(grid), scores=h_scores,
+                selected=grid[h_best], selected_score=h_scores[h_best])
+    spec, h = specs[best], bandwidths[best]
+    W = gaussian_weights(dist.blend(spec), h)
+    coefficients, regularized = _solve_rows(X, train.y, W,
+                                            "training location")
+    pure_geo = spec.r == 1.0
+    local = LocalFit(
+        coefficients=coefficients, bandwidth=float(h), spec=spec,
+        geo_scale=dist.geo_scale,
+        attr_scale=1.0 if pure_geo else dist.attr_scale,
+        transform=None if pure_geo else dist.transform,
+        regularized=regularized)
     return FittedCwr(fit=local, table=train, k=k, mode=mode, traces=traces,
                      name=name)

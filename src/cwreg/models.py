@@ -95,6 +95,9 @@ def load_model(path):
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParameterError(f"{path}: not a {MODEL_FORMAT} document")
+    if doc.get("version") != MODEL_FORMAT_VERSION:
+        raise ParameterError(
+            f"{path}: unsupported model version {doc.get('version')!r}")
     kind = doc.get("model_type")
     if kind in ("cwr", "gwr"):
         return FittedCwr.from_dict(doc)

@@ -112,8 +112,7 @@ def predict(X, beta) -> np.ndarray:
     return X @ beta
 
 
-def solve_wls_batched(X, y, W, cond_limit: float = CONDITION_LIMIT,
-                      ridge_scale: float = RIDGE_SCALE):
+def solve_wls_batched(X, y, W):
     """Solve one weighted system per row of W through the normal equations.
 
     Builds every normal matrix X'W_iX with one GEMM, W @ vec(x x'), and
@@ -121,9 +120,9 @@ def solve_wls_batched(X, y, W, cond_limit: float = CONDITION_LIMIT,
     single batched call. The condition estimate of X'W_iX, which is
     symmetric positive semidefinite, is lambda_max / lambda_min from
     eigvalsh, infinite when lambda_min <= 0 or NaN. Rows whose estimate
-    exceeds cond_limit are re-solved with ridge = ridge_scale * trace / p
-    and flagged in `regularized`; rows that remain unsolvable are
-    flagged in `failed` and their coefficients zeroed.
+    exceeds CONDITION_LIMIT are re-solved with ridge = RIDGE_SCALE *
+    trace / p and flagged in `regularized`; rows that remain unsolvable
+    are flagged in `failed` and their coefficients zeroed.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
@@ -143,11 +142,11 @@ def solve_wls_batched(X, y, W, cond_limit: float = CONDITION_LIMIT,
     lo, hi = eig[:, 0], eig[:, -1]
     with np.errstate(all="ignore"):
         conds = np.where(lo > 0, hi / lo, np.inf)
-    bad = ~np.isfinite(conds) | (conds > cond_limit)
+    bad = ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
     failed = np.zeros(m, dtype=bool)
     if np.any(bad):
         traces = np.einsum("ikk->i", N)
-        ridges = np.where(bad, ridge_scale * np.maximum(traces, 0.0) / p, 0.0)
+        ridges = np.where(bad, RIDGE_SCALE * np.maximum(traces, 0.0) / p, 0.0)
         failed |= bad & (ridges <= 0)
         N = N + ridges[:, None, None] * np.eye(p)
     eye = np.eye(p)

@@ -10,6 +10,7 @@ import pytest
 
 import cwreg
 from cwreg.cli import main
+from cwreg.errors import ParameterError
 from cwreg.models import load_model
 
 
@@ -272,6 +273,37 @@ class TestErrorHandling:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
+
+    @pytest.mark.parametrize("schema_doc", [
+        {"columns": ["u"]},
+        {"columns": 5},
+    ], ids=["column-not-object", "columns-not-list"])
+    def test_malformed_schema_reports_json_error(self, tmp_path, capsys,
+                                                 schema_doc):
+        data, _ = make_dataset(tmp_path, n=40)
+        schema = tmp_path / "bad_schema.json"
+        schema.write_text(json.dumps(schema_doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["fit", "--model", "ols", "--data", data,
+                        "--schema", schema, "--out", tmp_path / "m.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("kind", ["ols", "lsboost", "cwr"])
+    def test_load_model_refuses_other_versions(self, tmp_path, kind):
+        data, schema = make_dataset(tmp_path, n=40)
+        path = tmp_path / f"{kind}.json"
+        code = run_cli(["fit", "--model", kind, "--data", data,
+                        "--schema", schema, "--trees", 10, "--r", 0.5,
+                        "--bandwidth", 0.5, "--out", path])
+        assert code == 0
+        doc = json.loads(path.read_text())
+        doc["version"] = 99
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParameterError):
+            load_model(path)
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

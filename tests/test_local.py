@@ -329,7 +329,7 @@ class TestSelectBandwidth:
     def test_unknown_scoring_rejected(self):
         table = random_table(n=10, p=1, seed=48)
         with pytest.raises(ParameterError):
-            select_bandwidth(table, DistanceSpec(r=1.0), scoring="cv5")
+            select_rate(table, ["x1"], scoring="cv5")
 
 
 class TestSelectRate:
@@ -571,6 +571,27 @@ class TestFitCwr:
             fit_cwr(table, k=0)
         with pytest.raises(ParameterError):
             fit_cwr(table, mode="nearest")
+
+    def test_bw_grid_applies_to_every_rate(self):
+        # Each r is scored on the given grid, exactly as a fixed-r
+        # bandwidth search over that grid scores it.
+        table = random_table(n=25, p=1, seed=65)
+        grid = [0.3, 0.9, 2.7]
+        trace = fit_cwr(table, ["x1"], r_grid=[0.0, 0.5, 1.0],
+                        bw_grid=grid).traces["rate"]
+        for r, h, score in zip(trace.candidates, trace.bandwidths,
+                               trace.scores):
+            fixed = fit_cwr(table, ["x1"], r=r, bw_grid=grid)
+            assert h in grid
+            assert h == fixed.fit.bandwidth
+            assert score == fixed.traces["bandwidth"].selected_score
+
+    @pytest.mark.parametrize("r", ["search", 0.5])
+    def test_bw_grid_with_fixed_bandwidth_rejected(self, r):
+        table = random_table(n=20, p=1, seed=66)
+        with pytest.raises(ParameterError):
+            fit_cwr(table, ["x1"], r=r, r_grid=[0.0, 1.0], bandwidth=0.7,
+                    bw_grid=[0.5, 1.0])
 
     def test_scored_model_is_the_fitted_model(self):
         # The final fit solves exactly the systems that scored the
