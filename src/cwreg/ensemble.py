@@ -65,16 +65,24 @@ class TreeNode:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
+    def from_dict(cls, doc: dict, n_features: int) -> "TreeNode":
+        """Rebuild a tree; every split feature must index one of
+        `n_features` columns."""
         if "feature" not in doc:
             return cls(value=doc["value"])
+        feature = doc["feature"]
+        if isinstance(feature, bool) or not isinstance(feature, int) \
+                or not 0 <= feature < n_features:
+            raise ParameterError(
+                f"tree split feature must be an integer in "
+                f"[0, {n_features}), got {feature!r}")
         return cls(
             value=doc["value"],
-            feature=doc["feature"],
+            feature=feature,
             threshold=doc["threshold"],
             gain=doc["gain"],
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
+            left=cls.from_dict(doc["left"], n_features),
+            right=cls.from_dict(doc["right"], n_features),
         )
 
 
@@ -203,7 +211,8 @@ class BoostedEnsemble:
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
         return cls(
             f0=doc["f0"],
-            trees=[TreeNode.from_dict(t) for t in doc["trees"]],
+            trees=[TreeNode.from_dict(t, doc["n_features"])
+                   for t in doc["trees"]],
             shrinkage=doc["shrinkage"],
             max_depth=doc["max_depth"],
             min_leaf=doc["min_leaf"],

@@ -15,7 +15,11 @@ to the first bandwidth candidate and to the larger r.
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
 ("knn-coef", the default with K = 3) or solves a fresh weighted fit
-centered on the query ("local-fit").
+centered on the query ("local-fit"). The K nearest are found by partial
+selection, O(n) per query, and ordered by (distance, training-row
+index), exactly as a full stable sort would order them. The training
+half of the query distances (standardized training attributes, the
+training design matrix) is built once per FittedCwr, not per call.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .data import (
     ObservationTable,
@@ -307,11 +312,44 @@ def select_rate(table: ObservationTable, attribute_columns,
     return model.fit.spec, model.traces["rate"]
 
 
-def _query_blended(fit: LocalFit, table: ObservationTable, coords, covariates):
+class _TrainingSide:
+    """The half of query-to-training distances that depends only on the
+    model: the standardized training attributes (None when the blend
+    leaves attribute distances out) and the training design matrix.
+
+    The training coordinates need no work: the table checked them when
+    it was built.
+    """
+
+    def __init__(self, fit: LocalFit, table: ObservationTable):
+        self.fit, self.table = fit, table
+        self.transform, self.spec = fit.transform, fit.spec
+        self.attrs = None
+        if fit.spec.r < 1.0 and fit.transform is not None:
+            self.attr_index = [table.column_index(c)
+                               for c in fit.transform.columns]
+            self.attrs = fit.transform.apply_table(table)
+        self.X = design_matrix(table.covariates)
+
+    @classmethod
+    def of(cls, fit: LocalFit, table: ObservationTable,
+           cached: "_TrainingSide | None" = None) -> "_TrainingSide":
+        """`cached` while it was built from this fit and table and the
+        fit's current transform and spec; else a new one."""
+        if (cached is not None and cached.fit is fit and cached.table is table
+                and cached.transform is fit.transform
+                and cached.spec is fit.spec):
+            return cached
+        return cls(fit, table)
+
+
+def _query_blended(training: _TrainingSide, coords, covariates):
     """Blended query-to-training distances under the stored scales."""
+    fit, table = training.fit, training.table
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if covariates.shape[1] != len(table.covariate_names):
+    if (covariates.ndim != 2
+            or covariates.shape[1] != len(table.covariate_names)):
         raise DimensionError(
             f"queries need {len(table.covariate_names)} covariates, "
             f"got {covariates.shape[1]}"
@@ -320,44 +358,76 @@ def _query_blended(fit: LocalFit, table: ObservationTable, coords, covariates):
         raise DimensionError("coords and covariates disagree on query count")
     if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(covariates))):
         raise ParameterError("query coordinates and covariates must be finite")
-    geo = geographic_distances(coords, table.coords) / fit.geo_scale
-    if fit.spec.r < 1.0 and fit.transform is not None:
-        col_idx = [table.column_index(c) for c in fit.transform.columns]
-        q_std = fit.transform.apply(covariates[:, col_idx])
-        t_std = fit.transform.apply_table(table)
-        attr = attribute_distances(q_std, t_std) / fit.attr_scale
-    else:
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise DimensionError(
+            f"query coordinates must have 2 columns, got {coords.shape[1]}")
+    geo = cdist(coords, table.coords) / fit.geo_scale
+    if training.attrs is None:
         attr = np.zeros_like(geo)
+    else:
+        q_std = fit.transform.apply(covariates[:, training.attr_index])
+        attr = cdist(q_std, training.attrs) / fit.attr_scale
     return blend_distances(geo, attr, fit.spec)
 
 
+def _nearest(D, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of D, in
+    (distance, index) order: np.argsort(D, axis=1, kind="stable")[:, :k].
+
+    np.argpartition picks k entries at or below each row's k-th
+    smallest distance in O(n); sorted by index, then stably by
+    distance, they are the answer unless more than k entries reach that
+    distance. Such a row, tied across the boundary (or holding NaN),
+    falls back to the full stable sort, that row alone.
+    """
+    rows = np.arange(D.shape[0])[:, None]
+    # Copy the k columns so the n_query x n index array is freed.
+    near = np.argpartition(D, k - 1, axis=1)[:, :k].copy()
+    near.sort(axis=1)
+    near_d = D[rows, near]
+    order = near[rows, np.argsort(near_d, axis=1, kind="stable")]
+    exact = np.count_nonzero(D <= near_d.max(axis=1, keepdims=True),
+                             axis=1) == k
+    if not exact.all():
+        tied = np.flatnonzero(~exact)
+        order[tied] = np.argsort(D[tied], axis=1, kind="stable")[:, :k]
+    return order
+
+
 def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
-               mode: str = "knn-coef", k: int = 3) -> np.ndarray:
+               mode: str = "knn-coef", k: int = 3, *,
+               training: _TrainingSide | None = None) -> np.ndarray:
     """Predict the response at query locations (batch form).
 
     "knn-coef" averages the coefficient vectors of the k nearest
-    training points under the blended distance (distance ties broken
-    by ascending training-row index) and applies the average to the
-    query covariates. "local-fit" solves a fresh weighted fit centered
-    on each query at the stored bandwidth with fit_local's solver.
+    training points under the blended distance and applies the average
+    to the query covariates. The neighbours are ordered by (distance,
+    training-row index), so distance ties go to the lower row; they are
+    found by partial selection, O(n) per query, not by a full sort.
+    "local-fit" solves a fresh weighted fit centered on each query at
+    the stored bandwidth with fit_local's solver.
+
+    The training half of the distances (standardized training
+    attributes, training design matrix) is built once per call here;
+    FittedCwr builds it once per model and passes it as `training`,
+    which is rebuilt if it was made for another fit or table.
     """
     if mode not in PREDICT_MODES:
         raise ParameterError(
             f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}"
         )
-    D = _query_blended(fit, table, coords, covariates)
+    training = _TrainingSide.of(fit, table, training)
+    D = _query_blended(training, coords, covariates)
     Xq = design_matrix(np.atleast_2d(np.asarray(covariates, dtype=float)))
     if mode == "knn-coef":
         if not 1 <= k <= table.n:
             raise ParameterError(
                 f"k must be in [1, {table.n}] for this training table, got {k}"
             )
-        order = np.argsort(D, axis=1, kind="stable")[:, :k]
-        beta_bar = fit.coefficients[order].mean(axis=1)
+        beta_bar = fit.coefficients[_nearest(D, k)].mean(axis=1)
         return np.einsum("ij,ij->i", Xq, beta_bar)
-    X = design_matrix(table.covariates)
     W = gaussian_weights(D, fit.bandwidth)
-    betas, _ = _solve_rows(X, table.y, W, "query")
+    betas, _ = _solve_rows(training.X, table.y, W, "query")
     return np.einsum("ij,ij->i", Xq, betas)
 
 
@@ -377,14 +447,19 @@ class FittedCwr:
     mode: str = "knn-coef"
     traces: dict[str, HyperSearchTrace] = field(default_factory=dict)
     name: str = "cwr"
+    # Built on the first prediction; rebuilt when fit or table change.
+    _training: _TrainingSide | None = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     @property
     def covariate_names(self) -> list[str]:
         return list(self.table.covariate_names)
 
     def predict(self, coords, covariates) -> np.ndarray:
+        self._training = _TrainingSide.of(self.fit, self.table,
+                                          self._training)
         return predict_at(self.fit, self.table, coords, covariates,
-                          mode=self.mode, k=self.k)
+                          mode=self.mode, k=self.k, training=self._training)
 
     def predict_table(self, table: ObservationTable) -> np.ndarray:
         return self.predict(table.coords,
@@ -455,6 +530,29 @@ class FittedCwr:
             raise ParameterError(
                 f"model coefficients must be ({n}, {p}) and regularized "
                 f"flags ({n},) for its training table")
+        if not np.all(np.isfinite(fit.coefficients)):
+            raise ParameterError("model coefficients must be finite")
+        for name in ("bandwidth", "geo_scale", "attr_scale"):
+            value = getattr(fit, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ParameterError(
+                    f"model {name} must be finite and positive, got {value}")
+        transform = fit.transform
+        if transform is not None:
+            unknown = sorted(set(transform.columns)
+                             - set(table.covariate_names))
+            if unknown:
+                raise ParameterError(
+                    f"standardization columns {unknown} are not covariates "
+                    "of the training table")
+            m = len(transform.columns)
+            means, stds = transform.means, transform.stds
+            if (means.shape != (m,) or stds.shape != (m,)
+                    or not np.all(np.isfinite(means))
+                    or not np.all(np.isfinite(stds) & (stds > 0))):
+                raise ParameterError(
+                    f"standardization needs {m} finite means and {m} finite "
+                    "positive stds")
         return model
 
     def save(self, path) -> None:

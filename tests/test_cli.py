@@ -274,6 +274,32 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("feature", [7, -1, 0.5, "0", True],
+                             ids=["out-of-range", "negative", "float",
+                                  "string", "bool"])
+    def test_tree_feature_outside_model_reports_json_error(
+            self, tmp_path, capsys, feature):
+        data, schema = make_dataset(tmp_path, n=40)
+        model_path = tmp_path / "m.json"
+        code = run_cli(["fit", "--model", "lsboost", "--data", data,
+                        "--schema", schema, "--trees", 5,
+                        "--out", model_path])
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        assert doc["ensemble"]["n_features"] < 7
+        root = doc["ensemble"]["trees"][0]
+        assert "feature" in root
+        root["feature"] = feature
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "q.csv"
+        query.write_text("u,v,x1\n10.0,20.0,0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["predict", "--model", model_path, "--query", query])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ParameterError"
+
     @pytest.mark.parametrize("schema_doc", [
         {"columns": ["u"]},
         {"columns": 5},

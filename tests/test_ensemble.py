@@ -168,7 +168,7 @@ class TestFitTree:
         X = rng.normal(size=(30, 2))
         y = rng.normal(size=30)
         tree = fit_tree(X, y, max_depth=3, min_leaf=2)
-        clone = TreeNode.from_dict(tree.to_dict())
+        clone = TreeNode.from_dict(tree.to_dict(), X.shape[1])
         Q = rng.normal(size=(50, 2))
         np.testing.assert_array_equal(tree.predict(Q), clone.predict(Q))
 

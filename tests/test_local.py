@@ -1,13 +1,16 @@
 """Local weighted fits, hyperparameter search, prediction modes."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cwreg.local
-from cwreg.data import ObservationTable
+from cwreg.data import ObservationTable, StandardizationTransform
 from cwreg.distances import DistanceSpec, gaussian_weights
 from cwreg.errors import DimensionError, ParameterError, SearchFailureError
 from cwreg.evaluate import rmse
@@ -494,6 +497,141 @@ class TestPredictAt:
             predict_at(fit, table, [[0.0, 0.0]], [[1.0]])
 
 
+def full_sort(D, k):
+    """The selection rule by definition: a full stable sort per row."""
+    return np.argsort(D, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def distance_batches(draw):
+    """(D, k): rows of few distinct values (many ties) or of distinct
+    values, some columns duplicated, k anywhere in [1, n]."""
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    rows = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            levels = draw(st.integers(1, 4))
+            cells = st.integers(0, levels).map(lambda v: v / 4)
+        else:
+            cells = st.floats(0.0, 1e3, allow_nan=False)
+        rows.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    D = np.array(rows, dtype=float)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=3)):
+        D[:, a] = D[:, b]
+    return D, k
+
+
+def grid_table(n=24, seed=0):
+    """Training records on an integer grid: distances tie often."""
+    rng = np.random.default_rng(seed)
+    return ObservationTable(
+        ids=[f"g{i}" for i in range(n)],
+        coords=rng.integers(0, 4, size=(n, 2)).astype(float),
+        y=rng.normal(size=n),
+        covariates=rng.integers(0, 3, size=(n, 1)).astype(float),
+        covariate_names=["x1"],
+    )
+
+
+class TestNearestSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(distance_batches())
+    @example((np.array([[0.5, 0.25, 0.25, 0.75]]), 2))
+    @example((np.array([[0.5, 0.25, 0.25, 0.75]]), 1))
+    @example((np.array([[0.5, 0.25, 0.25, 0.75]]), 4))
+    def test_equals_full_stable_sort(self, batch):
+        D, k = batch
+        np.testing.assert_array_equal(cwreg.local._nearest(D, k),
+                                      full_sort(D, k))
+
+    def test_batch_mixing_tied_and_untied_rows(self):
+        D = np.array([
+            [3.0, 1.0, 4.0, 1.5, 9.0, 2.6],  # no ties
+            [2.0, 1.0, 2.0, 0.5, 2.0, 7.0],  # k-th distance tied past k
+            [1.0, 1.0, 0.5, 4.0, 5.0, 6.0],  # ties inside the k nearest
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # everything tied
+            [5.0, 4.0, 3.0, 2.0, 1.0, 0.0],  # descending
+        ])
+        for k in range(1, D.shape[1] + 1):
+            np.testing.assert_array_equal(cwreg.local._nearest(D, k),
+                                          full_sort(D, k))
+        np.testing.assert_array_equal(cwreg.local._nearest(D, 3)[1],
+                                      [3, 1, 0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.sampled_from([0.0, 0.5, 1.0]),
+           k=st.sampled_from([1, 2, 3, 24]),
+           coords=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=8),
+           x1=st.integers(0, 2))
+    def test_knn_predictions_equal_full_sort_bit_for_bit(self, r, k, coords,
+                                                         x1):
+        table = grid_table()
+        model = fit_cwr(table, ["x1"], r=r, bandwidth=1.0, k=k)
+        qc = np.array(coords, dtype=float)
+        qx = np.full((len(qc), 1), float(x1))
+        got = model.predict(qc, qx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cwreg.local, "_nearest", full_sort)
+            expected = model.predict(qc, qx)
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestPredictionState:
+    def test_training_table_standardized_once_per_model(self, monkeypatch):
+        table = random_table(n=30, p=2, seed=70)
+        models = [fit_cwr(table, ["x1", "x2"], r=0.4, bandwidth=0.8,
+                          mode=mode) for mode in ("knn-coef", "local-fit")]
+        calls = []
+        original = StandardizationTransform.apply_table
+
+        def counted(transform, tbl):
+            calls.append(tbl)
+            return original(transform, tbl)
+
+        monkeypatch.setattr(StandardizationTransform, "apply_table", counted)
+        rng = np.random.default_rng(8)
+        for model in models:
+            calls.clear()
+            for _ in range(50):
+                model.predict(rng.uniform(0, 10, size=(1, 2)),
+                              rng.normal(size=(1, 2)))
+            assert len(calls) <= 1
+
+    @pytest.mark.parametrize("mode", ["knn-coef", "local-fit"])
+    def test_replaced_or_reassigned_table_is_used(self, mode):
+        table = random_table(n=30, p=2, seed=71)
+        model = fit_cwr(table, ["x1", "x2"], r=0.4, bandwidth=0.8, mode=mode)
+        # Same ids and columns, other coordinates, covariates and y.
+        other = random_table(n=30, p=2, seed=72)
+        rng = np.random.default_rng(9)
+        qc, qx = rng.uniform(0, 10, size=(5, 2)), rng.normal(size=(5, 2))
+        own = model.predict(qc, qx)  # builds the model's state
+        expected = predict_at(model.fit, other, qc, qx, mode=mode)
+        assert not np.array_equal(own, expected)
+        clone = dataclasses.replace(model, table=other)
+        np.testing.assert_array_equal(clone.predict(qc, qx), expected)
+        model.table = other
+        np.testing.assert_array_equal(model.predict(qc, qx), expected)
+        model.table = table
+        np.testing.assert_array_equal(model.predict(qc, qx), own)
+
+    def test_reassigned_fit_is_used(self):
+        table = random_table(n=30, p=2, seed=73)
+        model = fit_cwr(table, ["x1", "x2"], r=0.4, bandwidth=0.8)
+        other = fit_cwr(table, ["x1", "x2"], r=0.0, bandwidth=0.5).fit
+        rng = np.random.default_rng(10)
+        qc, qx = rng.uniform(0, 10, size=(5, 2)), rng.normal(size=(5, 2))
+        model.predict(qc, qx)
+        model.fit = other
+        np.testing.assert_array_equal(model.predict(qc, qx),
+                                      predict_at(other, table, qc, qx))
+
+
 class TestFitCwr:
     def test_search_populates_rate_trace(self):
         table = random_table(n=30, p=1, seed=57)
@@ -560,6 +698,33 @@ class TestFitCwr:
                         encoding="utf-8")
         with pytest.raises(ParameterError):
             FittedCwr.load(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["coefficients"][3].__setitem__(1, float("nan")),
+        lambda doc: doc["coefficients"][0].__setitem__(0, float("inf")),
+        lambda doc: doc.__setitem__("bandwidth", 0.0),
+        lambda doc: doc.__setitem__("bandwidth", float("inf")),
+        lambda doc: doc.__setitem__("geo_scale", -1.0),
+        lambda doc: doc.__setitem__("geo_scale", float("nan")),
+        lambda doc: doc.__setitem__("attr_scale", 0.0),
+        lambda doc: doc.__setitem__("attr_scale", float("inf")),
+        lambda doc: doc["standardization"]["columns"].__setitem__(0, "zz"),
+        lambda doc: doc["standardization"]["means"].__setitem__(
+            0, float("nan")),
+        lambda doc: doc["standardization"]["stds"].__setitem__(0, 0.0),
+        lambda doc: doc["standardization"]["stds"].pop(),
+    ], ids=["nan-coefficient", "inf-coefficient", "zero-bandwidth",
+            "inf-bandwidth", "negative-geo-scale", "nan-geo-scale",
+            "zero-attr-scale", "inf-attr-scale",
+            "standardization-column-not-covariate", "nan-mean", "zero-std",
+            "stds-too-short"])
+    def test_load_rejects_invalid_values(self, corrupt):
+        table = random_table(n=20, p=2, seed=67)
+        doc = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.8).to_dict()
+        FittedCwr.from_dict(doc)
+        corrupt(doc)
+        with pytest.raises(ParameterError):
+            FittedCwr.from_dict(doc)
 
     def test_validation(self):
         table = random_table(n=20, p=1, seed=63)
