@@ -68,7 +68,6 @@ from .local import (
     fit_cwr,
     fit_local,
     predict_at,
-    select_bandwidth,
     select_rate,
 )
 from .models import LsboostModel, OlsModel, load_model, save_model
@@ -127,7 +126,6 @@ __all__ = [
     "run_batch",
     "run_comparison",
     "save_model",
-    "select_bandwidth",
     "select_factors",
     "select_rate",
     "solve_wls",

@@ -118,22 +118,24 @@ def blend_distances(geographic, attribute, spec: DistanceSpec) -> np.ndarray:
     return spec.r * geo + (1.0 - spec.r) * attr
 
 
-def gaussian_weights(distances, bandwidth: float) -> np.ndarray:
+def gaussian_weights(distances, bandwidth) -> np.ndarray:
     """Gaussian kernel weights exp(-(d / h)^2).
 
     A point at distance h gets weight exp(-1); at 2h, exp(-4); at zero
-    distance, exactly 1.
+    distance, exactly 1. Bandwidths of shape (k, 1, 1) give k stacked
+    kernels, each equal to its scalar call; all must be finite and > 0.
     """
-    if not np.isfinite(bandwidth) or bandwidth <= 0:
+    h = np.asarray(bandwidth, dtype=float)
+    if not np.all(np.isfinite(h) & (h > 0)):
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
     d = np.asarray(distances, dtype=float)
     if np.any(d < 0):
         raise ParameterError("distances must be nonnegative")
     # d/h can overflow for extreme candidate bandwidths; the weight is
-    # then a legitimate 0, so silence the spurious warning. The kernel
-    # is computed in place in the one array d / h allocates.
+    # then a legitimate 0, so silence the spurious warning. The kernels
+    # are computed in place in the one array d / h allocates.
     with np.errstate(over="ignore"):
-        w = d / bandwidth
+        w = d / h
         np.square(w, out=w)
         np.negative(w, out=w)
         return np.exp(w, out=w)

@@ -3,11 +3,11 @@
 Single fits go through a rank-revealing decomposition of the
 square-root-weighted design rather than the normal equations; an
 optional ridge term stabilizes near-singular local systems. The
-batched solver trades that robustness for throughput: it scores every
-hyperparameter candidate and solves the final local fits, where
-thousands of small systems are solved at once. It assembles all normal
-systems with two matrix products (GEMM) and estimates their condition
-from the extreme eigenvalues of the symmetric X'WX; the rows it cannot
+batched solver trades that robustness for throughput where thousands
+of small systems are solved at once: the final local fits, and search
+candidates, whose kernels arrive stacked several to a call. Matrix
+products (GEMM) assemble the normal systems, the extreme eigenvalues
+of the symmetric X'WX estimate their condition, and the rows it cannot
 solve fall back to the stable path. A test pins it to the stable path.
 """
 
@@ -115,29 +115,33 @@ def predict(X, beta) -> np.ndarray:
 def solve_wls_batched(X, y, W):
     """Solve one weighted system per row of W through the normal equations.
 
-    Builds every normal matrix X'W_iX with one GEMM, W @ vec(x x'), and
-    every right-hand side X'W_iy with a second, then solves them in a
-    single batched call. The condition estimate of X'W_iX, which is
-    symmetric positive semidefinite, is lambda_max / lambda_min from
-    eigvalsh, infinite when lambda_min <= 0 or NaN. Rows whose estimate
-    exceeds CONDITION_LIMIT are re-solved with ridge = RIDGE_SCALE *
-    trace / p and flagged in `regularized`; rows that remain unsolvable
-    are flagged in `failed` and their coefficients zeroed.
+    W is (m, n), one row of weights per system, or a stack (k, r, n)
+    solved as its k * r rows in order. Every normal matrix X'W_iX comes
+    from one GEMM per weight matrix, W @ vec(x x'), and every right-hand
+    side X'W_iy from a second, so a stack gives the numbers of k calls
+    (one tall GEMM can round differently); all are solved in one batched
+    call. The condition estimate of X'W_iX, symmetric positive
+    semidefinite, is lambda_max / lambda_min from eigvalsh, infinite
+    when lambda_min <= 0 or NaN. Rows whose estimate exceeds
+    CONDITION_LIMIT get ridge = RIDGE_SCALE * trace / p added in place
+    to their diagonal and are flagged in `regularized`; rows that remain
+    unsolvable become the identity in place, are flagged in `failed`
+    and their coefficients zeroed.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape[1] != X.shape[0] or X.shape[0] != y.shape[0]:
+    if W.shape[-1] != X.shape[0] or X.shape[0] != y.shape[0]:
         raise DimensionError(
             f"shape mismatch: X {X.shape}, y {y.shape}, W {W.shape}"
         )
-    m = W.shape[0]
     n, p = X.shape
     outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    N = (W @ outer).reshape(m, p, p)
-    c = W @ (X * y[:, None])
+    N = (W @ outer).reshape(-1, p, p)
+    m = len(N)
+    c = (W @ (X * y[:, None])).reshape(m, p)
     eig = np.linalg.eigvalsh(N)
     lo, hi = eig[:, 0], eig[:, -1]
     with np.errstate(all="ignore"):
@@ -148,23 +152,20 @@ def solve_wls_batched(X, y, W):
         traces = np.einsum("ikk->i", N)
         ridges = np.where(bad, RIDGE_SCALE * np.maximum(traces, 0.0) / p, 0.0)
         failed |= bad & (ridges <= 0)
-        N = N + ridges[:, None, None] * np.eye(p)
-    eye = np.eye(p)
-    N_solve = np.where(failed[:, None, None], eye, N)
-    c_solve = np.where(failed[:, None], 0.0, c)
+        N.reshape(m, p * p)[:, :: p + 1] += ridges[:, None]
+        N[failed] = np.eye(p)
+        c[failed] = 0.0
     try:
-        betas = np.linalg.solve(N_solve, c_solve[:, :, None])[:, :, 0]
+        betas = np.linalg.solve(N, c[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         betas = np.zeros((m, p))
         for i in range(m):
             if failed[i]:
                 continue
             try:
-                betas[i] = np.linalg.solve(N_solve[i], c_solve[i])
+                betas[i] = np.linalg.solve(N[i], c[i])
             except np.linalg.LinAlgError:
                 failed[i] = True
-    bad_rows = ~np.all(np.isfinite(betas), axis=1)
-    if np.any(bad_rows):
-        failed |= bad_rows
-        betas[bad_rows] = 0.0
+    failed |= ~np.all(np.isfinite(betas), axis=1)
+    betas[failed] = 0.0
     return betas, bad & ~failed, failed

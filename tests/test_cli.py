@@ -252,8 +252,10 @@ class TestErrorHandling:
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.pop("spec"),
         lambda doc: doc["coefficients"].pop(),
+        lambda doc: doc.__setitem__("standardization", None),
         None,
-    ], ids=["missing-spec", "truncated-coefficients", "not-json"])
+    ], ids=["missing-spec", "truncated-coefficients",
+            "blended-without-standardization", "not-json"])
     def test_malformed_model_reports_json_error(self, tmp_path, capsys,
                                                 corrupt):
         data, schema = make_dataset(tmp_path, n=40)

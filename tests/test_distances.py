@@ -171,6 +171,21 @@ class TestGaussianWeights:
             with pytest.raises(ParameterError):
                 gaussian_weights(np.ones((2, 2)), bad)
 
+    def test_stacked_bandwidths_equal_scalar_calls(self):
+        rng = np.random.default_rng(14)
+        d = np.abs(rng.normal(size=(9, 9)))
+        h = np.array([1e-300, 1e-3, 0.37, 1.0, 250.0])
+        w = gaussian_weights(d, h[:, None, None])
+        assert w.shape == (5, 9, 9)
+        for i, hi in enumerate(h):
+            assert w[i].tobytes() == gaussian_weights(d, hi).tobytes()
+
+    def test_stacked_bandwidths_must_all_be_positive(self):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            h = np.array([0.5, bad, 2.0])[:, None, None]
+            with pytest.raises(ParameterError):
+                gaussian_weights(np.ones((2, 2)), h)
+
     def test_negative_distances_rejected(self):
         with pytest.raises(ParameterError):
             gaussian_weights(np.array([-0.5]), 1.0)

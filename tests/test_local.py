@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import cwreg.local
 from cwreg.data import ObservationTable, StandardizationTransform
-from cwreg.distances import DistanceSpec, gaussian_weights
+from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
 from cwreg.errors import DimensionError, ParameterError, SearchFailureError
 from cwreg.evaluate import rmse
 from cwreg.local import (
@@ -20,10 +21,9 @@ from cwreg.local import (
     fit_cwr,
     fit_local,
     predict_at,
-    select_bandwidth,
     select_rate,
 )
-from cwreg.wls import design_matrix, fit_ols
+from cwreg.wls import design_matrix, fit_ols, solve_wls_batched
 
 from conftest import brute_force_distance_matrix, brute_force_wls, random_table
 
@@ -252,6 +252,24 @@ class TestSearchMemory:
             lambda: cwreg.local._grid_scores(X, y, D, grid, "loo"))
         assert peak < 1.5
 
+    def test_grid_scores_chunk_fits_its_budget(self):
+        # n = 80 and p = 8 stack 11 kernels per chunk. Sized by the
+        # kernels alone, all 20 would fit the budget, and the normal
+        # matrices would take the peak above 2 MiB.
+        n = 80
+        rng = np.random.default_rng(48)
+        X = design_matrix(rng.normal(size=(n, 7)))
+        y = rng.normal(size=n)
+        D = self._distances()[:n, :n]
+        grid = bandwidth_grid(D)
+        tracemalloc.start()
+        try:
+            cwreg.local._grid_scores(X, y, D, grid, "loo")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
     def test_bandwidth_grid_copies_distances_once(self):
         D = self._distances()
         assert self._peak_matrices(lambda: bandwidth_grid(D)) < 1.5
@@ -267,16 +285,78 @@ class TestSearchMemory:
         assert peak < 4.5
 
 
+def grid_scores_one_at_a_time(X, y, D, grid, scoring):
+    """_grid_scores with one kernel and one batched solve per candidate."""
+    scores = []
+    for h in grid:
+        W = gaussian_weights(D, h)
+        if scoring == "loo":
+            np.fill_diagonal(W, 0.0)
+        betas, _, failed = solve_wls_batched(X, y, W)
+        if np.any(failed):
+            scores.append(np.inf)
+            continue
+        pred = np.einsum("ij,ij->i", X, betas)
+        scores.append(float(np.sqrt(np.mean((y - pred) ** 2))))
+    return scores
+
+
+class TestGridScores:
+    """Chunks of stacked kernels score exactly as one kernel at a time."""
+
+    # n = 30 takes every candidate in one chunk, n = 100 twelve per
+    # chunk and n = 370 one.
+    @pytest.mark.parametrize("n", [30, 100, 370])
+    @pytest.mark.parametrize("size", [1, 7, 20])
+    @pytest.mark.parametrize("scoring", ["loo", "insample"])
+    def test_equal_to_one_candidate_at_a_time(self, n, size, scoring):
+        rng = np.random.default_rng(n + size)
+        X = design_matrix(rng.normal(size=(n, 2)))
+        y = X[:, 1] + rng.normal(size=n)
+        coords = rng.uniform(0, 10, size=(n, 2))
+        D = brute_force_distance_matrix(coords, coords)
+        D /= D.max()
+        grid = bandwidth_grid(D, size=size)
+        if size > 1:
+            # No weight but a self weight survives 1e-300: under "loo"
+            # every location fails, and the candidate scores inf.
+            grid.insert(size // 2, 1e-300)
+        scores = cwreg.local._grid_scores(X, y, D, grid, scoring)
+        assert scores == grid_scores_one_at_a_time(X, y, D, grid, scoring)
+        if size > 1 and scoring == "loo":
+            assert scores[size // 2] == np.inf
+            assert np.all(np.isfinite(np.delete(scores, size // 2)))
+
+    def test_default_search_solves_chunks(self, monkeypatch):
+        # At n = 160 and p = 3 four kernels share a chunk: each r's 20
+        # bandwidths take 5 calls, plus one for the final fit.
+        calls, systems = [], []
+
+        def counting(X, y, W):
+            result = solve_wls_batched(X, y, W)
+            calls.append(1)
+            systems.append(result[0].shape[0])
+            return result
+
+        monkeypatch.setattr(cwreg.local, "solve_wls_batched", counting)
+        table = random_table(n=160, p=2, seed=49)
+        fit_cwr(table, ["x1", "x2"])
+        assert len(calls) == 101 * 5 + 1
+        assert sum(systems) == (101 * 20 + 1) * 160
+
+
 class TestSelectBandwidth:
+    """Bandwidth search at a fixed r: fit_cwr with a bw_grid."""
+
     def test_exhaustive_loo_verification(self):
         # Recompute every candidate's leave-one-out RMSE with explicit
         # loops and check both the scores and the argmin.
         table = random_table(n=12, p=1, seed=43)
-        spec = DistanceSpec(r=1.0)
         geo = brute_force_distance_matrix(table.coords, table.coords)
         D = geo / geo.max()
         grid = [0.1, 0.3, 0.9, 2.7]
-        h, trace = select_bandwidth(table, spec, grid=grid)
+        model = fit_cwr(table, r=1.0, bw_grid=grid)
+        h, trace = model.fit.bandwidth, model.traces["bandwidth"]
         expected = [loo_rmse_by_hand(table, D, hh) for hh in grid]
         # Two different normal-equation routes (batched solve vs. a
         # plain inverse) agree to solver precision, not exactly.
@@ -296,8 +376,8 @@ class TestSelectBandwidth:
                                  covariates=x1[:, None],
                                  covariate_names=["x1"])
         grid = [0.01, 1e6]
-        h, _ = select_bandwidth(table, DistanceSpec(r=1.0), grid=grid)
-        assert h == 1e6
+        model = fit_cwr(table, r=1.0, bw_grid=grid)
+        assert model.fit.bandwidth == 1e6
 
     def test_tied_scores_take_first_candidate(self):
         # Constant response: every local fit reproduces it exactly, so
@@ -311,23 +391,24 @@ class TestSelectBandwidth:
             covariate_names=["x1"],
         )
         grid = [0.5, 1.0, 2.0]
-        h, trace = select_bandwidth(table, DistanceSpec(r=1.0), grid=grid)
-        np.testing.assert_allclose(trace.scores, 0.0, atol=1e-10)
-        assert h == 0.5
+        model = fit_cwr(table, r=1.0, bw_grid=grid)
+        np.testing.assert_allclose(model.traces["bandwidth"].scores, 0.0,
+                                   atol=1e-10)
+        assert model.fit.bandwidth == 0.5
 
     def test_underflowing_grid_raises_search_failure(self):
         # Bandwidths far below any pairwise distance zero out all
         # leave-one-out weights at every location.
         table = random_table(n=10, p=1, seed=46)
         with pytest.raises(SearchFailureError):
-            select_bandwidth(table, DistanceSpec(r=1.0), grid=[1e-300])
+            fit_cwr(table, r=1.0, bw_grid=[1e-300])
 
     def test_bad_grid_rejected(self):
         table = random_table(n=10, p=1, seed=47)
         with pytest.raises(ParameterError):
-            select_bandwidth(table, DistanceSpec(r=1.0), grid=[])
+            fit_cwr(table, r=1.0, bw_grid=[])
         with pytest.raises(ParameterError):
-            select_bandwidth(table, DistanceSpec(r=1.0), grid=[1.0, -2.0])
+            fit_cwr(table, r=1.0, bw_grid=[1.0, -2.0])
 
     def test_unknown_scoring_rejected(self):
         table = random_table(n=10, p=1, seed=48)
@@ -631,6 +712,31 @@ class TestPredictionState:
         np.testing.assert_array_equal(model.predict(qc, qx),
                                       predict_at(other, table, qc, qx))
 
+    @pytest.mark.parametrize("mode", ["knn-coef", "local-fit"])
+    @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
+    def test_query_blend_equals_blend_distances(self, monkeypatch, r, mode):
+        # The blend written into the geographic query matrix is the one
+        # blend_distances builds from separate matrices, bit for bit.
+        def blend_route(training, coords, covariates):
+            fit = training.fit
+            geo = cdist(coords, training.table.coords) / fit.geo_scale
+            attr = np.zeros_like(geo)
+            if training.attrs is not None:
+                z = fit.transform.apply(covariates[:, training.attr_index])
+                attr = cdist(z, training.attrs) / fit.attr_scale
+            return blend_distances(geo, attr, fit.spec)
+
+        table = random_table(n=40, p=2, seed=74)
+        model = fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.4, mode=mode)
+        rng = np.random.default_rng(11)
+        qc, qx = rng.uniform(0, 10, size=(7, 2)), rng.normal(size=(7, 2))
+        training = cwreg.local._TrainingSide(model.fit, table)
+        D = cwreg.local._query_blended(training, qc, qx)
+        assert D.tobytes() == blend_route(training, qc, qx).tobytes()
+        own = model.predict(qc, qx)
+        monkeypatch.setattr(cwreg.local, "_query_blended", blend_route)
+        assert own.tobytes() == model.predict(qc, qx).tobytes()
+
 
 class TestFitCwr:
     def test_search_populates_rate_trace(self):
@@ -713,11 +819,12 @@ class TestFitCwr:
             0, float("nan")),
         lambda doc: doc["standardization"]["stds"].__setitem__(0, 0.0),
         lambda doc: doc["standardization"]["stds"].pop(),
+        lambda doc: doc.__setitem__("standardization", None),
     ], ids=["nan-coefficient", "inf-coefficient", "zero-bandwidth",
             "inf-bandwidth", "negative-geo-scale", "nan-geo-scale",
             "zero-attr-scale", "inf-attr-scale",
             "standardization-column-not-covariate", "nan-mean", "zero-std",
-            "stds-too-short"])
+            "stds-too-short", "blended-without-standardization"])
     def test_load_rejects_invalid_values(self, corrupt):
         table = random_table(n=20, p=2, seed=67)
         doc = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.8).to_dict()

@@ -231,3 +231,22 @@ class TestSolveWlsBatched:
         assert not failed[:-1].any()
         assert np.all(np.isfinite(betas))
         np.testing.assert_array_equal(betas[-1], 0.0)
+
+    def test_stacked_weights_equal_one_call_per_matrix(self):
+        # A (k, m, n) stack solves its k * m systems in order, with the
+        # numbers k separate calls give: regularized and failed rows too.
+        rng = np.random.default_rng(8)
+        n = 30
+        b = np.zeros(n)
+        b[n // 2:] = rng.normal(size=n // 2)
+        X = np.column_stack([np.ones(n), rng.normal(size=n), b])
+        y = rng.normal(size=n)
+        W = rng.uniform(0.1, 1.0, size=(3, 10, n))
+        W[0, 2, n // 2:] = 1e-16
+        W[1, 4] = 0.0
+        stacked = solve_wls_batched(X, y, W)
+        one_by_one = [solve_wls_batched(X, y, Wk) for Wk in W]
+        assert stacked[1].any() and stacked[2].any()
+        for got, parts in zip(stacked, zip(*one_by_one)):
+            assert got.shape[0] == 30
+            assert got.tobytes() == np.concatenate(parts).tobytes()
