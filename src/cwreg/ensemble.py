@@ -2,9 +2,11 @@
 
 Trees are grown greedily: every split maximizes the reduction in total
 squared error, with candidate thresholds at the midpoints between
-consecutive sorted unique feature values. Each internal node records
-the reduction its split achieved; predictor importance is the sum of
-those reductions per feature across an ensemble.
+consecutive sorted unique feature values. A tree sorts each feature
+once, stably; a node's per-feature order is that presort filtered to
+its rows, and one array pass scores every feature's splits. Each node
+records the reduction its split achieved; predictor importance is the
+sum of those reductions per feature across an ensemble.
 
 Boosting is plain stagewise least squares: start from the response
 mean, repeatedly fit a tree to the current residuals and add a
@@ -15,11 +17,21 @@ training MSE can never increase from one stage to the next.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+
+
+def _finite(doc: dict, key: str) -> float:
+    """doc[key] as a float; it must be a finite real number, not a bool."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -67,84 +79,75 @@ class TreeNode:
     @classmethod
     def from_dict(cls, doc: dict, n_features: int) -> "TreeNode":
         """Rebuild a tree; every split feature must index one of
-        `n_features` columns."""
-        if "feature" not in doc:
-            return cls(value=doc["value"])
-        feature = doc["feature"]
-        if isinstance(feature, bool) or not isinstance(feature, int) \
-                or not 0 <= feature < n_features:
-            raise ParameterError(
-                f"tree split feature must be an integer in "
-                f"[0, {n_features}), got {feature!r}")
-        return cls(
-            value=doc["value"],
-            feature=feature,
-            threshold=doc["threshold"],
-            gain=doc["gain"],
-            left=cls.from_dict(doc["left"], n_features),
-            right=cls.from_dict(doc["right"], n_features),
-        )
+        `n_features` columns, and every number must be finite."""
+        node = cls(value=_finite(doc, "value"))
+        if "feature" in doc:
+            feature = doc["feature"]
+            if isinstance(feature, bool) or not isinstance(feature, int) \
+                    or not 0 <= feature < n_features:
+                raise ParameterError(
+                    f"tree split feature must be an integer in "
+                    f"[0, {n_features}), got {feature!r}")
+            node.feature = feature
+            node.threshold = _finite(doc, "threshold")
+            node.gain = _finite(doc, "gain")
+            node.left = cls.from_dict(doc["left"], n_features)
+            node.right = cls.from_dict(doc["right"], n_features)
+        return node
 
 
-def _node_sse(y):
-    return float(np.sum((y - y.mean()) ** 2))
-
-
-def _best_split(X, y, min_leaf):
+def _best_split(X, y, rows, order, min_leaf):
     """Best (gain, feature, threshold) or None when no split helps.
 
-    Ties go to the lowest feature index, then the lowest threshold;
-    np.argmax on the per-feature gain vector picks the first maximum,
-    which encodes both rules since features are scanned in order.
+    `rows` masks the node's rows; column j of `order` lists them by
+    feature j, ties in row order. Ties in gain go to the lowest feature,
+    then the lowest threshold: argmax down each column of the (m, F)
+    gains picks the first maximum, argmax across the column maxima the
+    first feature.
     """
-    n = y.shape[0]
-    base = _node_sse(y)
-    total = float(y.sum())
-    total_sq = float(np.sum(y ** 2))
-    best = None
-    positions = np.arange(1, n)  # left side takes the first `pos` sorted rows
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        valid = xs[:-1] != xs[1:]
-        valid &= (positions >= min_leaf) & (n - positions >= min_leaf)
-        if not np.any(valid):
-            continue
-        left_sum = np.cumsum(ys)[:-1]
-        left_sq = np.cumsum(ys ** 2)[:-1]
-        nl = positions
-        nr = n - positions
-        sse_left = left_sq - left_sum ** 2 / nl
-        sse_right = (total_sq - left_sq) - (total - left_sum) ** 2 / nr
-        gains = np.where(valid, base - sse_left - sse_right, -np.inf)
-        t = int(np.argmax(gains))
-        gain = float(gains[t])
-        if gain <= 0:
-            continue
-        if best is None or gain > best[0]:
-            lo, hi = xs[t], xs[t + 1]
-            threshold = (lo + hi) / 2.0
-            if not lo <= threshold < hi:  # adjacent floats: keep the partition
-                threshold = lo
-            best = (gain, j, float(threshold))
-    return best
+    node_y = y[rows]
+    n = node_y.shape[0]
+    base = float(np.sum((node_y - node_y.mean()) ** 2))
+    total = float(node_y.sum())
+    total_sq = float(np.sum(node_y ** 2))
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    nl = np.arange(1, n)[:, None]  # left side takes the first `nl` sorted rows
+    valid = (xs[:-1] != xs[1:]) & (nl >= min_leaf) & (n - nl >= min_leaf)
+    left_sum = np.cumsum(ys, axis=0)[:-1]
+    left_sq = np.cumsum(ys ** 2, axis=0)[:-1]
+    sse_left = left_sq - left_sum ** 2 / nl
+    sse_right = (total_sq - left_sq) - (total - left_sum) ** 2 / (n - nl)
+    gains = np.where(valid, base - sse_left - sse_right, -np.inf)
+    t = np.argmax(gains, axis=0)
+    j = int(np.argmax(gains[t, range(gains.shape[1])]))
+    gain = float(gains[t[j], j])
+    if gain <= 0:
+        return None
+    lo, hi = xs[t[j], j], xs[t[j] + 1, j]
+    threshold = (lo + hi) / 2.0
+    if not lo <= threshold < hi:  # adjacent floats: keep the partition
+        threshold = lo
+    return gain, j, float(threshold)
 
 
-def _grow(X, y, depth, max_depth, min_leaf):
-    node = TreeNode(value=float(y.mean()))
-    if depth >= max_depth or y.shape[0] < 2 * min_leaf or np.all(y == y[0]):
+def _grow(X, y, rows, order, depth, max_depth, min_leaf):
+    node_y = y[rows]
+    node = TreeNode(value=float(node_y.mean()))
+    if depth >= max_depth or node_y.shape[0] < 2 * min_leaf \
+            or np.all(node_y == node_y[0]) or X.shape[1] == 0:
         return node
-    found = _best_split(X, y, min_leaf)
+    found = _best_split(X, y, rows, order, min_leaf)
     if found is None:
         return node
-    gain, feature, threshold = found
-    mask = X[:, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.gain = gain
-    node.left = _grow(X[mask], y[mask], depth + 1, max_depth, min_leaf)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, max_depth, min_leaf)
+    node.gain, node.feature, node.threshold = found
+    left = X[:, node.feature] <= node.threshold
+    # Filtering each presorted column keeps it sorted, ties in row order.
+    node.left, node.right = (
+        _grow(X, y, rows & keep,
+              order.T[keep[order.T]].reshape(order.shape[1], -1).T,
+              depth + 1, max_depth, min_leaf)
+        for keep in (left, ~left))
     return node
 
 
@@ -168,7 +171,8 @@ def fit_tree(X, y, max_depth: int = 3, min_leaf: int = 5) -> TreeNode:
         )
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ParameterError("X and y must be finite")
-    return _grow(X, y, 0, max_depth, min_leaf)
+    return _grow(X, y, np.ones(y.shape[0], dtype=bool),
+                 np.argsort(X, axis=0, kind="stable"), 0, max_depth, min_leaf)
 
 
 @dataclass
@@ -210,10 +214,10 @@ class BoostedEnsemble:
     @classmethod
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
         return cls(
-            f0=doc["f0"],
+            f0=_finite(doc, "f0"),
             trees=[TreeNode.from_dict(t, doc["n_features"])
                    for t in doc["trees"]],
-            shrinkage=doc["shrinkage"],
+            shrinkage=_finite(doc, "shrinkage"),
             max_depth=doc["max_depth"],
             min_leaf=doc["min_leaf"],
             n_features=doc["n_features"],
@@ -286,19 +290,15 @@ class ImportanceReport:
                                  repr(float(self.normalized[i])), rank])
 
 
-def _accumulate_gains(node: TreeNode, raw: np.ndarray) -> None:
-    if node.is_leaf:
-        return
-    raw[node.feature] += node.gain
-    _accumulate_gains(node.left, raw)
-    _accumulate_gains(node.right, raw)
-
-
 def predictor_importance(ensemble: BoostedEnsemble) -> ImportanceReport:
     """Sum each predictor's split gains over all trees and rank them."""
     raw = np.zeros(ensemble.n_features)
-    for tree in ensemble.trees:
-        _accumulate_gains(tree, raw)
+    stack = list(reversed(ensemble.trees))  # pre-order, left first
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            raw[node.feature] += node.gain
+            stack += [node.right, node.left]
     total = float(raw.sum())
     uninformative = total <= 0
     normalized = raw / total if not uninformative else np.zeros_like(raw)

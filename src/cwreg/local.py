@@ -148,24 +148,27 @@ class LocalFit:
 class TrainingDistances:
     """Training geo/attribute distances over their max-scale constants
     (1.0 under "none"), built once per fit for every blend with
-    r >= spec.r. Attributes are standardized only when spec.r < 1."""
+    r >= spec.r. Attributes are standardized only when spec.r < 1; at
+    spec.r = 1 there is no attribute side (`attr` and `transform` are
+    None, `attr_scale` is 1.0)."""
 
     def __init__(self, table: ObservationTable, spec: DistanceSpec):
         geo = geographic_distances(table.coords, table.coords)
+        scaled = spec.normalization == "max-scale"
+        self.geo_scale = training_scale(geo) if scaled else 1.0
+        self.geo = geo / self.geo_scale
+        self.transform, self.attr, self.attr_scale = None, None, 1.0
         if spec.r < 1.0:
             self.transform, _ = standardize(table,
                                             list(spec.attribute_columns))
             z = self.transform.apply_table(table)
             attr = attribute_distances(z, z)
-        else:
-            self.transform, attr = None, np.zeros_like(geo)
-        scaled = spec.normalization == "max-scale"
-        self.geo_scale = training_scale(geo) if scaled else 1.0
-        self.attr_scale = training_scale(attr) if scaled else 1.0
-        self.geo = geo / self.geo_scale
-        self.attr = attr / self.attr_scale
+            self.attr_scale = training_scale(attr) if scaled else 1.0
+            self.attr = attr / self.attr_scale
 
     def blend(self, spec: DistanceSpec) -> np.ndarray:
+        if self.attr is None:
+            return self.geo.copy()
         return blend_distances(self.geo, self.attr, spec)
 
 
@@ -221,18 +224,26 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
 
     Spans the 1st percentile to the maximum of the off-diagonal
     entries. Degenerates gracefully: all-zero distances yield a single
-    bandwidth of 1.0 (every weight is 1 regardless).
+    bandwidth of 1.0 (every weight is 1 regardless). A symmetric D, as
+    training distances are, is read from its upper triangle only; the
+    grid equals np.percentile's over the whole off-diagonal either way.
     """
     if size < 1:
         raise ParameterError(f"grid size must be >= 1, got {size}")
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    off = D[~np.eye(n, dtype=bool)]
+    copies = 2 if np.array_equal(D, D.T) else 1
+    off = D[~np.tri(n, dtype=bool) if copies == 2 else ~np.eye(n, dtype=bool)]
     hi = float(np.max(off, initial=0.0))
     if hi <= 0:
         return [1.0]
-    # `off` is already a copy, so the percentile may reorder it.
-    lo = float(np.percentile(off, 1.0, overwrite_input=True))
+    # np.percentile's linear interpolation between the off-diagonal's
+    # order statistics; its k-th smallest is `off`'s (k // copies)-th.
+    index = (n * (n - 1) - 1) * 0.01
+    below = int(np.floor(index))
+    kth = [below // copies, (below + 1) // copies]
+    off.partition(kth)  # `off` is already a copy
+    lo = float(np.quantile(off[kth], index - below))
     if lo <= 0:
         lo = float(np.min(off, where=off > 0, initial=np.inf))
     if lo >= hi:

@@ -302,6 +302,37 @@ class TestErrorHandling:
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda ens: ens["trees"][0].__setitem__("threshold", "abc"),
+        lambda ens: ens["trees"][0].__setitem__("threshold", None),
+        lambda ens: ens["trees"][0]["left"].__setitem__("value", True),
+        lambda ens: ens["trees"][0].__setitem__("gain", float("nan")),
+        lambda ens: ens.__setitem__("shrinkage", "0.1"),
+        lambda ens: ens.__setitem__("f0", float("inf")),
+        lambda ens: ens.__setitem__("f0", 10 ** 400),
+    ], ids=["threshold-string", "threshold-null", "value-bool", "gain-nan",
+            "shrinkage-string", "f0-infinite", "f0-huge-integer"])
+    def test_non_numeric_tree_fields_report_json_error(
+            self, tmp_path, capsys, corrupt):
+        data, schema = make_dataset(tmp_path, n=40)
+        model_path = tmp_path / "m.json"
+        code = run_cli(["fit", "--model", "lsboost", "--data", data,
+                        "--schema", schema, "--trees", 5,
+                        "--out", model_path])
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        assert "feature" in doc["ensemble"]["trees"][0]
+        corrupt(doc["ensemble"])
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        query = tmp_path / "q.csv"
+        query.write_text("u,v,x1\n10.0,20.0,0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["predict", "--model", model_path, "--query", query])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ParameterError"
+
     @pytest.mark.parametrize("schema_doc", [
         {"columns": ["u"]},
         {"columns": 5},

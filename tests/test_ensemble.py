@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwreg.ensemble import (
     BoostedEnsemble,
@@ -41,6 +43,122 @@ def exhaustive_best_split(X, y, min_leaf):
             if gain > 0 and (best is None or gain > best[0] + 1e-12):
                 best = (gain, j, t)
     return best
+
+
+def reference_best_split(X, y, min_leaf):
+    """Split search with one stable argsort per feature at every node.
+
+    Features are scanned in a Python loop and each node's rows are
+    copied. The bit-for-bit reference for the library's search, which
+    sorts once per tree and scores all features in one pass.
+    """
+    n = y.shape[0]
+    base = float(np.sum((y - y.mean()) ** 2))
+    total = float(y.sum())
+    total_sq = float(np.sum(y ** 2))
+    best = None
+    positions = np.arange(1, n)  # left side takes the first `pos` sorted rows
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        valid = xs[:-1] != xs[1:]
+        valid &= (positions >= min_leaf) & (n - positions >= min_leaf)
+        if not np.any(valid):
+            continue
+        left_sum = np.cumsum(ys)[:-1]
+        left_sq = np.cumsum(ys ** 2)[:-1]
+        sse_left = left_sq - left_sum ** 2 / positions
+        sse_right = ((total_sq - left_sq)
+                     - (total - left_sum) ** 2 / (n - positions))
+        gains = np.where(valid, base - sse_left - sse_right, -np.inf)
+        t = int(np.argmax(gains))
+        gain = float(gains[t])
+        if gain <= 0:
+            continue
+        if best is None or gain > best[0]:
+            lo, hi = xs[t], xs[t + 1]
+            threshold = (lo + hi) / 2.0
+            if not lo <= threshold < hi:
+                threshold = lo
+            best = (gain, j, float(threshold))
+    return best
+
+
+def reference_tree(X, y, max_depth, min_leaf, depth=0):
+    node = TreeNode(value=float(y.mean()))
+    if depth >= max_depth or y.shape[0] < 2 * min_leaf or np.all(y == y[0]):
+        return node
+    found = reference_best_split(X, y, min_leaf)
+    if found is None:
+        return node
+    node.gain, node.feature, node.threshold = found
+    mask = X[:, node.feature] <= node.threshold
+    node.left = reference_tree(X[mask], y[mask], max_depth, min_leaf,
+                               depth + 1)
+    node.right = reference_tree(X[~mask], y[~mask], max_depth, min_leaf,
+                                depth + 1)
+    return node
+
+
+def reference_lsboost(X, y, n_trees, shrinkage, max_depth, min_leaf):
+    f0 = float(y.mean())
+    current = np.full(y.shape[0], f0)
+    trees, mse = [], []
+    for _ in range(n_trees):
+        tree = reference_tree(X, y - current, max_depth, min_leaf)
+        current = current + shrinkage * tree.predict(X)
+        trees.append(tree)
+        mse.append(float(np.mean((y - current) ** 2)))
+    return BoostedEnsemble(f0=f0, trees=trees, shrinkage=shrinkage,
+                           max_depth=max_depth, min_leaf=min_leaf,
+                           n_features=X.shape[1], train_mse=mse)
+
+
+def reference_importance(ensemble):
+    """Split gains summed by a recursive pre-order walk of each tree."""
+    raw = np.zeros(ensemble.n_features)
+
+    def walk(node):
+        if not node.is_leaf:
+            raw[node.feature] += node.gain
+            walk(node.left)
+            walk(node.right)
+
+    for tree in ensemble.trees:
+        walk(tree)
+    return raw
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """Small (X, y, max_depth, min_leaf) cases full of ties.
+
+    Columns take few distinct values; some duplicate an earlier column
+    or are constant, so equal gains across features and thresholds are
+    common.
+    """
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["few-values", "normal", "duplicate", "constant"]),
+            min_size=1, max_size=6)):
+        if kind == "duplicate" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))])
+        elif kind == "constant":
+            columns.append(np.full(n, float(rng.integers(-2, 3))))
+        elif kind == "normal":
+            columns.append(np.round(rng.normal(size=n), 1))
+        else:
+            columns.append(rng.integers(0, 3, size=n).astype(float))
+    X = np.column_stack(columns)
+    y = (rng.integers(0, 4, size=n).astype(float)
+         if draw(st.booleans()) else rng.normal(size=n))
+    max_depth = draw(st.sampled_from([1, 3, 5]))
+    min_leaf = draw(st.integers(1, max(1, min(5, n // 2))))
+    return X, y, max_depth, min_leaf
 
 
 def leaf_counts(tree, X):
@@ -171,6 +289,34 @@ class TestFitTree:
         clone = TreeNode.from_dict(tree.to_dict(), X.shape[1])
         Q = rng.normal(size=(50, 2))
         np.testing.assert_array_equal(tree.predict(Q), clone.predict(Q))
+
+
+class TestPresortedSearch:
+    """Trees grown from one presort equal the per-node-argsort search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_problems())
+    def test_equal_to_per_node_argsort_reference(self, problem):
+        X, y, max_depth, min_leaf = problem
+        assert (fit_tree(X, y, max_depth, min_leaf).to_dict()
+                == reference_tree(X, y, max_depth, min_leaf).to_dict())
+        ensemble = fit_lsboost(X, y, n_trees=20, shrinkage=0.1,
+                               max_depth=max_depth, min_leaf=min_leaf)
+        expected = reference_lsboost(X, y, 20, 0.1, max_depth, min_leaf)
+        assert ensemble.to_dict() == expected.to_dict()
+        np.testing.assert_array_equal(predictor_importance(ensemble).raw,
+                                      reference_importance(expected))
+
+    def test_equal_gains_go_to_lowest_feature_then_threshold(self):
+        # Column 1 duplicates column 0 and column 2 mirrors it, so all
+        # three offer the same best gain; y makes two thresholds of
+        # column 0 tie as well.
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        X = np.column_stack([x, x, -x])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        tree = fit_tree(X, y, max_depth=1, min_leaf=1)
+        assert (tree.feature, tree.threshold) == (0, 0.5)
+        assert tree.to_dict() == reference_tree(X, y, 1, 1).to_dict()
 
 
 class TestFitLsboost:

@@ -167,6 +167,20 @@ class TestFitLocal:
             fit_local(tiny, DistanceSpec(r=1.0), 1.0)
 
 
+def full_off_diagonal_grid(D, size=20):
+    """bandwidth_grid from np.percentile over the whole off-diagonal."""
+    off = D[~np.eye(D.shape[0], dtype=bool)]
+    hi = float(np.max(off, initial=0.0))
+    if hi <= 0:
+        return [1.0]
+    lo = float(np.percentile(off, 1.0))
+    if lo <= 0:
+        lo = float(np.min(off, where=off > 0, initial=np.inf))
+    if lo >= hi:
+        return [hi]
+    return [float(h) for h in np.geomspace(lo, hi, size)]
+
+
 class TestBandwidthGrid:
     def test_spans_percentile_to_max(self):
         rng = np.random.default_rng(42)
@@ -181,6 +195,29 @@ class TestBandwidthGrid:
         # Log-spaced: constant ratio between neighbors.
         ratios = [grid[i + 1] / grid[i] for i in range(19)]
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
+
+    # n = 2 and 3 take both order statistics from one upper entry;
+    # decimals=0 rounds points onto few sites, so from n = 57 the 1st
+    # percentile at r = 0 and r = 1 is zero and the grid falls back to
+    # the smallest positive distance.
+    @pytest.mark.parametrize("n", [2, 3, 11, 57, 160, 300])
+    @pytest.mark.parametrize("decimals", [0, 1, 8])
+    def test_upper_triangle_equals_full_off_diagonal(self, n, decimals):
+        rng = np.random.default_rng(n * 10 + decimals)
+        coords = np.round(rng.uniform(0, 4, size=(n, 2)), decimals)
+        attrs = np.round(rng.normal(size=(n, 3)), decimals)
+        geo, attr = cdist(coords, coords), cdist(attrs, attrs)
+        for r in (0.0, 0.37, 1.0):
+            D = blend_distances(geo / max(geo.max(), 1.0),
+                                attr / max(attr.max(), 1.0),
+                                DistanceSpec(r=r, attribute_columns=("a",)))
+            assert np.array_equal(D, D.T)
+            lopsided = D.copy()
+            lopsided[0, -1] *= 1.5  # not symmetric: both triangles read
+            for M in (D, lopsided):
+                for size in (1, 20):
+                    assert (bandwidth_grid(M, size=size)
+                            == full_off_diagonal_grid(M, size))
 
     def test_many_zero_distances_fall_back_to_smallest_positive(self):
         # More than 1% of the off-diagonal entries are zero (duplicate
@@ -273,6 +310,17 @@ class TestSearchMemory:
     def test_bandwidth_grid_copies_distances_once(self):
         D = self._distances()
         assert self._peak_matrices(lambda: bandwidth_grid(D)) < 1.5
+
+    def test_pure_geographic_fit_has_no_attribute_side(self):
+        # At r = 1 the training distances hold no attribute matrix, so
+        # the fit peaks a whole n x n array below a blended one.
+        table = random_table(n=self.N, p=2, seed=47)
+        assert cwreg.local.TrainingDistances(
+            table, DistanceSpec(r=1.0)).attr is None
+        peaks = [self._peak_matrices(
+            lambda: fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.5))
+            for r in (1.0, 0.5)]
+        assert peaks[0] < peaks[1] - 0.5
 
     def test_search_peak_is_the_training_distances(self):
         # Building the training distances needs four n x n arrays (raw
