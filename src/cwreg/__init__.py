@@ -6,41 +6,23 @@ so r = 1 recovers GWR and r < 1 lets attribute similarity share the
 weighting. The package also ships an OLS baseline, least-squares
 boosted trees with split-gain predictor importance, synthetic data
 generators, and a comparison harness with a CLI.
+
+Helpers such as predict_at or solve_wls_batched are imported from
+their own modules (cwreg.local, cwreg.wls, ...).
 """
 
 from .data import (
-    DEFAULT_SCHEMA,
-    IngestionReport,
     ObservationTable,
     SplitSpec,
-    StandardizationTransform,
-    SyntheticTruth,
     generate_hedonic,
     generate_synthetic,
     load_csv,
     load_schema,
     split,
-    standardize,
-    tables_equal,
     write_csv,
 )
-from .distances import (
-    DistanceSpec,
-    attribute_distances,
-    blend_distances,
-    gaussian_weights,
-    geographic_distances,
-    training_scale,
-)
-from .ensemble import (
-    BoostedEnsemble,
-    ImportanceReport,
-    TreeNode,
-    fit_lsboost,
-    fit_tree,
-    predictor_importance,
-    select_factors,
-)
+from .distances import DistanceSpec
+from .ensemble import fit_lsboost, predictor_importance, select_factors
 from .errors import (
     CwregError,
     DegenerateWeightsError,
@@ -55,84 +37,51 @@ from .errors import (
 from .evaluate import (
     ComparisonConfig,
     ComparisonReport,
-    export_maps,
     improvement_pct,
     rmse,
-    run_batch,
     run_comparison,
 )
-from .local import (
-    FittedCwr,
-    HyperSearchTrace,
-    LocalFit,
-    fit_cwr,
-    fit_local,
-    predict_at,
-    select_rate,
-)
+from .local import FittedCwr, fit_cwr
 from .models import LsboostModel, OlsModel, load_model, save_model
-from .wls import design_matrix, fit_ols, predict, solve_wls, solve_wls_batched
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoostedEnsemble",
+    # workflow
+    "fit_cwr",
+    "FittedCwr",
+    "DistanceSpec",
+    "save_model",
+    "load_model",
+    "OlsModel",
+    "LsboostModel",
+    # data
+    "ObservationTable",
+    "load_csv",
+    "load_schema",
+    "write_csv",
+    "split",
+    "SplitSpec",
+    "generate_synthetic",
+    "generate_hedonic",
+    # comparison
+    "run_comparison",
     "ComparisonConfig",
     "ComparisonReport",
+    "rmse",
+    "improvement_pct",
+    # factor selection
+    "fit_lsboost",
+    "predictor_importance",
+    "select_factors",
+    # errors
     "CwregError",
-    "DEFAULT_SCHEMA",
     "DegenerateWeightsError",
     "DimensionError",
-    "DistanceSpec",
-    "FittedCwr",
-    "HyperSearchTrace",
-    "ImportanceReport",
     "IngestionError",
-    "IngestionReport",
-    "LocalFit",
-    "LsboostModel",
-    "ObservationTable",
-    "OlsModel",
     "ParameterError",
     "SchemaError",
     "SearchFailureError",
     "SingularFitError",
-    "SplitSpec",
-    "StandardizationTransform",
-    "SyntheticTruth",
-    "TreeNode",
     "UndefinedImprovementError",
-    "attribute_distances",
-    "blend_distances",
-    "design_matrix",
-    "export_maps",
-    "fit_cwr",
-    "fit_local",
-    "fit_lsboost",
-    "fit_ols",
-    "fit_tree",
-    "gaussian_weights",
-    "generate_hedonic",
-    "generate_synthetic",
-    "geographic_distances",
-    "improvement_pct",
-    "load_csv",
-    "load_model",
-    "load_schema",
-    "predict",
-    "predict_at",
-    "predictor_importance",
-    "rmse",
-    "run_batch",
-    "run_comparison",
-    "save_model",
-    "select_factors",
-    "select_rate",
-    "solve_wls",
-    "solve_wls_batched",
-    "split",
-    "standardize",
-    "tables_equal",
-    "training_scale",
-    "write_csv",
 ]

@@ -25,11 +25,12 @@ from .data import (
     write_json,
     write_records,
 )
-from .ensemble import fit_lsboost, predictor_importance
+from .ensemble import predictor_importance
 from .errors import CwregError, ParameterError
 from .evaluate import (
     ComparisonConfig,
     export_maps,
+    fit_boosted,
     fit_model,
     run_batch,
     run_comparison,
@@ -63,22 +64,37 @@ def _load_table(args):
     return table
 
 
-def _parse_r(text):
-    if text == "search":
-        return "search"
+def _number_or(word, flag, text):
+    """`text` as a float, or `word` ("search" for --r, "cv" for --bandwidth)."""
+    if text == word:
+        return word
     try:
         return float(text)
     except ValueError:
-        raise ParameterError(f'--r must be a number or "search", got {text!r}')
+        raise ParameterError(f'{flag} must be a number or "{word}", got {text!r}')
 
 
-def _parse_bandwidth(text):
-    if text == "cv":
-        return "cv"
-    try:
-        return float(text)
-    except ValueError:
-        raise ParameterError(f'--bandwidth must be a number or "cv", got {text!r}')
+def _boost_settings(args) -> dict:
+    return {
+        "boost_trees": args.trees,
+        "boost_shrinkage": args.shrinkage,
+        "boost_max_depth": args.depth,
+        "boost_min_leaf": args.min_leaf,
+    }
+
+
+def _config(args, **settings) -> ComparisonConfig:
+    """Config from the flags fit and compare share, plus `settings`."""
+    return ComparisonConfig(
+        seed=args.seed,
+        r=_number_or("search", "--r", args.r),
+        bandwidth=_number_or("cv", "--bandwidth", args.bandwidth),
+        knn=args.knn,
+        predict_mode=args.predict_mode,
+        scoring="insample" if args.strict_paper_scoring else "loo",
+        **_boost_settings(args),
+        **settings,
+    )
 
 
 def cmd_synth(args) -> int:
@@ -124,12 +140,7 @@ def cmd_synth(args) -> int:
 
 def cmd_importance(args) -> int:
     table = _load_table(args)
-    ensemble = fit_lsboost(
-        table.covariates, table.y,
-        n_trees=args.trees, shrinkage=args.shrinkage,
-        max_depth=args.depth, min_leaf=args.min_leaf,
-        feature_names=table.covariate_names,
-    )
+    ensemble = fit_boosted(table, ComparisonConfig(**_boost_settings(args)))
     report = predictor_importance(ensemble)
     if report.uninformative:
         print("warning: ensemble never split; importances are all zero",
@@ -145,21 +156,9 @@ def cmd_importance(args) -> int:
 
 def cmd_fit(args) -> int:
     table = _load_table(args)
-    config = ComparisonConfig(
-        models=(args.model,),
-        seed=args.seed,
-        r=_parse_r(args.r),
-        bandwidth=_parse_bandwidth(args.bandwidth),
-        knn=args.knn,
-        predict_mode=args.predict_mode,
-        scoring="insample" if args.strict_paper_scoring else "loo",
-        attribute_columns=(tuple(args.attribute_columns.split(","))
-                           if args.attribute_columns else None),
-        boost_trees=args.trees,
-        boost_shrinkage=args.shrinkage,
-        boost_max_depth=args.depth,
-        boost_min_leaf=args.min_leaf,
-    )
+    config = _config(args, models=(args.model,),
+                     attribute_columns=(args.attribute_columns.split(",")
+                                        if args.attribute_columns else None))
     model, params = fit_model(args.model, table, config)
     save_model(model, args.out)
     summary = " ".join(f"{k}={v}" for k, v in params.items())
@@ -188,21 +187,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = ComparisonConfig(
-        models=tuple(args.models.split(",")),
-        seed=args.seed,
-        train_fraction=args.train_frac,
-        r=_parse_r(args.r),
-        bandwidth=_parse_bandwidth(args.bandwidth),
-        knn=args.knn,
-        predict_mode=args.predict_mode,
-        scoring="insample" if args.strict_paper_scoring else "loo",
-        select_top_k=args.select_factors,
-        boost_trees=args.trees,
-        boost_shrinkage=args.shrinkage,
-        boost_max_depth=args.depth,
-        boost_min_leaf=args.min_leaf,
-    )
+    config = _config(args, models=args.models.split(","),
+                     train_fraction=args.train_frac,
+                     select_top_k=args.select_factors)
     if args.manifest:
         import os
         summary = run_batch(read_json(args.manifest), config,
@@ -222,7 +209,7 @@ def cmd_compare(args) -> int:
     table = _load_table(args)
     report = run_comparison(table, config)
     if args.out:
-        report.save(args.out)
+        write_json(report.to_dict(), args.out)
         for name in config.models:
             res = report.results[name]
             if res.ok:
@@ -268,6 +255,8 @@ def _add_boost_flags(p):
 
 
 def _add_model_flags(p):
+    """The flags _config reads, shared by fit and compare."""
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r", default="search",
                    help='blend ratio in [0, 1] or "search" (default)')
     p.add_argument("--bandwidth", default="cv",
@@ -280,6 +269,7 @@ def _add_model_flags(p):
                    dest="strict_paper_scoring",
                    help="judge blend-ratio candidates by in-sample training "
                         "RMSE instead of leave-one-out RMSE")
+    _add_boost_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,12 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--model", choices=("ols", "gwr", "cwr", "lsboost"),
                    default="cwr")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--attribute-columns", default=None, dest="attribute_columns",
                    help="comma-separated attribute-distance columns "
                         "(default: all continuous covariates)")
     _add_model_flags(p)
-    _add_boost_flags(p)
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(func=cmd_fit)
 
@@ -335,13 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON manifest of named cases (batch mode)")
     p.add_argument("--models", default="ols,gwr,cwr,lsboost",
                    help="comma-separated model list")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-frac", type=float, default=0.8, dest="train_frac")
     p.add_argument("--select-factors", type=int, default=None,
                    dest="select_factors", metavar="K",
                    help="keep only the top K covariates by importance")
     _add_model_flags(p)
-    _add_boost_flags(p)
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_compare)
 

@@ -526,12 +526,12 @@ class StandardizationTransform:
         )
 
 
-def standardize(table: ObservationTable, columns):
+def standardize(table: ObservationTable, columns) -> StandardizationTransform:
     """Fit a z-score transform on the given columns of a training table.
 
-    Returns (transform, table with those columns standardized). A
-    zero-variance column cannot be scaled; it is dropped from the
-    transform with a warning and left untouched in the returned table.
+    A zero-variance column cannot be scaled; it is dropped from the
+    transform with a warning. transform.apply_table(table) gives the
+    standardized columns.
     """
     columns = list(columns)
     M = table.covariate_matrix(columns)
@@ -545,25 +545,12 @@ def standardize(table: ObservationTable, columns):
             f"zero-variance columns excluded from standardization: {excluded}",
             stacklevel=2,
         )
-    transform = StandardizationTransform(
+    return StandardizationTransform(
         columns=[c for c, k in zip(columns, keep) if k],
         means=means[keep],
         stds=stds[keep],
         excluded=excluded,
     )
-    new_covs = table.covariates.copy()
-    for name, mu, sd in zip(transform.columns, transform.means, transform.stds):
-        j = table.column_index(name)
-        new_covs[:, j] = (new_covs[:, j] - mu) / sd
-    standardized = ObservationTable(
-        ids=list(table.ids),
-        coords=table.coords,
-        y=table.y,
-        covariates=new_covs,
-        covariate_names=list(table.covariate_names),
-        dummy_names=list(table.dummy_names),
-    )
-    return transform, standardized
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ runtimes are therefore kept in memory only and never serialized).
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .data import (
     load_csv,
     load_schema,
     split,
-    write_json,
 )
 from .ensemble import fit_lsboost, predictor_importance, select_factors
 from .errors import (
@@ -91,7 +91,16 @@ class ComparisonConfig:
     boost_min_leaf: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "models", tuple(self.models))
+        try:
+            object.__setattr__(self, "models", tuple(self.models))
+            if self.r_grid is not None:
+                object.__setattr__(self, "r_grid",
+                                   tuple(float(r) for r in self.r_grid))
+            if self.attribute_columns is not None:
+                object.__setattr__(self, "attribute_columns",
+                                   tuple(self.attribute_columns))
+        except (TypeError, ValueError) as err:
+            raise ParameterError(f"malformed config: {err}") from err
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ParameterError(
@@ -99,45 +108,27 @@ class ComparisonConfig:
             )
         if not self.models:
             raise ParameterError("at least one model is required")
-        if self.r_grid is not None:
-            object.__setattr__(self, "r_grid", tuple(float(r) for r in self.r_grid))
-        if self.attribute_columns is not None:
-            object.__setattr__(self, "attribute_columns",
-                               tuple(self.attribute_columns))
+        # Numeric fields, found by annotation, hold numbers of their kind.
+        for f in fields(self):
+            value, kinds = getattr(self, f.name), f.type.split(" | ")
+            number = (numbers.Integral if "int" in kinds
+                      else numbers.Real if "float" in kinds else None)
+            if (number is None or (value is None and "None" in kinds)
+                    or (isinstance(value, str) and "str" in kinds)):
+                continue
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ParameterError(
+                    f"config {f.name} must be {f.type}, got {value!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "models": list(self.models),
-            "seed": self.seed,
-            "train_fraction": self.train_fraction,
-            "r": self.r,
-            "bandwidth": self.bandwidth,
-            "knn": self.knn,
-            "predict_mode": self.predict_mode,
-            "scoring": self.scoring,
-            "normalization": self.normalization,
-            "r_grid": None if self.r_grid is None else list(self.r_grid),
-            "bandwidth_grid_size": self.bandwidth_grid_size,
-            "attribute_columns": (None if self.attribute_columns is None
-                                  else list(self.attribute_columns)),
-            "select_top_k": self.select_top_k,
-            "boost_trees": self.boost_trees,
-            "boost_shrinkage": self.boost_shrinkage,
-            "boost_max_depth": self.boost_max_depth,
-            "boost_min_leaf": self.boost_min_leaf,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ComparisonConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        for key in ("models", "r_grid", "attribute_columns"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass
@@ -210,8 +201,17 @@ class ComparisonReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def save(self, path) -> None:
-        write_json(self.to_dict(), path)
+
+def fit_boosted(table: ObservationTable, config: ComparisonConfig):
+    """The configured boosted trees on every covariate of `table`."""
+    return fit_lsboost(
+        table.covariates, table.y,
+        n_trees=config.boost_trees,
+        shrinkage=config.boost_shrinkage,
+        max_depth=config.boost_max_depth,
+        min_leaf=config.boost_min_leaf,
+        feature_names=table.covariate_names,
+    )
 
 
 def fit_model(name: str, train: ObservationTable, config: ComparisonConfig):
@@ -221,15 +221,7 @@ def fit_model(name: str, train: ObservationTable, config: ComparisonConfig):
         return OlsModel(coefficients=beta,
                         covariate_names=list(train.covariate_names)), {}
     if name == "lsboost":
-        ens = fit_lsboost(
-            train.covariates, train.y,
-            n_trees=config.boost_trees,
-            shrinkage=config.boost_shrinkage,
-            max_depth=config.boost_max_depth,
-            min_leaf=config.boost_min_leaf,
-            feature_names=train.covariate_names,
-        )
-        model = LsboostModel(ensemble=ens,
+        model = LsboostModel(ensemble=fit_boosted(train, config),
                              covariate_names=list(train.covariate_names))
         return model, {
             "trees": config.boost_trees,
@@ -238,13 +230,10 @@ def fit_model(name: str, train: ObservationTable, config: ComparisonConfig):
             "min_leaf": config.boost_min_leaf,
         }
     if name in ("gwr", "cwr"):
-        attribute_columns = (config.attribute_columns
-                             if config.attribute_columns is not None
-                             else train.default_attribute_columns())
         r = 1.0 if name == "gwr" else config.r
         model = fit_cwr(
             train,
-            attribute_columns=attribute_columns,
+            attribute_columns=config.attribute_columns,
             r=r,
             bandwidth=config.bandwidth,
             k=config.knn,
@@ -276,15 +265,8 @@ def run_comparison(table: ObservationTable,
     config = config if config is not None else ComparisonConfig()
     selected = None
     if config.select_top_k is not None:
-        ens = fit_lsboost(
-            table.covariates, table.y,
-            n_trees=config.boost_trees,
-            shrinkage=config.boost_shrinkage,
-            max_depth=config.boost_max_depth,
-            min_leaf=config.boost_min_leaf,
-            feature_names=table.covariate_names,
-        )
-        selected = select_factors(predictor_importance(ens), config.select_top_k)
+        selected = select_factors(predictor_importance(fit_boosted(table, config)),
+                                  config.select_top_k)
         table = table.with_covariates(selected)
     train, test = split(table, SplitSpec(train_fraction=config.train_fraction,
                                          seed=config.seed))
@@ -342,14 +324,19 @@ def run_batch(manifest: dict, base_config: ComparisonConfig | None = None,
     """
     import os
 
-    if "cases" not in manifest or not manifest["cases"]:
+    if not (isinstance(manifest, dict) and manifest.get("cases")
+            and isinstance(manifest["cases"], list)):
         raise ParameterError('manifest needs a non-empty "cases" list')
     base_config = base_config if base_config is not None else ComparisonConfig()
     base_dir = base_dir or "."
     cases_out = []
     for case in manifest["cases"]:
-        if "name" not in case or "data" not in case:
-            raise ParameterError('each case needs "name" and "data"')
+        if not (isinstance(case, dict) and "name" in case
+                and isinstance(case.get("data"), str)
+                and isinstance(case.get("schema") or "", str)
+                and isinstance(case.get("config") or {}, dict)):
+            raise ParameterError('each case needs a "name" and a "data" path; '
+                                 '"schema" is a path, "config" an object')
         # Settings like "seed" or "models" belong inside "config";
         # refuse stray keys instead of silently running the defaults.
         unknown = sorted(set(case) - {"name", "data", "schema", "config"})

@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import (
-    ObservationTable,
-    StandardizationTransform,
-    read_json,
-    standardize,
-    write_json,
-)
+from .data import ObservationTable, StandardizationTransform, standardize
 from .distances import (
     DistanceSpec,
     attribute_distances,
@@ -52,9 +46,6 @@ from .errors import (
     SingularFitError,
 )
 from .wls import RIDGE_SCALE, design_matrix, solve_wls, solve_wls_batched
-
-MODEL_FORMAT = "cwreg-model"
-MODEL_FORMAT_VERSION = 1
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
@@ -153,22 +144,23 @@ class TrainingDistances:
     None, `attr_scale` is 1.0)."""
 
     def __init__(self, table: ObservationTable, spec: DistanceSpec):
-        geo = geographic_distances(table.coords, table.coords)
         scaled = spec.normalization == "max-scale"
-        self.geo_scale = training_scale(geo) if scaled else 1.0
-        self.geo = geo / self.geo_scale
+        self.geo = geographic_distances(table.coords, table.coords)
+        self.geo_scale = training_scale(self.geo) if scaled else 1.0
+        self.geo /= self.geo_scale
         self.transform, self.attr, self.attr_scale = None, None, 1.0
         if spec.r < 1.0:
-            self.transform, _ = standardize(table,
-                                            list(spec.attribute_columns))
+            self.transform = standardize(table, list(spec.attribute_columns))
             z = self.transform.apply_table(table)
-            attr = attribute_distances(z, z)
-            self.attr_scale = training_scale(attr) if scaled else 1.0
-            self.attr = attr / self.attr_scale
+            self.attr = attribute_distances(z, z)
+            self.attr_scale = training_scale(self.attr) if scaled else 1.0
+            self.attr /= self.attr_scale
 
     def blend(self, spec: DistanceSpec) -> np.ndarray:
+        """The blended matrix; at r = 1 without an attribute side, `geo`
+        itself, which callers only read."""
         if self.attr is None:
-            return self.geo.copy()
+            return self.geo
         return blend_distances(self.geo, self.attr, spec)
 
 
@@ -476,8 +468,6 @@ class FittedCwr:
 
     def to_dict(self) -> dict:
         return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_FORMAT_VERSION,
             "model_type": self.name,
             "k": self.k,
             "mode": self.mode,
@@ -499,41 +489,33 @@ class FittedCwr:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FittedCwr":
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            raise ParameterError(f"not a {MODEL_FORMAT} document")
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise ParameterError(
-                f"unsupported model version {doc.get('version')!r}"
-            )
-        try:
-            table = ObservationTable.from_dict(doc["training"])
-            fit = LocalFit(
-                coefficients=np.asarray(doc["coefficients"], dtype=float),
-                bandwidth=float(doc["bandwidth"]),
-                spec=DistanceSpec(
-                    r=doc["spec"]["r"],
-                    attribute_columns=tuple(doc["spec"]["attribute_columns"]),
-                    normalization=doc["spec"]["normalization"],
-                ),
-                geo_scale=float(doc["geo_scale"]),
-                attr_scale=float(doc["attr_scale"]),
-                transform=(None if doc["standardization"] is None
-                           else StandardizationTransform.from_dict(
-                               doc["standardization"])),
-                regularized=np.asarray(doc["regularized"], dtype=bool),
-            )
-            model = cls(
-                fit=fit,
-                table=table,
-                k=int(doc["k"]),
-                mode=doc["mode"],
-                traces={k: HyperSearchTrace.from_dict(t)
-                        for k, t in doc.get("traces", {}).items()},
-                name=doc.get("model_type", "cwr"),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParameterError(f"malformed {MODEL_FORMAT} document: "
-                                 f"{type(err).__name__}: {err}") from err
+        """Rebuild and check a model document. models.load_model checks
+        its format and version first and reports a malformed one."""
+        table = ObservationTable.from_dict(doc["training"])
+        fit = LocalFit(
+            coefficients=np.asarray(doc["coefficients"], dtype=float),
+            bandwidth=float(doc["bandwidth"]),
+            spec=DistanceSpec(
+                r=doc["spec"]["r"],
+                attribute_columns=tuple(doc["spec"]["attribute_columns"]),
+                normalization=doc["spec"]["normalization"],
+            ),
+            geo_scale=float(doc["geo_scale"]),
+            attr_scale=float(doc["attr_scale"]),
+            transform=(None if doc["standardization"] is None
+                       else StandardizationTransform.from_dict(
+                           doc["standardization"])),
+            regularized=np.asarray(doc["regularized"], dtype=bool),
+        )
+        model = cls(
+            fit=fit,
+            table=table,
+            k=int(doc["k"]),
+            mode=doc["mode"],
+            traces={k: HyperSearchTrace.from_dict(t)
+                    for k, t in doc.get("traces", {}).items()},
+            name=doc.get("model_type", "cwr"),
+        )
         n, p = table.n, len(table.covariate_names) + 1
         if fit.coefficients.shape != (n, p) or fit.regularized.shape != (n,):
             raise ParameterError(
@@ -565,13 +547,6 @@ class FittedCwr:
                     f"standardization needs {m} finite means and {m} finite "
                     "positive stds")
         return model
-
-    def save(self, path) -> None:
-        write_json(self.to_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "FittedCwr":
-        return cls.from_dict(read_json(path))
 
 
 def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",

@@ -3,7 +3,8 @@
 Every model exposes predict(coords, covariates) where covariates are
 raw values in the model's own column order, and serializes to a JSON
 document tagged with "model_type" so files can be loaded without
-knowing what they contain.
+knowing what they contain. Only save_model and load_model write and
+read model files; they add and check the format and version header.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ import numpy as np
 from .data import read_json, write_json
 from .ensemble import BoostedEnsemble
 from .errors import DimensionError, ParameterError
-from .local import MODEL_FORMAT, MODEL_FORMAT_VERSION, FittedCwr
+from .local import FittedCwr
 from .wls import design_matrix, predict as linear_predict
+
+MODEL_FORMAT = "cwreg-model"
+MODEL_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -42,8 +46,6 @@ class OlsModel:
 
     def to_dict(self) -> dict:
         return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_FORMAT_VERSION,
             "model_type": "ols",
             "coefficients": self.coefficients.tolist(),
             "covariate_names": list(self.covariate_names),
@@ -73,8 +75,6 @@ class LsboostModel:
 
     def to_dict(self) -> dict:
         return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_FORMAT_VERSION,
             "model_type": "lsboost",
             "covariate_names": list(self.covariate_names),
             "ensemble": self.ensemble.to_dict(),
@@ -87,7 +87,8 @@ class LsboostModel:
 
 
 def save_model(model, path) -> None:
-    write_json(model.to_dict(), path)
+    write_json({"format": MODEL_FORMAT, "version": MODEL_FORMAT_VERSION,
+                **model.to_dict()}, path)
 
 
 def load_model(path):
@@ -99,13 +100,12 @@ def load_model(path):
         raise ParameterError(
             f"{path}: unsupported model version {doc.get('version')!r}")
     kind = doc.get("model_type")
-    if kind in ("cwr", "gwr"):
-        return FittedCwr.from_dict(doc)
-    model_class = {"ols": OlsModel, "lsboost": LsboostModel}.get(kind)
+    model_class = {"cwr": FittedCwr, "gwr": FittedCwr, "ols": OlsModel,
+                   "lsboost": LsboostModel}.get(kind)
     if model_class is None:
         raise ParameterError(f"{path}: unknown model_type {kind!r}")
     try:
         return model_class.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ParameterError(f"{path}: malformed {kind} model: "
                              f"{type(err).__name__}: {err}") from err

@@ -253,9 +253,11 @@ class TestErrorHandling:
         lambda doc: doc.pop("spec"),
         lambda doc: doc["coefficients"].pop(),
         lambda doc: doc.__setitem__("standardization", None),
+        lambda doc: doc.__setitem__("traces", []),
         None,
     ], ids=["missing-spec", "truncated-coefficients",
-            "blended-without-standardization", "not-json"])
+            "blended-without-standardization", "traces-not-object",
+            "not-json"])
     def test_malformed_model_reports_json_error(self, tmp_path, capsys,
                                                 corrupt):
         data, schema = make_dataset(tmp_path, n=40)
@@ -349,6 +351,37 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("case", [
+        {"config": [1]},
+        {"config": {"seed": "x"}},
+        {"config": {"train_fraction": "x"}},
+        {"config": {"knn": True}},
+        {"config": {"models": 5}},
+        {"data": 5},
+        None,
+    ], ids=["config-not-object", "string-seed", "string-train-fraction",
+            "bool-knn", "models-not-list", "data-not-path", "case-not-object"])
+    def test_malformed_manifest_reports_json_error(self, tmp_path, capsys,
+                                                   case):
+        data, schema = make_dataset(tmp_path, n=40)
+        good = {"name": "a", "data": data.name, "schema": schema.name}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"cases": [
+            5 if case is None else {**good, **case}]}), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["compare", "--manifest", path, "--models", "ols"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ParameterError"
+
+    def test_manifest_not_object_reports_json_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("[1]", encoding="utf-8")
+        code = run_cli(["compare", "--manifest", path])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
     @pytest.mark.parametrize("kind", ["ols", "lsboost", "cwr"])
     def test_load_model_refuses_other_versions(self, tmp_path, kind):

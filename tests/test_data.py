@@ -340,44 +340,51 @@ class TestStandardize:
 
     def test_reference_example(self):
         # (1, 2, 3) standardizes to (-1, 0, 1): mean 2, n-1 denominator.
-        transform, out = standardize(self.make_table([1.0, 2.0, 3.0]), ["x1"])
-        np.testing.assert_allclose(out.covariates.ravel(), [-1.0, 0.0, 1.0],
-                                   atol=1e-15)
+        table = self.make_table([1.0, 2.0, 3.0])
+        transform = standardize(table, ["x1"])
+        np.testing.assert_allclose(transform.apply_table(table).ravel(),
+                                   [-1.0, 0.0, 1.0], atol=1e-15)
         assert transform.means[0] == pytest.approx(2.0)
         assert transform.stds[0] == pytest.approx(1.0)
 
     def test_output_is_zero_mean_unit_std(self):
         rng = np.random.default_rng(13)
         col = rng.normal(loc=5, scale=3, size=60)
-        _, out = standardize(self.make_table(col), ["x1"])
-        z = out.covariates.ravel()
+        table = self.make_table(col)
+        z = standardize(table, ["x1"]).apply_table(table).ravel()
         assert z.mean() == pytest.approx(0.0, abs=1e-12)
         assert z.std(ddof=1) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_variance_column_excluded_with_warning(self):
+        table = self.make_table([4.0, 4.0, 4.0])
         with pytest.warns(UserWarning, match="zero-variance"):
-            transform, out = standardize(self.make_table([4.0, 4.0, 4.0]),
-                                         ["x1"])
+            transform = standardize(table, ["x1"])
         assert transform.excluded == ["x1"]
         assert transform.columns == []
-        # Column left untouched rather than zeroed or NaN'd.
-        np.testing.assert_array_equal(out.covariates.ravel(), [4.0, 4.0, 4.0])
+        # The column drops out rather than being zeroed or NaN'd.
+        assert transform.apply_table(table).shape == (3, 0)
 
     def test_transform_reuse_on_query_rows(self):
-        transform, _ = standardize(self.make_table([1.0, 2.0, 3.0]), ["x1"])
+        transform = standardize(self.make_table([1.0, 2.0, 3.0]), ["x1"])
         got = transform.apply(np.array([[2.5], [0.0]]))
         np.testing.assert_allclose(got.ravel(), [0.5, -2.0])
 
     def test_transform_dict_round_trip(self):
-        transform, _ = standardize(self.make_table([1.0, 5.0, 9.0]), ["x1"])
+        transform = standardize(self.make_table([1.0, 5.0, 9.0]), ["x1"])
         clone = StandardizationTransform.from_dict(transform.to_dict())
         M = np.array([[3.0], [7.0]])
         np.testing.assert_array_equal(transform.apply(M), clone.apply(M))
 
     def test_untouched_columns_pass_through(self, small_table):
-        _, out = standardize(small_table, ["x1"])
-        np.testing.assert_array_equal(out.covariate_matrix(["x2"]),
-                                      small_table.covariate_matrix(["x2"]))
+        # apply_table reads only the transform's columns, and neither
+        # step writes into the table.
+        before = small_table.covariates.copy()
+        transform = standardize(small_table, ["x1"])
+        np.testing.assert_array_equal(
+            transform.apply_table(small_table),
+            transform.apply(small_table.covariate_matrix(["x1"])))
+        assert transform.apply_table(small_table).shape == (small_table.n, 1)
+        np.testing.assert_array_equal(small_table.covariates, before)
 
 
 class TestSyntheticGenerators:

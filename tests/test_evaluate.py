@@ -82,6 +82,23 @@ class TestComparisonConfig:
         with pytest.raises(ParameterError):
             ComparisonConfig(models=("ols", "kriging"))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": "1"}, {"seed": True}, {"seed": 1.0}, {"knn": None},
+        {"select_top_k": 2.5}, {"boost_trees": False},
+        {"train_fraction": "0.5"}, {"train_fraction": None},
+        {"boost_shrinkage": True}, {"r": [0.5]}, {"bandwidth": None},
+        {"models": 5}, {"r_grid": ["x"]}, {"attribute_columns": 3},
+    ])
+    def test_wrong_typed_fields_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            ComparisonConfig(**kwargs)
+
+    def test_numeric_fields_accept_numbers_of_their_kind(self):
+        config = ComparisonConfig(seed=np.int64(3), train_fraction=1,
+                                  boost_shrinkage=np.float32(0.5), r=1,
+                                  bandwidth="cv", select_top_k=None)
+        assert config.seed == 3 and config.r == 1
+
     def test_empty_models_rejected(self):
         with pytest.raises(ParameterError):
             ComparisonConfig(models=())

@@ -1,6 +1,7 @@
 """Local weighted fits, hyperparameter search, prediction modes."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from cwreg.data import ObservationTable, StandardizationTransform
 from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
 from cwreg.errors import DimensionError, ParameterError, SearchFailureError
 from cwreg.evaluate import rmse
+from cwreg.models import load_model, save_model
 from cwreg.local import (
     FittedCwr,
     bandwidth_grid,
@@ -321,11 +323,23 @@ class TestSearchMemory:
             lambda: fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.5))
             for r in (1.0, 0.5)]
         assert peaks[0] < peaks[1] - 0.5
+        # The scaled geographic matrix and one kernel: the raw matrix is
+        # scaled in place and the r = 1 blend is that matrix itself.
+        assert peaks[0] < 2.5
+
+    @pytest.mark.parametrize("r, limit", [(1.0, 1.5), (0.5, 2.5)])
+    def test_training_distances_scale_in_place(self, r, limit):
+        # Each raw matrix is divided by its scale in place, so building
+        # holds one n x n array per side, not a raw and a scaled one.
+        table = random_table(n=self.N, p=2, seed=47)
+        spec = DistanceSpec(r=r, attribute_columns=("x1", "x2"))
+        assert self._peak_matrices(
+            lambda: cwreg.local.TrainingDistances(table, spec)) < limit
 
     def test_search_peak_is_the_training_distances(self):
-        # Building the training distances needs four n x n arrays (raw
-        # and scaled, geographic and attribute); no later step of the
-        # search may need more.
+        # A blend needs four n x n arrays (the scaled geographic and
+        # attribute matrices and its two weighted terms); no other step
+        # of the search may need more.
         table = random_table(n=self.N, p=2, seed=47)
         peak = self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
@@ -835,8 +849,12 @@ class TestFitCwr:
         model = fit_cwr(table, attribute_columns=["x1", "x2"],
                         r_grid=[0.0, 0.5, 1.0], bandwidth_grid_size=4)
         path = tmp_path / "model.json"
-        model.save(path)
-        clone = FittedCwr.load(path)
+        save_model(model, path)
+        # The file opens with the envelope save_model adds.
+        assert list(json.loads(path.read_text()))[:3] == [
+            "format", "version", "model_type"]
+        clone = load_model(path)
+        assert isinstance(clone, FittedCwr)
         rng = np.random.default_rng(7)
         coords = rng.uniform(0, 10, size=(6, 2))
         covs = rng.normal(size=(6, 2))
@@ -851,7 +869,7 @@ class TestFitCwr:
         path.write_text('{"format": "something-else", "version": 1}',
                         encoding="utf-8")
         with pytest.raises(ParameterError):
-            FittedCwr.load(path)
+            load_model(path)
 
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc["coefficients"][3].__setitem__(1, float("nan")),
