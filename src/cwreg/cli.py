@@ -97,28 +97,47 @@ def _config(args, **settings) -> ComparisonConfig:
     )
 
 
+def _synth_settings(args):
+    """(regime, n, sigma, seed, params): the flags, overridden by --config.
+
+    The config must be a JSON object; a null sigma takes the generator's
+    default. The generators check the seed.
+    """
+    if not args.config:
+        return args.regime, args.n, args.sigma, args.seed, {}
+    conf = read_json(args.config)
+    if not isinstance(conf, dict):
+        raise ParameterError("synth config must be a JSON object")
+    regime = conf.get("regime", args.regime)
+    n = conf.get("n", args.n)
+    sigma = conf.get("sigma", args.sigma)
+    params = conf.get("params", {})
+    if not isinstance(regime, str):
+        raise ParameterError(f"synth config regime must be a string, got {regime!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParameterError(f"synth config n must be a positive integer, got {n!r}")
+    if sigma is not None and (isinstance(sigma, bool)
+                              or not isinstance(sigma, (int, float))):
+        raise ParameterError(f"synth config sigma must be a number or null, got {sigma!r}")
+    if not isinstance(params, dict):
+        raise ParameterError(f"synth config params must be an object, got {params!r}")
+    return (regime, n, None if sigma is None else float(sigma),
+            conf.get("seed", args.seed), params)
+
+
 def cmd_synth(args) -> int:
-    if args.config:
-        conf = read_json(args.config)
-        regime = conf.get("regime", args.regime)
-        n = int(conf.get("n", args.n))
-        sigma = float(conf.get("sigma", args.sigma))
-        seed = int(conf.get("seed", args.seed))
-        params = conf.get("params", {})
-    else:
-        regime, n, sigma, seed, params = (args.regime, args.n, args.sigma,
-                                          args.seed, {})
+    regime, n, sigma, seed, params = _synth_settings(args)
     if regime not in SYNTH_REGIMES:
         raise ParameterError(
             f"unknown regime {regime!r}, expected one of {SYNTH_REGIMES}"
         )
+    noise = {} if sigma is None else {"sigma": sigma}
     if regime == "hedonic":
-        records, schema = hedonic_records(n=n, seed=seed, sigma=sigma
-                                          if sigma is not None else 10.0)
+        records, schema = hedonic_records(n=n, seed=seed, **noise)
         write_records(records, args.out)
         truth_doc = None
     else:
-        table, truth = generate_synthetic(regime, n=n, sigma=sigma, seed=seed,
+        table, truth = generate_synthetic(regime, n=n, seed=seed, **noise,
                                           **params)
         write_csv(table, args.out)
         schema = table_schema(table)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -446,6 +447,13 @@ def load_query_csv(path, covariate_names):
     return ids, np.array(coords, dtype=float), np.array(rows, dtype=float)
 
 
+def _check_seed(seed) -> None:
+    """Refuse what np.random.default_rng would: a seed must be an int >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Seeded shuffle-split parameters."""
@@ -458,6 +466,7 @@ class SplitSpec:
             raise ParameterError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
+        _check_seed(self.seed)
 
 
 def split(table: ObservationTable, spec: SplitSpec):
@@ -645,6 +654,7 @@ def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
         raise ParameterError(f"need n >= 10, got {n}")
     if sigma < 0:
         raise ParameterError(f"sigma must be nonnegative, got {sigma}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     if regime == "geo":
@@ -712,6 +722,7 @@ def generate_hedonic(n: int = 200, sigma: float = 10.0, seed: int = 0,
     if not 0 <= n_poi <= len(POI_NAMES):
         raise ParameterError(f"n_poi must be in [0, {len(POI_NAMES)}], got {n_poi}")
     p = _merged(HEDONIC_DEFAULTS, params)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, p["extent"], size=(n, 2))
     floor_area = rng.uniform(40.0, 200.0, size=n)

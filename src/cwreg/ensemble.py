@@ -2,11 +2,12 @@
 
 Trees are grown greedily: every split maximizes the reduction in total
 squared error, with candidate thresholds at the midpoints between
-consecutive sorted unique feature values. A tree sorts each feature
-once, stably; a node's per-feature order is that presort filtered to
-its rows, and one array pass scores every feature's splits. Each node
-records the reduction its split achieved; predictor importance is the
-sum of those reductions per feature across an ensemble.
+consecutive sorted unique feature values. A tree, or a whole boosted
+ensemble, sorts each feature once, stably; a node's per-feature order
+is that presort filtered to its rows, and one array pass scores every
+feature's splits. Each node records the reduction its split achieved;
+predictor importance is the sum of those reductions per feature across
+an ensemble.
 
 Boosting is plain stagewise least squares: start from the response
 mean, repeatedly fit a tree to the current residuals and add a
@@ -151,12 +152,8 @@ def _grow(X, y, rows, order, depth, max_depth, min_leaf):
     return node
 
 
-def fit_tree(X, y, max_depth: int = 3, min_leaf: int = 5) -> TreeNode:
-    """Greedy least-squares regression tree.
-
-    Returns a single leaf when y is constant or no split has positive
-    gain. Requires n >= 2 * min_leaf so at least one split is legal.
-    """
+def _tree_inputs(X, y, max_depth, min_leaf):
+    """Checked (X, y) as float arrays, and X's stable per-column presort."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.shape[0]:
@@ -171,8 +168,18 @@ def fit_tree(X, y, max_depth: int = 3, min_leaf: int = 5) -> TreeNode:
         )
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ParameterError("X and y must be finite")
-    return _grow(X, y, np.ones(y.shape[0], dtype=bool),
-                 np.argsort(X, axis=0, kind="stable"), 0, max_depth, min_leaf)
+    return X, y, np.argsort(X, axis=0, kind="stable")
+
+
+def fit_tree(X, y, max_depth: int = 3, min_leaf: int = 5) -> TreeNode:
+    """Greedy least-squares regression tree.
+
+    Returns a single leaf when y is constant or no split has positive
+    gain. Requires n >= 2 * min_leaf so at least one split is legal.
+    """
+    X, y, order = _tree_inputs(X, y, max_depth, min_leaf)
+    return _grow(X, y, np.ones(y.shape[0], dtype=bool), order, 0,
+                 max_depth, min_leaf)
 
 
 @dataclass
@@ -233,10 +240,11 @@ def fit_lsboost(X, y, n_trees: int = 100, shrinkage: float = 0.1,
 
     Each stage fits a regression tree to the current residuals and
     adds shrinkage * tree(x) to the running prediction. The recorded
-    per-stage training MSE sequence is non-increasing.
+    per-stage training MSE sequence is non-increasing. X is checked
+    and presorted once; every stage's tree grows from that order, as
+    fit_tree on the residuals would.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
     if n_trees < 1:
         raise ParameterError(f"n_trees must be >= 1, got {n_trees}")
     if not 0.0 < shrinkage <= 1.0:
@@ -245,12 +253,18 @@ def fit_lsboost(X, y, n_trees: int = 100, shrinkage: float = 0.1,
         raise DimensionError(
             f"{len(feature_names)} feature names for {X.shape[1]} features"
         )
+    X, y, order = _tree_inputs(X, y, max_depth, min_leaf)
+    rows = np.ones(y.shape[0], dtype=bool)
     f0 = float(y.mean())
     current = np.full(y.shape[0], f0)
     trees = []
     mse = []
     for _ in range(n_trees):
-        tree = fit_tree(X, y - current, max_depth=max_depth, min_leaf=min_leaf)
+        residual = y - current
+        # Finite data can still overflow here (a huge y's mean is inf).
+        if not np.all(np.isfinite(residual)):
+            raise ParameterError("X and y must be finite")
+        tree = _grow(X, residual, rows, order, 0, max_depth, min_leaf)
         current = current + shrinkage * tree.predict(X)
         trees.append(tree)
         mse.append(float(np.mean((y - current) ** 2)))

@@ -250,12 +250,14 @@ def _grid_scores(X, y, D, grid, scoring) -> list[float]:
     "insample" keeps it (self weight is exactly 1 at zero distance).
     Candidates where any location fails to fit score infinity.
 
-    Chunks of k = max(1, _CHUNK_CELLS // (n (n + p^2))) candidates go
+    Chunks of k = max(1, _CHUNK_CELLS // (n (n + 2 p^2))) candidates go
     as one (k, n, n) kernel stack to one solve_wls_batched call (at p =
-    3, k = 1 from n = 252); the scores equal one-at-a-time scoring's.
+    3, k = 1 from n = 248); the scores equal one-at-a-time scoring's.
+    Each system counts twice: its normal matrix and the solver's
+    condition screen hold one p x p array apiece.
     """
     n, p = X.shape
-    k = max(1, _CHUNK_CELLS // (n * (n + p * p)))
+    k = max(1, _CHUNK_CELLS // (n * (n + 2 * p * p)))
     scores = []
     for start in range(0, len(grid), k):
         W = gaussian_weights(D, np.reshape(grid[start:start + k], (-1, 1, 1)))

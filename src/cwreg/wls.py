@@ -9,6 +9,15 @@ candidates, whose kernels arrive stacked several to a call. Matrix
 products (GEMM) assemble the normal systems, the extreme eigenvalues
 of the symmetric X'WX estimate their condition, and the rows it cannot
 solve fall back to the stable path. A test pins it to the stable path.
+
+Eigenvalues cost several times an LU solve, so a batch is first
+screened with a cheaper upper bound on each condition number: one
+batched Cholesky factor N = LL', its triangular inverse, and
+cond(N) <= ||N||_F ||L^-1||_F^2, at most p^1.5 above the truth. A row
+whose bound is at most half of CONDITION_LIMIT is well conditioned by
+both measures; only the other rows are handed to eigvalsh, so the
+flags are those eigvalsh alone gives. Batches Cholesky refuses, and
+batches too small to repay the screen, go to eigvalsh whole.
 """
 
 from __future__ import annotations
@@ -27,6 +36,10 @@ CONDITION_LIMIT = 1e12
 
 # Fallback ridge used by local fits: RIDGE_SCALE * trace(X'WX) / n_coefficients.
 RIDGE_SCALE = 1e-8
+
+# Batches of fewer systems skip the Cholesky screen: below about this
+# many rows (p = 3 to 20) eigvalsh on all of them is the cheaper check.
+_SCREEN_MIN_ROWS = 64
 
 
 def design_matrix(covariates) -> np.ndarray:
@@ -128,6 +141,13 @@ def solve_wls_batched(X, y, W):
     unsolvable become the identity in place, are flagged in `failed`
     and their coefficients zeroed.
 
+    eigvalsh runs only on the rows the Cholesky screen (see
+    _ill_conditioned) cannot clear: those whose bound
+    ||N||_F ||L^-1||_F^2 is above CONDITION_LIMIT / 2 or not finite.
+    The factor 2 absorbs the rounding of both estimates. A batch with a
+    matrix Cholesky refuses (not positive definite), or of fewer than
+    _SCREEN_MIN_ROWS systems, is checked by eigvalsh alone.
+
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -142,11 +162,7 @@ def solve_wls_batched(X, y, W):
     N = (W @ outer).reshape(-1, p, p)
     m = len(N)
     c = (W @ (X * y[:, None])).reshape(m, p)
-    eig = np.linalg.eigvalsh(N)
-    lo, hi = eig[:, 0], eig[:, -1]
-    with np.errstate(all="ignore"):
-        conds = np.where(lo > 0, hi / lo, np.inf)
-    bad = ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
+    bad = _ill_conditioned(N)
     failed = np.zeros(m, dtype=bool)
     if np.any(bad):
         traces = np.einsum("ikk->i", N)
@@ -169,3 +185,49 @@ def solve_wls_batched(X, y, W):
     failed |= ~np.all(np.isfinite(betas), axis=1)
     betas[failed] = 0.0
     return betas, bad & ~failed, failed
+
+
+def _condition_bound(N):
+    """Upper bound ||N||_F ||L^-1||_F^2 on cond_2 of each N = LL'.
+
+    None when Cholesky refuses a matrix of the batch. The inverse of L
+    is built in place by forward substitution, row i of L^-1 over row i
+    of L, so the screen holds one (m, p, p) array besides N.
+    """
+    try:
+        L = np.linalg.cholesky(N)
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(all="ignore"):
+        for i in range(N.shape[-1]):
+            d = L[:, i, i]
+            # Rows above i already hold L^-1's, which is lower
+            # triangular, so its row i needs only their first i columns.
+            L[:, i, :i] = np.einsum("mj,mjk->mk", L[:, i, :i],
+                                    L[:, :i, :i]) / -d[:, None]
+            L[:, i, i] = 1.0 / d
+        return (np.sqrt(np.einsum("mij,mij->m", N, N))
+                * np.einsum("mij,mij->m", L, L))
+
+
+def _eigvalsh_rule(N):
+    """Rows of N whose eigvalsh condition estimate, lambda_max /
+    lambda_min, is not finite or exceeds CONDITION_LIMIT."""
+    eig = np.linalg.eigvalsh(N)
+    lo, hi = eig[:, 0], eig[:, -1]
+    with np.errstate(all="ignore"):
+        conds = np.where(lo > 0, hi / lo, np.inf)
+    return ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
+
+
+def _ill_conditioned(N):
+    """_eigvalsh_rule(N), with eigvalsh run only on the rows the
+    Cholesky screen cannot clear."""
+    bound = _condition_bound(N) if len(N) >= _SCREEN_MIN_ROWS else None
+    if bound is None:
+        return _eigvalsh_rule(N)
+    # Rows the bound cannot clear are flagged as eigvalsh decides.
+    bad = ~(bound <= CONDITION_LIMIT / 2)
+    if bad.any():
+        bad[bad] = _eigvalsh_rule(N[bad])
+    return bad

@@ -383,6 +383,65 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
+    @pytest.mark.parametrize("route", [
+        "compare-flag", "manifest-case", "synth-config", "synth-flag"])
+    def test_negative_seed_reports_json_error(self, tmp_path, capsys, route):
+        data, schema = make_dataset(tmp_path, n=40)
+        path = tmp_path / "settings.json"
+        if route == "compare-flag":
+            argv = ["compare", "--data", data, "--schema", schema,
+                    "--models", "ols", "--seed", -1]
+        elif route == "manifest-case":
+            path.write_text(json.dumps({"cases": [
+                {"name": "a", "data": data.name, "schema": schema.name,
+                 "config": {"seed": -1}}]}), encoding="utf-8")
+            argv = ["compare", "--manifest", path, "--models", "ols"]
+        elif route == "synth-config":
+            path.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+            argv = ["synth", "--config", path, "--out", tmp_path / "s.csv"]
+        else:
+            argv = ["synth", "--seed", -1, "--out", tmp_path / "s.csv"]
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ParameterError",
+            "message": "seed must be a non-negative integer, got -1"}
+
+    @pytest.mark.parametrize("config", [
+        [1], "geo", {"n": "x"}, {"n": True}, {"n": 0}, {"n": 50.0},
+        {"regime": 5}, {"sigma": "x"}, {"sigma": True}, {"params": 5},
+        {"params": [1]}, {"seed": "x"}, {"seed": 2.0},
+    ], ids=["list", "string", "string-n", "bool-n", "zero-n", "float-n",
+            "int-regime", "string-sigma", "bool-sigma", "int-params",
+            "list-params", "string-seed", "float-seed"])
+    def test_malformed_synth_config_reports_json_error(self, tmp_path,
+                                                       capsys, config):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert run_cli(["synth", "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ParameterError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("regime, sigma", [
+        ("geo", None), ("hedonic", None), ("attr", 2)])
+    def test_synth_config_sigma(self, tmp_path, capsys, regime, sigma):
+        # A null sigma is the generator's default noise level.
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({"regime": regime, "n": 20, "seed": 4,
+                                    "sigma": sigma}), encoding="utf-8")
+        assert run_cli(["synth", "--config", path,
+                        "--out", tmp_path / "a.csv"]) == 0
+        expected = {"geo": 1.0, "hedonic": 10.0}.get(regime, sigma)
+        assert run_cli(["synth", "--regime", regime, "--n", 20, "--seed", 4,
+                        "--sigma", expected, "--out", tmp_path / "b.csv"]) == 0
+        assert ((tmp_path / "a.csv").read_bytes()
+                == (tmp_path / "b.csv").read_bytes())
+
     @pytest.mark.parametrize("kind", ["ols", "lsboost", "cwr"])
     def test_load_model_refuses_other_versions(self, tmp_path, kind):
         data, schema = make_dataset(tmp_path, n=40)

@@ -370,6 +370,17 @@ class TestFitLsboost:
         with pytest.raises(ParameterError):
             fit_lsboost(X, y, n_trees=0)
 
+    def test_non_finite_inputs_and_residuals_rejected(self):
+        # Checked once for the ensemble, and at each stage's residuals:
+        # the mean of these finite responses overflows to inf.
+        X = np.arange(20.0).reshape(-1, 1)
+        bad_X = X.copy()
+        bad_X[3] = np.nan
+        for X_, y_ in ((bad_X, np.arange(20.0)), (X, np.full(20, 1e308))):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(ParameterError, match="finite"):
+                fit_lsboost(X_, y_)
+
     def test_feature_name_length_checked(self):
         X = np.arange(20.0).reshape(-1, 1)
         with pytest.raises(DimensionError):

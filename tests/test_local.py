@@ -366,7 +366,7 @@ def grid_scores_one_at_a_time(X, y, D, grid, scoring):
 class TestGridScores:
     """Chunks of stacked kernels score exactly as one kernel at a time."""
 
-    # n = 30 takes every candidate in one chunk, n = 100 twelve per
+    # n = 30 takes every candidate in one chunk, n = 100 eleven per
     # chunk and n = 370 one.
     @pytest.mark.parametrize("n", [30, 100, 370])
     @pytest.mark.parametrize("size", [1, 7, 20])

@@ -1,14 +1,22 @@
 """Weighted least squares: stable solver, batched solver, OLS."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cwreg import wls
 from cwreg.errors import (
     DegenerateWeightsError,
     DimensionError,
     ParameterError,
     SingularFitError,
 )
+from cwreg import local as cwreg_local
+from cwreg.local import fit_cwr
 from cwreg.wls import (
     CONDITION_LIMIT,
     design_matrix,
@@ -18,7 +26,7 @@ from cwreg.wls import (
     solve_wls_batched,
 )
 
-from conftest import brute_force_wls
+from conftest import brute_force_wls, random_table
 
 
 def random_system(rng, n=None, p=None, weight_floor=0.05):
@@ -250,3 +258,134 @@ class TestSolveWlsBatched:
         for got, parts in zip(stacked, zip(*one_by_one)):
             assert got.shape[0] == 30
             assert got.tobytes() == np.concatenate(parts).tobytes()
+
+
+def reference_ill_conditioned(N):
+    """The condition rule without the Cholesky screen: eigvalsh on every
+    row, flagging estimates that are not finite or exceed the limit."""
+    eig = np.linalg.eigvalsh(N)
+    lo, hi = eig[:, 0], eig[:, -1]
+    with np.errstate(all="ignore"):
+        conds = np.where(lo > 0, hi / lo, np.inf)
+    return ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
+
+
+ROW_KINDS = ("conditioned", "near-limit", "singular", "zero-weight")
+
+
+@st.composite
+def conditioned_batches(draw):
+    """(X, y, W) whose normal matrices have chosen condition numbers.
+
+    X stacks a random orthogonal p x p block Q over the identity, so a
+    row of W weighting only Q gives X'WX = Q' diag(w) Q, with condition
+    max(w) / min(w) up to rounding, and a row weighting only the
+    identity gives diag(w) exactly. Rows are drawn from ROW_KINDS:
+    condition numbers from 1 to 1e20, 1e12 * (1 +- 1e-3), exactly
+    singular (a zero weight on the identity block) and all-zero weight.
+    A batch may hold one row Cholesky refuses among well-conditioned
+    ones, and its size falls on either side of the screen's cut.
+    """
+    p = draw(st.integers(2, 20))
+    cut = min(wls._SCREEN_MIN_ROWS, 500)
+    m = draw(st.one_of(st.integers(1, max(1, cut - 1)),
+                       st.integers(cut, cut + 128)))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1,
+                          max_size=len(ROW_KINDS), unique=True))
+    refuse_one = draw(st.sampled_from([None, "singular", "zero-weight"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    X = np.vstack([Q, np.eye(p)])
+    y = rng.normal(size=2 * p)
+    rows = rng.choice(kinds, size=m)
+    if refuse_one:
+        rows[rng.integers(m)] = refuse_one
+    W = np.zeros((m, 2 * p))
+    for i, kind in enumerate(rows):
+        block = W[i, :p] if rng.random() < 0.5 else W[i, p:]
+        if kind == "conditioned":
+            cond = 10.0 ** rng.uniform(0, 20)
+        elif kind == "near-limit":
+            cond = CONDITION_LIMIT * (1 + rng.uniform(-1e-3, 1e-3))
+        if kind in ("conditioned", "near-limit"):
+            w = np.geomspace(1.0, 1.0 / cond, p)
+            w[1:-1] = rng.uniform(w[-1], 1.0, size=p - 2)
+            block[:] = rng.permutation(w) * 10.0 ** rng.uniform(-3, 3)
+        elif kind == "singular":
+            W[i, p:] = rng.uniform(0.1, 2.0, size=p)
+            W[i, p + rng.integers(p)] = 0.0
+    return X, y, W
+
+
+class TestConditionScreen:
+    """The Cholesky screen flags the rows the eigvalsh rule flags."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(conditioned_batches())
+    def test_equal_to_eigvalsh_rule(self, batch):
+        X, y, W = batch
+        with mock.patch.object(wls, "_ill_conditioned",
+                               reference_ill_conditioned):
+            expected = solve_wls_batched(X, y, W)
+        got = solve_wls_batched(X, y, W)
+        for g, e in zip(got, expected):
+            assert g.tobytes() == e.tobytes()
+
+    def test_bound_is_above_the_condition_number(self):
+        # ||N||_F ||L^-1||_F^2 lies in [cond, p^1.5 cond]. Condition
+        # numbers stay below about 1e9, where both sides round to
+        # within 1e-6 of the truth.
+        rng = np.random.default_rng(3)
+        for p in (2, 7, 20):
+            A = rng.normal(size=(100, p, p))
+            A[:, :, 0] *= 10.0 ** rng.uniform(-3, 0, size=(100, 1))
+            N = A @ A.transpose(0, 2, 1)
+            conds = np.linalg.cond(N)
+            assert conds.max() > 1e5
+            bound = wls._condition_bound(N)
+            assert np.all(bound >= conds * (1 - 1e-6))
+            assert np.all(bound <= conds * p ** 1.5 * (1 + 1e-6))
+
+    def test_refused_cholesky_gives_no_bound(self):
+        N = np.tile(np.eye(3), (8, 1, 1))
+        N[5] = 0.0
+        assert wls._condition_bound(N) is None
+
+    def test_default_search_sends_few_systems_to_eigvalsh(self, monkeypatch):
+        # n = 160, p = 3: every solve but the final fit stacks 4 kernels
+        # (640 systems), and the final fit has 160, all above the cut.
+        systems, checked = [], []
+        eigvalsh, solve = np.linalg.eigvalsh, cwreg_local.solve_wls_batched
+
+        def counting_eigvalsh(a):
+            checked.append(len(a))
+            return eigvalsh(a)
+
+        def counting_solve(X, y, W):
+            result = solve(X, y, W)
+            systems.append(len(result[0]))
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(cwreg_local, "solve_wls_batched", counting_solve)
+        fit_cwr(random_table(n=160, p=2, seed=49), ["x1", "x2"])
+        assert sum(systems) == (101 * 20 + 1) * 160
+        assert sum(checked) <= 0.02 * sum(systems)
+
+    def test_screen_is_silent(self):
+        # diag(1e150, 1e-250, 1) has ||N||_F = 1e150 and ||L^-1||_F^2 =
+        # 1e250: their product overflows to inf, and the row goes to
+        # eigvalsh.
+        X = np.vstack([np.eye(3), np.eye(3)])
+        y = np.arange(6.0)
+        W = np.ones((wls._SCREEN_MIN_ROWS, 6))
+        W[0] = [0.0, 0.0, 0.0, 1e150, 1e-250, 1.0]
+        W[1] = [0.0, 0.0, 0.0, 1.0, 1e-15, 1.0]
+        N = np.einsum("mi,ij,ik->mjk", W, X, X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = wls._condition_bound(N)
+            betas, regularized, failed = solve_wls_batched(X, y, W)
+        assert bound[0] == np.inf and np.all(np.isfinite(bound[1:]))
+        assert regularized[:2].all() and not regularized[2:].any()
+        assert not failed.any()
