@@ -10,6 +10,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -121,6 +122,9 @@ def _synth_settings(args):
         raise ParameterError(f"synth config sigma must be a number or null, got {sigma!r}")
     if not isinstance(params, dict):
         raise ParameterError(f"synth config params must be an object, got {params!r}")
+    if regime == "hedonic" and params:
+        raise ParameterError("hedonic synth data takes no params, got "
+                             f"{sorted(params)}")
     return (regime, n, None if sigma is None else float(sigma),
             conf.get("seed", args.seed), params)
 
@@ -190,18 +194,14 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     ids, coords, covariates = load_query_csv(args.query, model.covariate_names)
     predictions = model.predict(coords, covariates)
-    lines = [["id", "u", "v", "predicted"]]
-    for i, rid in enumerate(ids):
-        lines.append([rid, repr(float(coords[i, 0])), repr(float(coords[i, 1])),
-                      repr(float(predictions[i]))])
-    if args.out:
-        import csv as _csv
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            _csv.writer(fh).writerows(lines)
-        print(f"wrote {args.out} ({len(ids)} predictions)")
-    else:
-        for row in lines:
-            print(",".join(str(c) for c in row))
+    rows = [["id", "u", "v", "predicted"]]
+    rows += [[rid, *coords[i], predictions[i]] for i, rid in enumerate(ids)]
+    if not args.out:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return 0
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    print(f"wrote {args.out} ({len(ids)} predictions)")
     return 0
 
 

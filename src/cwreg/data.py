@@ -620,13 +620,26 @@ def _geo_surfaces(coords, params):
     return b0, b1
 
 
+def _finite_real(x) -> bool:
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and -np.inf < x < np.inf)
+
+
 def _merged(defaults, params):
-    merged = dict(defaults)
+    """`defaults` overridden by `params`. Each value has its default's
+    shape: a finite real number (not a bool), or a pair of them."""
     unknown = set(params) - set(defaults)
     if unknown:
         raise ParameterError(f"unknown generator parameters: {sorted(unknown)}")
-    merged.update(params)
-    return merged
+    for key, value in params.items():
+        pair = isinstance(defaults[key], tuple)
+        values = value if pair and isinstance(value, (list, tuple)) else [value]
+        if len(values) != (2 if pair else 1) or not all(map(_finite_real, values)):
+            raise ParameterError(
+                f"generator parameter {key} must be "
+                f"{'a pair of finite numbers' if pair else 'a finite number'}"
+                f", got {value!r}")
+    return {**defaults, **params}
 
 
 def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
@@ -671,10 +684,10 @@ def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
         b0 = np.asarray(p["cluster_intercepts"], dtype=float)[k]
         b1 = np.asarray(p["cluster_slopes"], dtype=float)[k]
     else:
-        mix = float(params.pop("mix", 0.5))
+        p = _merged({**GEO_DEFAULTS, **ATTR_DEFAULTS, "mix": 0.5}, params)
+        mix = p["mix"] = float(p["mix"])
         if not 0.0 <= mix <= 1.0:
             raise ParameterError(f"mix must be in [0, 1], got {mix}")
-        p = _merged({**GEO_DEFAULTS, **ATTR_DEFAULTS}, params)
         coords = rng.uniform(0.0, p["extent"], size=(n, 2))
         k = rng.integers(0, 2, size=n)
         x1 = np.asarray(p["cluster_centers"])[k] + rng.normal(
@@ -684,7 +697,6 @@ def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
                                                  dtype=float)[k]
         b1 = mix * g1 + (1.0 - mix) * np.asarray(p["cluster_slopes"],
                                                  dtype=float)[k]
-        p["mix"] = mix
 
     noise = sigma * rng.standard_normal(n)
     y = b0 + b1 * x1 + noise

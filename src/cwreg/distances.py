@@ -103,9 +103,15 @@ def blend_distances(geographic, attribute, spec: DistanceSpec) -> np.ndarray:
     """Convex blend r * geographic + (1 - r) * attribute.
 
     The endpoints are exact: r = 1 returns the geographic matrix and
-    r = 0 the attribute matrix, bit for bit.
+    r = 0 the attribute matrix, bit for bit. Without an attribute side
+    (`attribute` None, allowed only at r = 1) the result is the
+    geographic matrix itself, which callers only read.
     """
     geo = np.asarray(geographic, dtype=float)
+    if attribute is None:
+        if spec.r != 1.0:
+            raise ParameterError(f"r = {spec.r} < 1 needs attribute distances")
+        return geo
     attr = np.asarray(attribute, dtype=float)
     if geo.shape != attr.shape:
         raise DimensionError(

@@ -101,6 +101,9 @@ class ComparisonConfig:
                                    tuple(self.attribute_columns))
         except (TypeError, ValueError) as err:
             raise ParameterError(f"malformed config: {err}") from err
+        if self.r_grid is not None and not np.all(np.isfinite(self.r_grid)):
+            raise ParameterError(
+                f"config r_grid must be finite, got {list(self.r_grid)}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ParameterError(
@@ -108,7 +111,8 @@ class ComparisonConfig:
             )
         if not self.models:
             raise ParameterError("at least one model is required")
-        # Numeric fields, found by annotation, hold numbers of their kind.
+        # Numeric fields, found by annotation, hold finite numbers of
+        # their kind (NaN fails both comparisons).
         for f in fields(self):
             value, kinds = getattr(self, f.name), f.type.split(" | ")
             number = (numbers.Integral if "int" in kinds
@@ -116,9 +120,11 @@ class ComparisonConfig:
             if (number is None or (value is None and "None" in kinds)
                     or (isinstance(value, str) and "str" in kinds)):
                 continue
-            if isinstance(value, bool) or not isinstance(value, number):
+            if (isinstance(value, bool) or not isinstance(value, number)
+                    or not -np.inf < value < np.inf):
                 raise ParameterError(
-                    f"config {f.name} must be {f.type}, got {value!r}")
+                    f"config {f.name} must be a finite {f.type}, "
+                    f"got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -385,27 +391,21 @@ class GridExport:
 
 
 def export_maps(model, table: ObservationTable, lattice, out_prefix,
-                covariate_values: dict | None = None,
-                train_table: ObservationTable | None = None) -> GridExport:
+                covariate_values: dict | None = None) -> GridExport:
     """Write a prediction-grid CSV and a per-record residual CSV.
 
     The lattice is (nx, ny) points spanning the bounding box of the
     training coordinates (taken from the model's embedded training
-    table when it has one, else from `train_table`, else from
-    `table`). Grid queries use each covariate's training median unless
-    overridden through covariate_values. Residual rows cover `table`
-    one to one.
+    table when it has one, else from `table`). Grid queries use each
+    covariate's training median unless overridden through
+    covariate_values. Residual rows cover `table` one to one.
     """
     import csv as _csv
 
     nx, ny = int(lattice[0]), int(lattice[1])
     if nx < 1 or ny < 1:
         raise ParameterError(f"lattice counts must be >= 1, got {(nx, ny)}")
-    source = train_table
-    if source is None:
-        source = getattr(model, "table", None)
-    if source is None:
-        source = table
+    source = getattr(model, "table", None) or table
     names = list(model.covariate_names)
     base = source.covariate_matrix(names)
     values = np.median(base, axis=0)
@@ -428,11 +428,7 @@ def export_maps(model, table: ObservationTable, lattice, out_prefix,
         writer = _csv.writer(fh)
         writer.writerow(["u", "v"] + names + ["predicted"])
         for i in range(grid_coords.shape[0]):
-            writer.writerow(
-                [repr(float(grid_coords[i, 0])), repr(float(grid_coords[i, 1]))]
-                + [repr(float(v)) for v in values]
-                + [repr(float(grid_pred[i]))]
-            )
+            writer.writerow([*grid_coords[i], *values, grid_pred[i]])
 
     predictions = model.predict(table.coords, table.covariate_matrix(names))
     residual_path = f"{out_prefix}_residuals.csv"
@@ -440,16 +436,9 @@ def export_maps(model, table: ObservationTable, lattice, out_prefix,
         writer = _csv.writer(fh)
         writer.writerow(["id", "u", "v", "actual", "predicted", "residual"])
         for i in range(table.n):
-            actual = float(table.y[i])
-            predicted = float(predictions[i])
-            writer.writerow([
-                table.ids[i],
-                repr(float(table.coords[i, 0])),
-                repr(float(table.coords[i, 1])),
-                repr(actual),
-                repr(predicted),
-                repr(actual - predicted),
-            ])
+            actual, predicted = table.y[i], predictions[i]
+            writer.writerow([table.ids[i], *table.coords[i], actual,
+                             predicted, actual - predicted])
     return GridExport(
         grid_path=grid_path,
         residual_path=residual_path,

@@ -18,8 +18,10 @@ vectors of the K nearest training points under the blended distance
 centered on the query ("local-fit"). The K nearest are found by partial
 selection, O(n) per query, and ordered by (distance, training-row
 index), exactly as a full stable sort would order them. The training
-half of the query distances (standardized training attributes, the
-training design matrix) is built once per FittedCwr, not per call.
+half of the distances (standardized training attributes, the training
+design matrix) is built once: fit_cwr builds it for its search and
+hands it to the model it returns; a loaded model builds it on its
+first prediction.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class HyperSearchTrace:
 
     Scores are RMSE values under the named criterion; candidates whose
     fits failed everywhere carry an infinite score. For blend-ratio
-    searches `bandwidths` lists the bandwidth chosen for each r.
+    searches `bandwidths` lists the bandwidth chosen for each r (NaN
+    where none fitted). Non-finite values are written as JSON null.
     """
 
     parameter: str
@@ -92,7 +95,7 @@ class HyperSearchTrace:
             "selected": float(self.selected),
             "selected_score": _clean(self.selected_score),
             "bandwidths": (None if self.bandwidths is None
-                           else [float(h) for h in self.bandwidths]),
+                           else [_clean(h) for h in self.bandwidths]),
             "selected_bandwidth": (None if self.selected_bandwidth is None
                                    else float(self.selected_bandwidth)),
         }
@@ -110,7 +113,8 @@ class HyperSearchTrace:
             selected=float(doc["selected"]),
             selected_score=_restore(doc["selected_score"]),
             bandwidths=(None if doc.get("bandwidths") is None
-                        else [float(h) for h in doc["bandwidths"]]),
+                        else [np.nan if h is None else float(h)
+                              for h in doc["bandwidths"]]),
             selected_bandwidth=(None if doc.get("selected_bandwidth") is None
                                 else float(doc["selected_bandwidth"])),
         )
@@ -136,32 +140,42 @@ class LocalFit:
     regularized: np.ndarray
 
 
-class TrainingDistances:
-    """Training geo/attribute distances over their max-scale constants
-    (1.0 under "none"), built once per fit for every blend with
-    r >= spec.r. Attributes are standardized only when spec.r < 1; at
-    spec.r = 1 there is no attribute side (`attr` and `transform` are
-    None, `attr_scale` is 1.0)."""
+class _TrainingSide:
+    """What the blended distances need of a training table under one
+    attribute standardization: its design matrix and its standardized
+    attributes (None without a transform). The table checked its
+    coordinates when it was built."""
 
-    def __init__(self, table: ObservationTable, spec: DistanceSpec):
-        scaled = spec.normalization == "max-scale"
-        self.geo = geographic_distances(table.coords, table.coords)
-        self.geo_scale = training_scale(self.geo) if scaled else 1.0
-        self.geo /= self.geo_scale
-        self.transform, self.attr, self.attr_scale = None, None, 1.0
-        if spec.r < 1.0:
-            self.transform = standardize(table, list(spec.attribute_columns))
-            z = self.transform.apply_table(table)
-            self.attr = attribute_distances(z, z)
-            self.attr_scale = training_scale(self.attr) if scaled else 1.0
-            self.attr /= self.attr_scale
+    def __init__(self, table: ObservationTable, transform):
+        self.table, self.transform = table, transform
+        self.X = design_matrix(table.covariates)
+        self.attrs = None
+        if transform is not None:
+            self.attr_index = [table.column_index(c) for c in transform.columns]
+            self.attrs = transform.apply_table(table)
 
-    def blend(self, spec: DistanceSpec) -> np.ndarray:
-        """The blended matrix; at r = 1 without an attribute side, `geo`
-        itself, which callers only read."""
-        if self.attr is None:
-            return self.geo
-        return blend_distances(self.geo, self.attr, spec)
+    @classmethod
+    def of(cls, table, transform, cached=None) -> "_TrainingSide":
+        """`cached` if built from this table and transform, else a new one."""
+        if (cached is not None and cached.table is table
+                and cached.transform is transform):
+            return cached
+        return cls(table, transform)
+
+    def distances(self, normalization: str):
+        """Training (geo, geo_scale, attr, attr_scale), each matrix divided
+        in place by its max-scale constant (1.0 under "none"); without
+        standardized attributes attr is None and attr_scale 1.0."""
+        def scaled(D):
+            scale = training_scale(D) if normalization == "max-scale" else 1.0
+            D /= scale
+            return D, scale
+
+        coords = self.table.coords
+        geo, geo_scale = scaled(geographic_distances(coords, coords))
+        attr, attr_scale = ((None, 1.0) if self.attrs is None else
+                            scaled(attribute_distances(self.attrs, self.attrs)))
+        return geo, geo_scale, attr, attr_scale
 
 
 def _solve_location(X, y, w, where):
@@ -311,40 +325,10 @@ def select_rate(table: ObservationTable, attribute_columns,
     return model.fit.spec, model.traces["rate"]
 
 
-class _TrainingSide:
-    """The half of query-to-training distances that depends only on the
-    model: the standardized training attributes (None when the blend
-    leaves attribute distances out) and the training design matrix.
-
-    The training coordinates need no work: the table checked them when
-    it was built.
-    """
-
-    def __init__(self, fit: LocalFit, table: ObservationTable):
-        self.fit, self.table = fit, table
-        self.transform, self.spec = fit.transform, fit.spec
-        self.attrs = None
-        if fit.spec.r < 1.0 and fit.transform is not None:
-            self.attr_index = [table.column_index(c)
-                               for c in fit.transform.columns]
-            self.attrs = fit.transform.apply_table(table)
-        self.X = design_matrix(table.covariates)
-
-    @classmethod
-    def of(cls, fit: LocalFit, table: ObservationTable,
-           cached: "_TrainingSide | None" = None) -> "_TrainingSide":
-        """`cached` while it was built from this fit and table and the
-        fit's current transform and spec; else a new one."""
-        if (cached is not None and cached.fit is fit and cached.table is table
-                and cached.transform is fit.transform
-                and cached.spec is fit.spec):
-            return cached
-        return cls(fit, table)
-
-
-def _query_blended(training: _TrainingSide, coords, covariates):
-    """Blended query-to-training distances under the stored scales."""
-    fit, table = training.fit, training.table
+def _query_blended(fit: LocalFit, training: _TrainingSide, coords,
+                   covariates):
+    """Blended query-to-training distances under the fit's scales."""
+    table = training.table
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
     if (covariates.ndim != 2
@@ -410,17 +394,15 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     "local-fit" solves a fresh weighted fit centered on each query at
     the stored bandwidth with fit_local's solver.
 
-    The training half of the distances (standardized training
-    attributes, training design matrix) is built once per call here;
-    FittedCwr builds it once per model and passes it as `training`,
-    which is rebuilt if it was made for another fit or table.
+    The training half of the distances is built per call here unless
+    `training` (FittedCwr's own) was made for this table and transform.
     """
     if mode not in PREDICT_MODES:
         raise ParameterError(
             f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}"
         )
-    training = _TrainingSide.of(fit, table, training)
-    D = _query_blended(training, coords, covariates)
+    training = _TrainingSide.of(table, fit.transform, training)
+    D = _query_blended(fit, training, coords, covariates)
     Xq = design_matrix(np.atleast_2d(np.asarray(covariates, dtype=float)))
     if mode == "knn-coef":
         if not 1 <= k <= table.n:
@@ -450,7 +432,8 @@ class FittedCwr:
     mode: str = "knn-coef"
     traces: dict[str, HyperSearchTrace] = field(default_factory=dict)
     name: str = "cwr"
-    # Built on the first prediction; rebuilt when fit or table change.
+    # From fit_cwr, or built on the first prediction after a load, a
+    # replaced table or a replaced transform.
     _training: _TrainingSide | None = field(default=None, init=False,
                                             repr=False, compare=False)
 
@@ -459,7 +442,7 @@ class FittedCwr:
         return list(self.table.covariate_names)
 
     def predict(self, coords, covariates) -> np.ndarray:
-        self._training = _TrainingSide.of(self.fit, self.table,
+        self._training = _TrainingSide.of(self.table, self.fit.transform,
                                           self._training)
         return predict_at(self.fit, self.table, coords, covariates,
                           mode=self.mode, k=self.k, training=self._training)
@@ -599,19 +582,22 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
         attribute_columns = train.default_attribute_columns()
     specs = [DistanceSpec(r=c, attribute_columns=tuple(attribute_columns),
                           normalization=normalization) for c in rates]
-    X = design_matrix(train.covariates)
-    n, p = X.shape
-    if n < p + 1:
+    p = len(train.covariate_names) + 1
+    if train.n < p + 1:
         raise ParameterError(
             f"need at least {p + 1} records to fit {p} coefficients locally"
         )
-    dist = TrainingDistances(train, specs[0])
+    # Attributes are standardized only when some candidate blends them.
+    training = _TrainingSide(train, None if specs[0].r == 1.0 else
+                             standardize(train, list(attribute_columns)))
+    X = training.X
+    geo, geo_scale, attr, attr_scale = training.distances(normalization)
     traces: dict[str, HyperSearchTrace] = {}
     best, bandwidths = 0, bw_grid
     if search_r or cv:
         scores, bandwidths = [], []
         for spec in specs:
-            D = dist.blend(spec)
+            D = blend_distances(geo, attr, spec)
             grid = (bandwidth_grid(D, size=bandwidth_grid_size)
                     if bw_grid is None else bw_grid)
             # Bandwidths are always chosen by leave-one-out: judged
@@ -649,15 +635,17 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
                 candidates=list(grid), scores=h_scores,
                 selected=grid[h_best], selected_score=h_scores[h_best])
     spec, h = specs[best], bandwidths[best]
-    W = gaussian_weights(dist.blend(spec), h)
+    W = gaussian_weights(blend_distances(geo, attr, spec), h)
     coefficients, regularized = _solve_rows(X, train.y, W,
                                             "training location")
-    pure_geo = spec.r == 1.0
+    if spec.r == 1.0:
+        # A pure geographic model keeps no attribute side.
+        training.transform, training.attrs, attr_scale = None, None, 1.0
     local = LocalFit(
         coefficients=coefficients, bandwidth=float(h), spec=spec,
-        geo_scale=dist.geo_scale,
-        attr_scale=1.0 if pure_geo else dist.attr_scale,
-        transform=None if pure_geo else dist.transform,
-        regularized=regularized)
-    return FittedCwr(fit=local, table=train, k=k, mode=mode, traces=traces,
-                     name=name)
+        geo_scale=geo_scale, attr_scale=attr_scale,
+        transform=training.transform, regularized=regularized)
+    model = FittedCwr(fit=local, table=train, k=k, mode=mode, traces=traces,
+                      name=name)
+    model._training = training
+    return model

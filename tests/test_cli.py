@@ -14,6 +14,11 @@ from cwreg.errors import ParameterError
 from cwreg.models import load_model
 
 
+def reject_constant(name):
+    """json.loads hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_cli(argv):
     return main([str(a) for a in argv])
 
@@ -154,6 +159,31 @@ class TestFitAndPredict:
         assert lines[0] == "id,u,v,predicted"
         assert len(lines) == 2
 
+    def test_predict_quotes_ids_on_stdout_as_in_file(self, tmp_path, capsys):
+        # stdout and --out are one CSV: an id holding a comma or a quote
+        # is quoted, not split.
+        data, schema = make_dataset(tmp_path)
+        model_path = tmp_path / "m.json"
+        run_cli(["fit", "--model", "ols", "--data", data, "--schema", schema,
+                 "--out", model_path])
+        query = tmp_path / "q.csv"
+        with open(query, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["id", "u", "v", "x1"],
+                                      ["a,b", 10.0, 20.0, 0.5],
+                                      ['q"x', 1.0, 2.0, -0.5]])
+        out = tmp_path / "p.csv"
+        assert run_cli(["predict", "--model", model_path, "--query", query,
+                        "--out", out]) == 0
+        capsys.readouterr()
+        assert run_cli(["predict", "--model", model_path,
+                        "--query", query]) == 0
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        with open(out, newline="", encoding="utf-8") as fh:
+            written = list(csv.reader(fh))
+        assert printed == written
+        assert [row[0] for row in printed] == ["id", "a,b", 'q"x']
+        assert all(len(row) == 4 for row in printed)
+
     def test_strict_scoring_flag_accepted(self, tmp_path):
         data, schema = make_dataset(tmp_path, n=60)
         model_path = tmp_path / "m.json"
@@ -187,7 +217,7 @@ class TestCompare:
         text = capsys.readouterr().out
         assert "improvement" in text
         assert "rmse=" in text
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(), parse_constant=reject_constant)
         assert doc["models"]["cwr"]["params"]["r"] == 0.2
 
     def test_manifest_batch(self, tmp_path, capsys):
@@ -239,6 +269,22 @@ class TestErrorHandling:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert "message" in err
+
+    @pytest.mark.parametrize("flag, value", [("--bandwidth", "inf"),
+                                             ("--r", "nan")])
+    def test_non_finite_flag_reports_json_error(self, tmp_path, capsys,
+                                                flag, value):
+        # A report holding Infinity or NaN would not be JSON.
+        data, schema = make_dataset(tmp_path, n=60)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run_cli(["compare", "--data", data, "--schema", schema,
+                        "--models", "ols,cwr", flag, value,
+                        "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ParameterError"
+        assert not out.exists()
 
     def test_bad_r_value(self, tmp_path, capsys):
         data, schema = make_dataset(tmp_path, n=60)
@@ -413,9 +459,18 @@ class TestErrorHandling:
         [1], "geo", {"n": "x"}, {"n": True}, {"n": 0}, {"n": 50.0},
         {"regime": 5}, {"sigma": "x"}, {"sigma": True}, {"params": 5},
         {"params": [1]}, {"seed": "x"}, {"seed": 2.0},
+        {"params": {"extent": "x"}}, {"params": {"extent": True}},
+        {"params": {"extent": float("inf")}},
+        {"regime": "mixed", "params": {"mix": "x"}},
+        {"regime": "attr", "params": {"cluster_centers": [1]}},
+        {"regime": "attr", "params": {"cluster_centers": 1}},
+        {"regime": "attr", "params": {"cluster_sd": [1, 2]}},
+        {"regime": "hedonic", "params": {"bogus": 1}},
     ], ids=["list", "string", "string-n", "bool-n", "zero-n", "float-n",
             "int-regime", "string-sigma", "bool-sigma", "int-params",
-            "list-params", "string-seed", "float-seed"])
+            "list-params", "string-seed", "float-seed", "string-extent",
+            "bool-extent", "inf-extent", "string-mix", "short-pair",
+            "number-for-pair", "pair-for-number", "hedonic-params"])
     def test_malformed_synth_config_reports_json_error(self, tmp_path,
                                                        capsys, config):
         path = tmp_path / "synth.json"

@@ -441,6 +441,23 @@ class TestSyntheticGenerators:
         with pytest.raises(ParameterError):
             generate_synthetic("geo", n=20, wavelength=3)
 
+    @pytest.mark.parametrize("params", [
+        {"extent": "x"}, {"mix": True}, {"slope_amp": np.nan},
+        {"cluster_centers": [1.0]}, {"cluster_centers": (1.0, np.inf)},
+        {"cluster_sd": (0.5, 0.5)},
+    ])
+    def test_param_values_must_match_their_defaults(self, params):
+        # A finite real (not a bool), or a pair of them for a pair.
+        with pytest.raises(ParameterError, match="generator parameter"):
+            generate_synthetic("mixed", n=20, **params)
+
+    def test_param_values_accept_numbers_and_pairs(self):
+        a, _ = generate_synthetic("attr", n=20, seed=1, extent=np.int64(500),
+                                  cluster_centers=[-1, 1])
+        b, _ = generate_synthetic("attr", n=20, seed=1, extent=500.0,
+                                  cluster_centers=(-1.0, 1.0))
+        np.testing.assert_array_equal(a.coords, b.coords)
+        np.testing.assert_array_equal(a.covariates, b.covariates)
     def test_too_small_n_rejected(self):
         with pytest.raises(ParameterError):
             generate_synthetic("geo", n=5)

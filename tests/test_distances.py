@@ -120,6 +120,14 @@ class TestBlendDistances:
             blend_distances(self.geo, self.attr[:5],
                             DistanceSpec(r=0.5, attribute_columns=("x1",)))
 
+    def test_absent_attribute_side_returns_geographic_matrix(self):
+        # Without attribute distances the r = 1 blend is the geographic
+        # matrix itself, not a copy; any other r needs them.
+        assert blend_distances(self.geo, None, DistanceSpec(r=1.0)) is self.geo
+        with pytest.raises(ParameterError):
+            blend_distances(self.geo, None,
+                            DistanceSpec(r=0.5, attribute_columns=("x1",)))
+
 
 class TestGaussianWeights:
     def test_reference_values(self):

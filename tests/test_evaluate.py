@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,10 @@ class TestComparisonConfig:
         {"train_fraction": "0.5"}, {"train_fraction": None},
         {"boost_shrinkage": True}, {"r": [0.5]}, {"bandwidth": None},
         {"models": 5}, {"r_grid": ["x"]}, {"attribute_columns": 3},
+        # A report writes its config, and NaN and Infinity are not JSON.
+        {"bandwidth": math.inf}, {"r": math.nan}, {"train_fraction": math.nan},
+        {"boost_shrinkage": -math.inf}, {"r_grid": (0.0, math.nan)},
+        {"r_grid": [math.inf]},
     ])
     def test_wrong_typed_fields_rejected(self, kwargs):
         with pytest.raises(ParameterError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import cwreg.local
-from cwreg.data import ObservationTable, StandardizationTransform
+from cwreg.data import ObservationTable, StandardizationTransform, standardize
 from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
 from cwreg.errors import DimensionError, ParameterError, SearchFailureError
 from cwreg.evaluate import rmse
@@ -28,6 +28,11 @@ from cwreg.local import (
 from cwreg.wls import design_matrix, fit_ols, solve_wls_batched
 
 from conftest import brute_force_distance_matrix, brute_force_wls, random_table
+
+
+def reject_constant(name):
+    """json.loads hook: NaN and Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def hand_pipeline(table, attribute_columns, r, bandwidth):
@@ -292,7 +297,7 @@ class TestSearchMemory:
         assert peak < 1.5
 
     def test_grid_scores_chunk_fits_its_budget(self):
-        # n = 80 and p = 8 stack 11 kernels per chunk. Sized by the
+        # n = 80 and p = 8 stack 7 kernels per chunk. Sized by the
         # kernels alone, all 20 would fit the budget, and the normal
         # matrices would take the peak above 2 MiB.
         n = 80
@@ -314,11 +319,11 @@ class TestSearchMemory:
         assert self._peak_matrices(lambda: bandwidth_grid(D)) < 1.5
 
     def test_pure_geographic_fit_has_no_attribute_side(self):
-        # At r = 1 the training distances hold no attribute matrix, so
-        # the fit peaks a whole n x n array below a blended one.
+        # At r = 1 the training side holds no standardized attributes,
+        # so the fit peaks a whole n x n array below a blended one.
         table = random_table(n=self.N, p=2, seed=47)
-        assert cwreg.local.TrainingDistances(
-            table, DistanceSpec(r=1.0)).attr is None
+        model = fit_cwr(table, ["x1", "x2"], r=1.0, bandwidth=0.5)
+        assert model._training.attrs is None
         peaks = [self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.5))
             for r in (1.0, 0.5)]
@@ -331,10 +336,14 @@ class TestSearchMemory:
     def test_training_distances_scale_in_place(self, r, limit):
         # Each raw matrix is divided by its scale in place, so building
         # holds one n x n array per side, not a raw and a scaled one.
+        # At r = 1 there is no attribute side and no attribute matrix.
         table = random_table(n=self.N, p=2, seed=47)
-        spec = DistanceSpec(r=r, attribute_columns=("x1", "x2"))
-        assert self._peak_matrices(
-            lambda: cwreg.local.TrainingDistances(table, spec)) < limit
+        transform = None if r == 1.0 else standardize(table, ["x1", "x2"])
+        side = cwreg.local._TrainingSide(table, transform)
+        distances = []
+        assert self._peak_matrices(lambda: distances.extend(
+            side.distances("max-scale"))) < limit
+        assert (distances[2] is None) == (r == 1.0)
 
     def test_search_peak_is_the_training_distances(self):
         # A blend needs four n x n arrays (the scaled geographic and
@@ -726,9 +735,12 @@ class TestNearestSelection:
 
 class TestPredictionState:
     def test_training_table_standardized_once_per_model(self, monkeypatch):
+        # A fitted model predicts with the training side its fit built;
+        # a loaded one builds its own on its first prediction.
         table = random_table(n=30, p=2, seed=70)
-        models = [fit_cwr(table, ["x1", "x2"], r=0.4, bandwidth=0.8,
+        fitted = [fit_cwr(table, ["x1", "x2"], r=0.4, bandwidth=0.8,
                           mode=mode) for mode in ("knn-coef", "local-fit")]
+        loaded = [FittedCwr.from_dict(model.to_dict()) for model in fitted]
         calls = []
         original = StandardizationTransform.apply_table
 
@@ -738,12 +750,12 @@ class TestPredictionState:
 
         monkeypatch.setattr(StandardizationTransform, "apply_table", counted)
         rng = np.random.default_rng(8)
-        for model in models:
+        for model, limit in [(m, 0) for m in fitted] + [(m, 1) for m in loaded]:
             calls.clear()
             for _ in range(50):
                 model.predict(rng.uniform(0, 10, size=(1, 2)),
                               rng.normal(size=(1, 2)))
-            assert len(calls) <= 1
+            assert len(calls) <= limit
 
     @pytest.mark.parametrize("mode", ["knn-coef", "local-fit"])
     def test_replaced_or_reassigned_table_is_used(self, mode):
@@ -766,7 +778,9 @@ class TestPredictionState:
     def test_reassigned_fit_is_used(self):
         table = random_table(n=30, p=2, seed=73)
         model = fit_cwr(table, ["x1", "x2"], r=0.4, bandwidth=0.8)
-        other = fit_cwr(table, ["x1", "x2"], r=0.0, bandwidth=0.5).fit
+        # Its standardization reads other columns, so the training side
+        # the model holds does not fit it.
+        other = fit_cwr(table, ["x2"], r=0.0, bandwidth=0.5).fit
         rng = np.random.default_rng(10)
         qc, qx = rng.uniform(0, 10, size=(5, 2)), rng.normal(size=(5, 2))
         model.predict(qc, qx)
@@ -779,10 +793,9 @@ class TestPredictionState:
     def test_query_blend_equals_blend_distances(self, monkeypatch, r, mode):
         # The blend written into the geographic query matrix is the one
         # blend_distances builds from separate matrices, bit for bit.
-        def blend_route(training, coords, covariates):
-            fit = training.fit
+        def blend_route(fit, training, coords, covariates):
             geo = cdist(coords, training.table.coords) / fit.geo_scale
-            attr = np.zeros_like(geo)
+            attr = None
             if training.attrs is not None:
                 z = fit.transform.apply(covariates[:, training.attr_index])
                 attr = cdist(z, training.attrs) / fit.attr_scale
@@ -792,9 +805,10 @@ class TestPredictionState:
         model = fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.4, mode=mode)
         rng = np.random.default_rng(11)
         qc, qx = rng.uniform(0, 10, size=(7, 2)), rng.normal(size=(7, 2))
-        training = cwreg.local._TrainingSide(model.fit, table)
-        D = cwreg.local._query_blended(training, qc, qx)
-        assert D.tobytes() == blend_route(training, qc, qx).tobytes()
+        training = cwreg.local._TrainingSide(table, model.fit.transform)
+        D = cwreg.local._query_blended(model.fit, training, qc, qx)
+        assert D.tobytes() == blend_route(model.fit, training, qc,
+                                          qx).tobytes()
         own = model.predict(qc, qx)
         monkeypatch.setattr(cwreg.local, "_query_blended", blend_route)
         assert own.tobytes() == model.predict(qc, qx).tobytes()
@@ -863,6 +877,21 @@ class TestFitCwr:
         assert clone.fit.spec == model.fit.spec
         assert clone.traces.keys() == model.traces.keys()
         assert clone.traces["rate"].scores == model.traces["rate"].scores
+
+    def test_failed_rate_saves_null_bandwidth(self, tmp_path):
+        # At r = 1 no location of the integer grid fits at h = 1e-6, so
+        # that r has no bandwidth: the file holds null, which strict
+        # JSON parsers accept, and loads back as NaN.
+        model = fit_cwr(grid_table(n=30), ["x1"], r_grid=[0.0, 1.0],
+                        bw_grid=[1e-6])
+        assert model.traces["rate"].bandwidths[0] == 1e-6
+        assert math.isnan(model.traces["rate"].bandwidths[1])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
+        assert doc["traces"]["rate"]["bandwidths"] == [1e-6, None]
+        clone = load_model(path).traces["rate"].bandwidths
+        assert clone[0] == 1e-6 and math.isnan(clone[1])
 
     def test_load_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "bad.json"
