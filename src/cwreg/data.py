@@ -625,9 +625,15 @@ def _finite_real(x) -> bool:
             and -np.inf < x < np.inf)
 
 
+# Generator parameters whose values are restricted: (range, test).
+_PARAM_RANGES = {"extent": ("positive", lambda x: x > 0),
+                 "cluster_sd": ("nonnegative", lambda x: x >= 0),
+                 "mix": ("in [0, 1]", lambda x: 0 <= x <= 1)}
+
+
 def _merged(defaults, params):
     """`defaults` overridden by `params`. Each value has its default's
-    shape: a finite real number (not a bool), or a pair of them."""
+    shape, a finite real (not a bool) or a pair of them, and range."""
     unknown = set(params) - set(defaults)
     if unknown:
         raise ParameterError(f"unknown generator parameters: {sorted(unknown)}")
@@ -639,6 +645,10 @@ def _merged(defaults, params):
                 f"generator parameter {key} must be "
                 f"{'a pair of finite numbers' if pair else 'a finite number'}"
                 f", got {value!r}")
+        text, ok = _PARAM_RANGES.get(key, ("", lambda x: True))
+        if not ok(value):
+            raise ParameterError(
+                f"generator parameter {key} must be {text}, got {value!r}")
     return {**defaults, **params}
 
 
@@ -686,8 +696,6 @@ def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
     else:
         p = _merged({**GEO_DEFAULTS, **ATTR_DEFAULTS, "mix": 0.5}, params)
         mix = p["mix"] = float(p["mix"])
-        if not 0.0 <= mix <= 1.0:
-            raise ParameterError(f"mix must be in [0, 1], got {mix}")
         coords = rng.uniform(0.0, p["extent"], size=(n, 2))
         k = rng.integers(0, 2, size=n)
         x1 = np.asarray(p["cluster_centers"])[k] + rng.normal(

@@ -47,7 +47,8 @@ from .errors import (
     SearchFailureError,
     SingularFitError,
 )
-from .wls import RIDGE_SCALE, design_matrix, solve_wls, solve_wls_batched
+from .wls import (RIDGE_SCALE, BatchedDesign, design_matrix, solve_wls,
+                  solve_wls_batched)
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
@@ -141,14 +142,14 @@ class LocalFit:
 
 
 class _TrainingSide:
-    """What the blended distances need of a training table under one
-    attribute standardization: its design matrix and its standardized
-    attributes (None without a transform). The table checked its
-    coordinates when it was built."""
+    """What the blended distances and local solves need of a training
+    table under one attribute standardization: its BatchedDesign and
+    its standardized attributes (None without a transform). The table
+    checked its coordinates when it was built."""
 
     def __init__(self, table: ObservationTable, transform):
         self.table, self.transform = table, transform
-        self.X = design_matrix(table.covariates)
+        self.design = BatchedDesign(design_matrix(table.covariates), table.y)
         self.attrs = None
         if transform is not None:
             self.attr_index = [table.column_index(c) for c in transform.columns]
@@ -199,15 +200,16 @@ def _solve_location(X, y, w, where):
         raise SingularFitError(f"local fit at {where}: {err}") from err
 
 
-def _solve_rows(X, y, W, label):
+def _solve_rows(design, W, label):
     """Solve one weighted system per row of W: (betas, regularized).
 
     Only the rows the batched solver flags as failed are re-solved on
     the stable path, which raises for zero-weight and singular rows.
     """
-    betas, regularized, failed = solve_wls_batched(X, y, W)
+    betas, regularized, failed = solve_wls_batched(design, W)
     for i in np.flatnonzero(failed):
-        betas[i], regularized[i] = _solve_location(X, y, W[i], f"{label} {i}")
+        betas[i], regularized[i] = _solve_location(design.X, design.y, W[i],
+                                                   f"{label} {i}")
     return betas, regularized
 
 
@@ -257,7 +259,7 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     return [float(h) for h in np.geomspace(lo, hi, size)]
 
 
-def _grid_scores(X, y, D, grid, scoring) -> list[float]:
+def _grid_scores(design, D, grid, scoring) -> list[float]:
     """RMSE per bandwidth candidate over blended training distances.
 
     "loo" zeroes each observation's own weight before its fit;
@@ -266,10 +268,12 @@ def _grid_scores(X, y, D, grid, scoring) -> list[float]:
 
     Chunks of k = max(1, _CHUNK_CELLS // (n (n + 2 p^2))) candidates go
     as one (k, n, n) kernel stack to one solve_wls_batched call (at p =
-    3, k = 1 from n = 248); the scores equal one-at-a-time scoring's.
-    Each system counts twice: its normal matrix and the solver's
-    condition screen hold one p x p array apiece.
+    3, k = 1 from n = 248), each kernel with its own GEMM; no system's
+    numbers depend on its batch, so the scores equal one-at-a-time
+    scoring's. Each system counts twice: its normal matrix and its
+    Cholesky factor hold one p x p array apiece.
     """
+    X, y = design.X, design.y
     n, p = X.shape
     k = max(1, _CHUNK_CELLS // (n * (n + 2 * p * p)))
     scores = []
@@ -277,7 +281,7 @@ def _grid_scores(X, y, D, grid, scoring) -> list[float]:
         W = gaussian_weights(D, np.reshape(grid[start:start + k], (-1, 1, 1)))
         if scoring == "loo":
             W[:, range(n), range(n)] = 0.0
-        betas, _, failed = solve_wls_batched(X, y, W)
+        betas, _, failed = solve_wls_batched(design, W)
         # Free these kernels before the next chunk is built.
         del W
         pred = np.einsum("ij,kij->ki", X, betas.reshape(-1, n, p))
@@ -412,7 +416,7 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
         beta_bar = fit.coefficients[_nearest(D, k)].mean(axis=1)
         return np.einsum("ij,ij->i", Xq, beta_bar)
     W = gaussian_weights(D, fit.bandwidth)
-    betas, _ = _solve_rows(training.X, table.y, W, "query")
+    betas, _ = _solve_rows(training.design, W, "query")
     return np.einsum("ij,ij->i", Xq, betas)
 
 
@@ -590,7 +594,6 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     # Attributes are standardized only when some candidate blends them.
     training = _TrainingSide(train, None if specs[0].r == 1.0 else
                              standardize(train, list(attribute_columns)))
-    X = training.X
     geo, geo_scale, attr, attr_scale = training.distances(normalization)
     traces: dict[str, HyperSearchTrace] = {}
     best, bandwidths = 0, bw_grid
@@ -602,7 +605,7 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
                     if bw_grid is None else bw_grid)
             # Bandwidths are always chosen by leave-one-out: judged
             # in-sample, a smaller h always looks better.
-            h_scores = _grid_scores(X, train.y, D, grid, "loo")
+            h_scores = _grid_scores(training.design, D, grid, "loo")
             h_best = _first_finite_min(h_scores)
             if h_best is None:
                 scores.append(np.inf)
@@ -610,8 +613,8 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
             else:
                 scores.append(h_scores[h_best]
                               if scoring == "loo" or not search_r else
-                              _grid_scores(X, train.y, D, [grid[h_best]],
-                                           "insample")[0])
+                              _grid_scores(training.design, D,
+                                           [grid[h_best]], "insample")[0])
                 bandwidths.append(grid[h_best])
             # Free this blend before the next one is built.
             del D
@@ -636,7 +639,7 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
                 selected=grid[h_best], selected_score=h_scores[h_best])
     spec, h = specs[best], bandwidths[best]
     W = gaussian_weights(blend_distances(geo, attr, spec), h)
-    coefficients, regularized = _solve_rows(X, train.y, W,
+    coefficients, regularized = _solve_rows(training.design, W,
                                             "training location")
     if spec.r == 1.0:
         # A pure geographic model keeps no attribute side.

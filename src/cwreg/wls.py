@@ -10,14 +10,13 @@ products (GEMM) assemble the normal systems, the extreme eigenvalues
 of the symmetric X'WX estimate their condition, and the rows it cannot
 solve fall back to the stable path. A test pins it to the stable path.
 
-Eigenvalues cost several times an LU solve, so a batch is first
-screened with a cheaper upper bound on each condition number: one
-batched Cholesky factor N = LL', its triangular inverse, and
-cond(N) <= ||N||_F ||L^-1||_F^2, at most p^1.5 above the truth. A row
-whose bound is at most half of CONDITION_LIMIT is well conditioned by
-both measures; only the other rows are handed to eigvalsh, so the
-flags are those eigvalsh alone gives. Batches Cholesky refuses, and
-batches too small to repay the screen, go to eigvalsh whole.
+Each batch is factored once, N = LL' by batched Cholesky, and that
+factor both screens and solves. Its triangular inverse bounds each
+condition number, cond(N) <= ||N||_F ||L^-1||_F^2, at most p^1.5 above
+the truth. A row whose bound is at most half of CONDITION_LIMIT is well
+conditioned by both measures and is solved as L^-T (L^-1 c); only the
+other rows are handed to eigvalsh, so the flags are those eigvalsh
+alone gives, and only the rows it flags are solved by LU.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ CONDITION_LIMIT = 1e12
 
 # Fallback ridge used by local fits: RIDGE_SCALE * trace(X'WX) / n_coefficients.
 RIDGE_SCALE = 1e-8
-
-# Batches of fewer systems skip the Cholesky screen: below about this
-# many rows (p = 3 to 20) eigvalsh on all of them is the cheaper check.
-_SCREEN_MIN_ROWS = 64
 
 
 def design_matrix(covariates) -> np.ndarray:
@@ -125,75 +120,89 @@ def predict(X, beta) -> np.ndarray:
     return X @ beta
 
 
-def solve_wls_batched(X, y, W):
+class BatchedDesign:
+    """The rows many weighted least-squares systems share: design X,
+    response y, and the GEMM operands of their normal equations, vec(x x')
+    and x * y per row, built once for every batched solve."""
+
+    def __init__(self, X, y):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+        n, p = X.shape
+        if y.shape != (n,):
+            raise DimensionError(f"X has {n} rows but y has {y.size}")
+        self.X, self.y = X, y
+        self.outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+        self.xy = X * y[:, None]
+
+
+def solve_wls_batched(design: BatchedDesign, W):
     """Solve one weighted system per row of W through the normal equations.
 
     W is (m, n), one row of weights per system, or a stack (k, r, n)
-    solved as its k * r rows in order. Every normal matrix X'W_iX comes
-    from one GEMM per weight matrix, W @ vec(x x'), and every right-hand
-    side X'W_iy from a second, so a stack gives the numbers of k calls
-    (one tall GEMM can round differently); all are solved in one batched
-    call. The condition estimate of X'W_iX, symmetric positive
-    semidefinite, is lambda_max / lambda_min from eigvalsh, infinite
-    when lambda_min <= 0 or NaN. Rows whose estimate exceeds
-    CONDITION_LIMIT get ridge = RIDGE_SCALE * trace / p added in place
-    to their diagonal and are flagged in `regularized`; rows that remain
-    unsolvable become the identity in place, are flagged in `failed`
-    and their coefficients zeroed.
+    solved as its k * r rows in order. Every normal matrix N = X'W_iX
+    comes from one GEMM per weight matrix, W @ vec(x x'), and every
+    right-hand side c = X'W_iy from a second, so a stack gives the
+    numbers of k calls (one tall GEMM can round differently).
 
-    eigvalsh runs only on the rows the Cholesky screen (see
-    _ill_conditioned) cannot clear: those whose bound
-    ||N||_F ||L^-1||_F^2 is above CONDITION_LIMIT / 2 or not finite.
-    The factor 2 absorbs the rounding of both estimates. A batch with a
-    matrix Cholesky refuses (not positive definite), or of fewer than
-    _SCREEN_MIN_ROWS systems, is checked by eigvalsh alone.
+    One batched Cholesky factor N = LL' screens and solves. A row whose
+    bound ||N||_F ||L^-1||_F^2 >= cond(N) is above CONDITION_LIMIT / 2
+    (the 2 absorbs rounding) or not finite is judged by eigvalsh, as is
+    every row of a batch Cholesky refuses: lambda_max / lambda_min,
+    infinite when lambda_min <= 0 or NaN, above CONDITION_LIMIT flags
+    it. Rows it clears are solved as beta = L^-T (L^-1 c), factored
+    anew if their batch was refused. Flagged rows get ridge =
+    RIDGE_SCALE * trace / p added in place to their diagonal, are solved
+    by LU and flagged in `regularized`; rows that remain unsolvable
+    become the identity in place, are flagged in `failed` and their
+    coefficients zeroed. No row's numbers depend on the rest of its batch.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
     W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape[-1] != X.shape[0] or X.shape[0] != y.shape[0]:
-        raise DimensionError(
-            f"shape mismatch: X {X.shape}, y {y.shape}, W {W.shape}"
-        )
-    n, p = X.shape
-    outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-    N = (W @ outer).reshape(-1, p, p)
+    n, p = design.X.shape
+    if W.shape[-1] != n:
+        raise DimensionError(f"X has {n} rows but W is {W.shape}")
+    N = (W @ design.outer).reshape(-1, p, p)
     m = len(N)
-    c = (W @ (X * y[:, None])).reshape(m, p)
-    bad = _ill_conditioned(N)
+    c = (W @ design.xy).reshape(m, p)
+    inv = _inverse_factor(N)
+    bad = _ill_conditioned(N, inv)
+    if inv is None or bad.any():
+        # Keep, or factor anew, only the rows eigvalsh clears.
+        inv = _inverse_factor(N[~bad]) if inv is None else inv[~bad]
+    # Should Cholesky refuse a row eigvalsh clears, all rows go to LU.
+    lu = bad | (inv is None)
+    betas = np.zeros((m, p))
+    if not lu.all():
+        z = np.einsum("mij,mj->mi", inv, c[~lu])
+        betas[~lu] = np.einsum("mji,mj->mi", inv, z)
     failed = np.zeros(m, dtype=bool)
-    if np.any(bad):
+    if lu.any():
         traces = np.einsum("ikk->i", N)
         ridges = np.where(bad, RIDGE_SCALE * np.maximum(traces, 0.0) / p, 0.0)
         failed |= bad & (ridges <= 0)
         N.reshape(m, p * p)[:, :: p + 1] += ridges[:, None]
         N[failed] = np.eye(p)
         c[failed] = 0.0
-    try:
-        betas = np.linalg.solve(N, c[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        betas = np.zeros((m, p))
-        for i in range(m):
-            if failed[i]:
-                continue
-            try:
-                betas[i] = np.linalg.solve(N[i], c[i])
-            except np.linalg.LinAlgError:
-                failed[i] = True
+        rows = np.flatnonzero(lu)
+        try:
+            betas[rows] = np.linalg.solve(N[rows], c[rows, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for i in rows[~failed[rows]]:
+                try:
+                    betas[i] = np.linalg.solve(N[i], c[i])
+                except np.linalg.LinAlgError:
+                    failed[i] = True
     failed |= ~np.all(np.isfinite(betas), axis=1)
     betas[failed] = 0.0
     return betas, bad & ~failed, failed
 
 
-def _condition_bound(N):
-    """Upper bound ||N||_F ||L^-1||_F^2 on cond_2 of each N = LL'.
-
-    None when Cholesky refuses a matrix of the batch. The inverse of L
-    is built in place by forward substitution, row i of L^-1 over row i
-    of L, so the screen holds one (m, p, p) array besides N.
-    """
+def _inverse_factor(N):
+    """L^-1 of each N = LL', None when Cholesky refuses a matrix of the
+    batch; built in place by forward substitution, row i of L^-1 over
+    row i of L, so it holds one (m, p, p) array besides N."""
     try:
         L = np.linalg.cholesky(N)
     except np.linalg.LinAlgError:
@@ -206,8 +215,15 @@ def _condition_bound(N):
             L[:, i, :i] = np.einsum("mj,mjk->mk", L[:, i, :i],
                                     L[:, :i, :i]) / -d[:, None]
             L[:, i, i] = 1.0 / d
+    return L
+
+
+def _condition_bound(N, inv):
+    """Upper bound ||N||_F ||L^-1||_F^2 on cond_2 of each N = LL', at
+    most p^1.5 above it; inv holds each L^-1."""
+    with np.errstate(all="ignore"):
         return (np.sqrt(np.einsum("mij,mij->m", N, N))
-                * np.einsum("mij,mij->m", L, L))
+                * np.einsum("mij,mij->m", inv, inv))
 
 
 def _eigvalsh_rule(N):
@@ -220,14 +236,12 @@ def _eigvalsh_rule(N):
     return ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
 
 
-def _ill_conditioned(N):
-    """_eigvalsh_rule(N), with eigvalsh run only on the rows the
-    Cholesky screen cannot clear."""
-    bound = _condition_bound(N) if len(N) >= _SCREEN_MIN_ROWS else None
-    if bound is None:
+def _ill_conditioned(N, inv):
+    """_eigvalsh_rule(N), with eigvalsh run only on the rows the bound
+    from inv, each L^-1, cannot clear; on all rows when inv is None."""
+    if inv is None:
         return _eigvalsh_rule(N)
-    # Rows the bound cannot clear are flagged as eigvalsh decides.
-    bad = ~(bound <= CONDITION_LIMIT / 2)
+    bad = ~(_condition_bound(N, inv) <= CONDITION_LIMIT / 2)
     if bad.any():
         bad[bad] = _eigvalsh_rule(N[bad])
     return bad

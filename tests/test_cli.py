@@ -466,11 +466,14 @@ class TestErrorHandling:
         {"regime": "attr", "params": {"cluster_centers": 1}},
         {"regime": "attr", "params": {"cluster_sd": [1, 2]}},
         {"regime": "hedonic", "params": {"bogus": 1}},
+        {"regime": "attr", "params": {"cluster_sd": -1}},
+        {"params": {"extent": 0}},
     ], ids=["list", "string", "string-n", "bool-n", "zero-n", "float-n",
             "int-regime", "string-sigma", "bool-sigma", "int-params",
             "list-params", "string-seed", "float-seed", "string-extent",
             "bool-extent", "inf-extent", "string-mix", "short-pair",
-            "number-for-pair", "pair-for-number", "hedonic-params"])
+            "number-for-pair", "pair-for-number", "hedonic-params",
+            "negative-cluster-sd", "zero-extent"])
     def test_malformed_synth_config_reports_json_error(self, tmp_path,
                                                        capsys, config):
         path = tmp_path / "synth.json"

@@ -444,10 +444,13 @@ class TestSyntheticGenerators:
     @pytest.mark.parametrize("params", [
         {"extent": "x"}, {"mix": True}, {"slope_amp": np.nan},
         {"cluster_centers": [1.0]}, {"cluster_centers": (1.0, np.inf)},
-        {"cluster_sd": (0.5, 0.5)},
+        {"cluster_sd": (0.5, 0.5)}, {"extent": 0}, {"extent": -5.0},
+        {"cluster_sd": -1}, {"mix": 1.5},
     ])
     def test_param_values_must_match_their_defaults(self, params):
-        # A finite real (not a bool), or a pair of them for a pair.
+        # A finite real (not a bool), or a pair of them for a pair, in
+        # the parameter's range: extent > 0, cluster_sd >= 0, mix in
+        # [0, 1].
         with pytest.raises(ParameterError, match="generator parameter"):
             generate_synthetic("mixed", n=20, **params)
 

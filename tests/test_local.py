@@ -25,7 +25,7 @@ from cwreg.local import (
     predict_at,
     select_rate,
 )
-from cwreg.wls import design_matrix, fit_ols, solve_wls_batched
+from cwreg.wls import BatchedDesign, design_matrix, fit_ols, solve_wls_batched
 
 from conftest import brute_force_distance_matrix, brute_force_wls, random_table
 
@@ -292,8 +292,9 @@ class TestSearchMemory:
         y = rng.normal(size=self.N)
         D = self._distances()
         grid = bandwidth_grid(D, size=4)
+        design = BatchedDesign(X, y)
         peak = self._peak_matrices(
-            lambda: cwreg.local._grid_scores(X, y, D, grid, "loo"))
+            lambda: cwreg.local._grid_scores(design, D, grid, "loo"))
         assert peak < 1.5
 
     def test_grid_scores_chunk_fits_its_budget(self):
@@ -308,7 +309,7 @@ class TestSearchMemory:
         grid = bandwidth_grid(D)
         tracemalloc.start()
         try:
-            cwreg.local._grid_scores(X, y, D, grid, "loo")
+            cwreg.local._grid_scores(BatchedDesign(X, y), D, grid, "loo")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -363,7 +364,7 @@ def grid_scores_one_at_a_time(X, y, D, grid, scoring):
         W = gaussian_weights(D, h)
         if scoring == "loo":
             np.fill_diagonal(W, 0.0)
-        betas, _, failed = solve_wls_batched(X, y, W)
+        betas, _, failed = solve_wls_batched(BatchedDesign(X, y), W)
         if np.any(failed):
             scores.append(np.inf)
             continue
@@ -392,7 +393,8 @@ class TestGridScores:
             # No weight but a self weight survives 1e-300: under "loo"
             # every location fails, and the candidate scores inf.
             grid.insert(size // 2, 1e-300)
-        scores = cwreg.local._grid_scores(X, y, D, grid, scoring)
+        scores = cwreg.local._grid_scores(BatchedDesign(X, y), D, grid,
+                                          scoring)
         assert scores == grid_scores_one_at_a_time(X, y, D, grid, scoring)
         if size > 1 and scoring == "loo":
             assert scores[size // 2] == np.inf
@@ -403,8 +405,8 @@ class TestGridScores:
         # bandwidths take 5 calls, plus one for the final fit.
         calls, systems = [], []
 
-        def counting(X, y, W):
-            result = solve_wls_batched(X, y, W)
+        def counting(design, W):
+            result = solve_wls_batched(design, W)
             calls.append(1)
             systems.append(result[0].shape[0])
             return result
@@ -451,8 +453,11 @@ class TestSelectBandwidth:
         assert model.fit.bandwidth == 1e6
 
     def test_tied_scores_take_first_candidate(self):
-        # Constant response: every local fit reproduces it exactly, so
-        # all candidates score zero and the first must win.
+        # Constant response, so every candidate scores about zero. The
+        # bandwidths dwarf the max-scaled distances (at most 1), so every
+        # kernel weight is exactly 1.0: each candidate solves the same
+        # systems, the scores tie exactly under any solver, and the
+        # first candidate must win.
         rng = np.random.default_rng(45)
         table = ObservationTable(
             ids=[f"k{i}" for i in range(10)],
@@ -461,11 +466,11 @@ class TestSelectBandwidth:
             covariates=rng.normal(size=(10, 1)),
             covariate_names=["x1"],
         )
-        grid = [0.5, 1.0, 2.0]
+        grid = [1e9, 2e9, 4e9]
         model = fit_cwr(table, r=1.0, bw_grid=grid)
         np.testing.assert_allclose(model.traces["bandwidth"].scores, 0.0,
                                    atol=1e-10)
-        assert model.fit.bandwidth == 0.5
+        assert model.fit.bandwidth == 1e9
 
     def test_underflowing_grid_raises_search_failure(self):
         # Bandwidths far below any pairwise distance zero out all

@@ -19,14 +19,19 @@ from cwreg import local as cwreg_local
 from cwreg.local import fit_cwr
 from cwreg.wls import (
     CONDITION_LIMIT,
+    BatchedDesign,
     design_matrix,
     fit_ols,
     predict,
     solve_wls,
-    solve_wls_batched,
 )
 
 from conftest import brute_force_wls, random_table
+
+
+def solve_wls_batched(X, y, W):
+    """The batched solver on the design built from X and y."""
+    return wls.solve_wls_batched(BatchedDesign(X, y), W)
 
 
 def random_system(rng, n=None, p=None, weight_floor=0.05):
@@ -260,7 +265,7 @@ class TestSolveWlsBatched:
             assert got.tobytes() == np.concatenate(parts).tobytes()
 
 
-def reference_ill_conditioned(N):
+def reference_ill_conditioned(N, inv):
     """The condition rule without the Cholesky screen: eigvalsh on every
     row, flagging estimates that are not finite or exceed the limit."""
     eig = np.linalg.eigvalsh(N)
@@ -284,10 +289,10 @@ def conditioned_batches(draw):
     condition numbers from 1 to 1e20, 1e12 * (1 +- 1e-3), exactly
     singular (a zero weight on the identity block) and all-zero weight.
     A batch may hold one row Cholesky refuses among well-conditioned
-    ones, and its size falls on either side of the screen's cut.
+    ones, and it has 1 to 63 rows or 64 to 192.
     """
     p = draw(st.integers(2, 20))
-    cut = min(wls._SCREEN_MIN_ROWS, 500)
+    cut = 64
     m = draw(st.one_of(st.integers(1, max(1, cut - 1)),
                        st.integers(cut, cut + 128)))
     kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1,
@@ -342,18 +347,18 @@ class TestConditionScreen:
             N = A @ A.transpose(0, 2, 1)
             conds = np.linalg.cond(N)
             assert conds.max() > 1e5
-            bound = wls._condition_bound(N)
+            bound = wls._condition_bound(N, wls._inverse_factor(N))
             assert np.all(bound >= conds * (1 - 1e-6))
             assert np.all(bound <= conds * p ** 1.5 * (1 + 1e-6))
 
     def test_refused_cholesky_gives_no_bound(self):
         N = np.tile(np.eye(3), (8, 1, 1))
         N[5] = 0.0
-        assert wls._condition_bound(N) is None
+        assert wls._inverse_factor(N) is None
 
     def test_default_search_sends_few_systems_to_eigvalsh(self, monkeypatch):
         # n = 160, p = 3: every solve but the final fit stacks 4 kernels
-        # (640 systems), and the final fit has 160, all above the cut.
+        # (640 systems), and the final fit has 160.
         systems, checked = [], []
         eigvalsh, solve = np.linalg.eigvalsh, cwreg_local.solve_wls_batched
 
@@ -361,8 +366,8 @@ class TestConditionScreen:
             checked.append(len(a))
             return eigvalsh(a)
 
-        def counting_solve(X, y, W):
-            result = solve(X, y, W)
+        def counting_solve(design, W):
+            result = solve(design, W)
             systems.append(len(result[0]))
             return result
 
@@ -378,14 +383,65 @@ class TestConditionScreen:
         # eigvalsh.
         X = np.vstack([np.eye(3), np.eye(3)])
         y = np.arange(6.0)
-        W = np.ones((wls._SCREEN_MIN_ROWS, 6))
+        W = np.ones((64, 6))
         W[0] = [0.0, 0.0, 0.0, 1e150, 1e-250, 1.0]
         W[1] = [0.0, 0.0, 0.0, 1.0, 1e-15, 1.0]
         N = np.einsum("mi,ij,ik->mjk", W, X, X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = wls._condition_bound(N)
+            bound = wls._condition_bound(N, wls._inverse_factor(N))
             betas, regularized, failed = solve_wls_batched(X, y, W)
         assert bound[0] == np.inf and np.all(np.isfinite(bound[1:]))
         assert regularized[:2].all() and not regularized[2:].any()
         assert not failed.any()
+
+
+class TestFactorSolve:
+    """Rows the screen clears are solved through its Cholesky factor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(conditioned_batches())
+    def test_cleared_rows_match_weighted_lstsq(self, batch):
+        # Solved as L^-T (L^-1 c), a cleared row's coefficients are off
+        # by at most a small multiple of cond(X'WX) * eps relative to
+        # the rank-revealing solve of the square-root-weighted system.
+        X, y, W = batch
+        betas, regularized, failed = solve_wls_batched(X, y, W)
+        eps = np.finfo(float).eps
+        for i in np.flatnonzero(~regularized & ~failed):
+            sw = np.sqrt(W[i])
+            expected = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)[0]
+            cond = np.linalg.cond(X.T @ (X * W[i][:, None]))
+            err = np.max(np.abs(betas[i] - expected))
+            assert err <= 10 * X.shape[1] * cond * eps * np.max(
+                np.abs(expected))
+
+    @pytest.mark.parametrize("rows", [1, 30, 70])
+    def test_stacked_call_equals_part_by_part_calls(self, rows):
+        # A (4, rows, n) stack against one call per part. Part 1 holds a
+        # zero-weight row, so Cholesky refuses the stacked batch and
+        # eigvalsh judges all of it; parts 2 and 3 hold a row just below
+        # and just above the 1e12 limit, which only eigvalsh can judge.
+        # Every row's numbers are the same wherever it is solved.
+        p = 4
+        rng = np.random.default_rng(21)
+        Q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        X = np.vstack([Q, np.eye(p)])
+        y = rng.normal(size=2 * p)
+        W = rng.uniform(0.1, 2.0, size=(4, rows, 2 * p))
+        at = rows // 2
+        W[1, at] = 0.0
+        for part, cond in ((2, 0.99e12), (3, 1.01e12)):
+            W[part, at, :p] = 0.0
+            W[part, at, p:] = np.geomspace(1.0, 1.0 / cond, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = solve_wls_batched(X, y, W)
+            parts = [solve_wls_batched(X, y, Wk) for Wk in W]
+        flagged = np.zeros((4, rows), dtype=bool)
+        flagged[1, at] = True
+        np.testing.assert_array_equal(stacked[2], flagged.ravel())
+        flagged[1, at], flagged[3, at] = False, True
+        np.testing.assert_array_equal(stacked[1], flagged.ravel())
+        for got, pieces in zip(stacked, zip(*parts)):
+            assert got.tobytes() == np.concatenate(pieces).tobytes()
