@@ -652,6 +652,14 @@ def _merged(defaults, params):
     return {**defaults, **params}
 
 
+def _check_generated(*arrays) -> None:
+    """Report huge parameters that overflowed the (warning-free) generator."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ParameterError(
+            "generator parameters overflow: the generated data is not finite")
+
+
+@np.errstate(all="ignore")
 def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
                        seed: int = 0, **params):
     """Generate a synthetic dataset with one covariate x1.
@@ -708,6 +716,7 @@ def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
 
     noise = sigma * rng.standard_normal(n)
     y = b0 + b1 * x1 + noise
+    _check_generated(coords, x1, b0, b1, y)
     table = ObservationTable(
         ids=[f"s{i + 1:05d}" for i in range(n)],
         coords=coords,
@@ -729,6 +738,7 @@ HEDONIC_DEFAULTS = {
 }
 
 
+@np.errstate(all="ignore")
 def generate_hedonic(n: int = 200, sigma: float = 10.0, seed: int = 0,
                      n_poi: int = 10, **params):
     """House-price-shaped synthetic data for importance experiments.
@@ -756,6 +766,7 @@ def generate_hedonic(n: int = 200, sigma: float = 10.0, seed: int = 0,
     slopes[:, 1] = p["house_age_effect"]
     covariates = np.column_stack([floor_area, house_age, pois])
     y = b0 + np.sum(slopes * covariates, axis=1) + sigma * rng.standard_normal(n)
+    _check_generated(coords, covariates, b0, y)
     names = ["floor_area", "house_age"] + [
         f"dist_{poi}" for poi in POI_NAMES[:n_poi]]
     table = ObservationTable(

@@ -47,8 +47,7 @@ from .errors import (
     SearchFailureError,
     SingularFitError,
 )
-from .wls import (RIDGE_SCALE, BatchedDesign, design_matrix, solve_wls,
-                  solve_wls_batched)
+from .wls import BatchedDesign, design_matrix, solve_wls_batched
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
@@ -129,7 +128,7 @@ class LocalFit:
     max-scale normalization (1.0 under "none"); `transform` is the
     attribute standardization fitted on the training table, or None
     when r = 1 leaves attribute distances out entirely. `regularized`
-    flags locations whose fit needed the ridge fallback.
+    flags locations whose fit needed the ridge.
     """
 
     coefficients: np.ndarray
@@ -179,37 +178,21 @@ class _TrainingSide:
         return geo, geo_scale, attr, attr_scale
 
 
-def _solve_location(X, y, w, where):
-    """Stable solve with the documented ridge fallback for one location."""
-    try:
-        return solve_wls(X, y, w), False
-    except DegenerateWeightsError as err:
-        raise DegenerateWeightsError(f"local fit at {where}: {err}") from err
-    except SingularFitError:
-        pass
-    trace = float(np.einsum("i,ij,ij->", w, X, X))
-    ridge = RIDGE_SCALE * trace / X.shape[1]
-    if ridge <= 0:
-        raise SingularFitError(
-            f"local fit at {where} is singular and has no weight mass to "
-            "regularize"
-        )
-    try:
-        return solve_wls(X, y, w, ridge), True
-    except (SingularFitError, DegenerateWeightsError) as err:
-        raise SingularFitError(f"local fit at {where}: {err}") from err
-
-
 def _solve_rows(design, W, label):
     """Solve one weighted system per row of W: (betas, regularized).
 
-    Only the rows the batched solver flags as failed are re-solved on
-    the stable path, which raises for zero-weight and singular rows.
+    The batched solver's flags are final: the first row it could not
+    solve raises, DegenerateWeightsError when its weights are all zero
+    and SingularFitError otherwise, naming the location either way.
     """
     betas, regularized, failed = solve_wls_batched(design, W)
-    for i in np.flatnonzero(failed):
-        betas[i], regularized[i] = _solve_location(design.X, design.y, W[i],
-                                                   f"{label} {i}")
+    if failed.any():
+        i = int(np.argmax(failed))
+        if not np.any(W[i] > 0):
+            raise DegenerateWeightsError(
+                f"local fit at {label} {i}: all observation weights are zero")
+        raise SingularFitError(
+            f"local fit at {label} {i} cannot be solved, even with the ridge")
     return betas, regularized
 
 
@@ -218,9 +201,9 @@ def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
     """Fit one weighted least-squares system per training location.
 
     Uses the batched solver that scores search candidates. Near-singular
-    locations (condition estimate of X'WX above 1e12) are retried with
-    ridge = 1e-8 * trace(X'WX) / p and flagged in `regularized`; rows it
-    cannot solve go to the stable path, which names them if they fail.
+    locations (condition estimate of X'WX above 1e12) take ridge =
+    1e-8 * trace(X'WX) / p and are flagged in `regularized`; a location
+    without weight, or one the ridge cannot solve, raises and is named.
     """
     return fit_cwr(table, spec.attribute_columns, r=spec.r,
                    bandwidth=bandwidth, k=1,
@@ -232,24 +215,23 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
 
     Spans the 1st percentile to the maximum of the off-diagonal
     entries. Degenerates gracefully: all-zero distances yield a single
-    bandwidth of 1.0 (every weight is 1 regardless). A symmetric D, as
-    training distances are, is read from its upper triangle only; the
-    grid equals np.percentile's over the whole off-diagonal either way.
+    bandwidth of 1.0 (every weight is 1 regardless). D is symmetric, as
+    training distances are, so only its upper triangle is read; the grid
+    equals np.percentile's over the whole off-diagonal.
     """
     if size < 1:
         raise ParameterError(f"grid size must be >= 1, got {size}")
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    copies = 2 if np.array_equal(D, D.T) else 1
-    off = D[~np.tri(n, dtype=bool) if copies == 2 else ~np.eye(n, dtype=bool)]
+    off = D[~np.tri(n, dtype=bool)]
     hi = float(np.max(off, initial=0.0))
     if hi <= 0:
         return [1.0]
     # np.percentile's linear interpolation between the off-diagonal's
-    # order statistics; its k-th smallest is `off`'s (k // copies)-th.
+    # order statistics; its k-th smallest is `off`'s (k // 2)-th.
     index = (n * (n - 1) - 1) * 0.01
     below = int(np.floor(index))
-    kth = [below // copies, (below + 1) // copies]
+    kth = [below // 2, (below + 1) // 2]
     off.partition(kth)  # `off` is already a copy
     lo = float(np.quantile(off[kth], index - below))
     if lo <= 0:

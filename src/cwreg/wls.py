@@ -1,14 +1,14 @@
 """Dense weighted least squares and the global linear baseline.
 
-Single fits go through a rank-revealing decomposition of the
-square-root-weighted design rather than the normal equations; an
-optional ridge term stabilizes near-singular local systems. The
-batched solver trades that robustness for throughput where thousands
-of small systems are solved at once: the final local fits, and search
-candidates, whose kernels arrive stacked several to a call. Matrix
-products (GEMM) assemble the normal systems, the extreme eigenvalues
-of the symmetric X'WX estimate their condition, and the rows it cannot
-solve fall back to the stable path. A test pins it to the stable path.
+A single fit goes through a rank-revealing decomposition of the
+square-root-weighted design rather than the normal equations and
+refuses a numerically singular system. The batched solver trades that
+robustness for throughput where thousands of small systems are solved
+at once: the local fits, and search candidates, whose kernels arrive
+stacked several to a call. Matrix products (GEMM) assemble the normal
+systems, the extreme eigenvalues of the symmetric X'WX estimate their
+condition, a small ridge solves the ones above CONDITION_LIMIT, and
+the rows even that cannot solve are flagged as failed.
 
 Each batch is factored once, N = LL' by batched Cholesky, and that
 factor both screens and solves. Its triangular inverse bounds each
@@ -33,7 +33,7 @@ from .errors import (
 # Condition estimate of X'WX above which an unregularized solve is refused.
 CONDITION_LIMIT = 1e12
 
-# Fallback ridge used by local fits: RIDGE_SCALE * trace(X'WX) / n_coefficients.
+# Ridge of the batched rows above CONDITION_LIMIT: RIDGE_SCALE * trace / p.
 RIDGE_SCALE = 1e-8
 
 
@@ -64,42 +64,29 @@ def _validate_system(X, y, w):
     return X, y, w
 
 
-def solve_wls(X, y, w, ridge: float = 0.0) -> np.ndarray:
-    """Solve argmin_b sum_i w_i (y_i - x_i'b)^2 + ridge * ||b||^2.
+def solve_wls(X, y, w) -> np.ndarray:
+    """Solve argmin_b sum_i w_i (y_i - x_i'b)^2.
 
-    Parameters
-    ----------
-    X : (n, p) design matrix, intercept column included by the caller.
-    y : (n,) responses.
-    w : (n,) nonnegative weights, at least one positive.
-    ridge : float
-        Optional Tikhonov term. With ridge = 0 the solve refuses
-        numerically singular systems (condition estimate of X'WX above
-        CONDITION_LIMIT) by raising SingularFitError.
+    X is (n, p), intercept column included by the caller; y is (n,);
+    w is (n,) nonnegative with at least one positive weight. A
+    numerically singular system (condition estimate of X'WX above
+    CONDITION_LIMIT) raises SingularFitError.
     """
     X, y, w = _validate_system(X, y, w)
-    if ridge < 0 or not np.isfinite(ridge):
-        raise ParameterError(f"ridge must be finite and nonnegative, got {ridge}")
     sw = np.sqrt(w)
-    A = X * sw[:, None]
-    b = y * sw
     p = X.shape[1]
-    if ridge > 0:
-        A = np.vstack([A, np.sqrt(ridge) * np.eye(p)])
-        b = np.concatenate([b, np.zeros(p)])
-    beta, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-    if ridge == 0:
-        # cond(X'WX) equals the squared singular-value ratio of A.
-        if rank < p or sv[-1] == 0:
-            raise SingularFitError(
-                f"weighted design is rank deficient (rank {rank} of {p})"
-            )
-        cond = (sv[0] / sv[-1]) ** 2
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularFitError(
-                f"weighted normal matrix is numerically singular "
-                f"(condition estimate {cond:.3e})"
-            )
+    beta, _, rank, sv = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
+    # cond(X'WX) is the squared singular-value ratio of sqrt(W) X.
+    if rank < p or sv[-1] == 0:
+        raise SingularFitError(
+            f"weighted design is rank deficient (rank {rank} of {p})"
+        )
+    cond = (sv[0] / sv[-1]) ** 2
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        raise SingularFitError(
+            f"weighted normal matrix is numerically singular "
+            f"(condition estimate {cond:.3e})"
+        )
     return beta
 
 
@@ -132,8 +119,10 @@ class BatchedDesign:
         if y.shape != (n,):
             raise DimensionError(f"X has {n} rows but y has {y.size}")
         self.X, self.y = X, y
-        self.outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-        self.xy = X * y[:, None]
+        # Overflow here is left to the solver, which flags such rows failed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
+            self.xy = X * y[:, None]
 
 
 def solve_wls_batched(design: BatchedDesign, W):
@@ -153,9 +142,10 @@ def solve_wls_batched(design: BatchedDesign, W):
     it. Rows it clears are solved as beta = L^-T (L^-1 c), factored
     anew if their batch was refused. Flagged rows get ridge =
     RIDGE_SCALE * trace / p added in place to their diagonal, are solved
-    by LU and flagged in `regularized`; rows that remain unsolvable
-    become the identity in place, are flagged in `failed` and their
-    coefficients zeroed. No row's numbers depend on the rest of its batch.
+    by LU and flagged in `regularized`; rows whose ridge is not finite
+    and positive, or that remain unsolvable, become the identity in
+    place, are flagged in `failed` and their coefficients zeroed. No
+    row's numbers depend on the rest of its batch.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
@@ -163,9 +153,10 @@ def solve_wls_batched(design: BatchedDesign, W):
     n, p = design.X.shape
     if W.shape[-1] != n:
         raise DimensionError(f"X has {n} rows but W is {W.shape}")
-    N = (W @ design.outer).reshape(-1, p, p)
-    m = len(N)
-    c = (W @ design.xy).reshape(m, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = (W @ design.outer).reshape(-1, p, p)
+        m = len(N)
+        c = (W @ design.xy).reshape(m, p)
     inv = _inverse_factor(N)
     bad = _ill_conditioned(N, inv)
     if inv is None or bad.any():
@@ -181,7 +172,8 @@ def solve_wls_batched(design: BatchedDesign, W):
     if lu.any():
         traces = np.einsum("ikk->i", N)
         ridges = np.where(bad, RIDGE_SCALE * np.maximum(traces, 0.0) / p, 0.0)
-        failed |= bad & (ridges <= 0)
+        # A NaN or infinite ridge (an overflowing trace) fails too.
+        failed |= bad & ~((ridges > 0) & (ridges < np.inf))
         N.reshape(m, p * p)[:, :: p + 1] += ridges[:, None]
         N[failed] = np.eye(p)
         c[failed] = 0.0

@@ -10,6 +10,7 @@ import pytest
 
 import cwreg
 from cwreg.cli import main
+from cwreg.data import generate_synthetic, write_csv
 from cwreg.errors import ParameterError
 from cwreg.models import load_model
 
@@ -183,6 +184,44 @@ class TestFitAndPredict:
         assert printed == written
         assert [row[0] for row in printed] == ["id", "a,b", 'q"x']
         assert all(len(row) == 4 for row in printed)
+
+    def test_overflowing_design_reports_json_error(self, tmp_path, capsys):
+        # x1 * 1e155 overflows every normal matrix: the fit must refuse,
+        # not save zero coefficients flagged as regularized.
+        _, schema = make_dataset(tmp_path, regime="geo", n=40, seed=1)
+        table, _ = generate_synthetic("geo", n=40, seed=1)
+        table.covariates[:, 0] *= 1e155
+        data = tmp_path / "huge.csv"
+        write_csv(table, data)
+        model_path = tmp_path / "m.json"
+        capsys.readouterr()
+        code = run_cli(["fit", "--model", "gwr", "--data", data,
+                        "--schema", schema, "--r", 1, "--bandwidth", 100,
+                        "--out", model_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "SingularFitError"
+        assert not model_path.exists()
+
+    def test_local_fit_query_without_weight_reports_json_error(
+            self, tmp_path, capsys):
+        data, schema = make_dataset(tmp_path, n=40)
+        model_path = tmp_path / "m.json"
+        assert run_cli(["fit", "--model", "gwr", "--data", data,
+                        "--schema", schema, "--bandwidth", 0.01,
+                        "--predict-mode", "local-fit",
+                        "--out", model_path]) == 0
+        query = tmp_path / "q.csv"
+        query.write_text("u,v,x1\n1e7,1e7,0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["predict", "--model", model_path, "--query", query])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "DegenerateWeightsError",
+            "message": "local fit at query 0: all observation weights are zero"}
 
     def test_strict_scoring_flag_accepted(self, tmp_path):
         data, schema = make_dataset(tmp_path, n=60)
@@ -468,12 +507,15 @@ class TestErrorHandling:
         {"regime": "hedonic", "params": {"bogus": 1}},
         {"regime": "attr", "params": {"cluster_sd": -1}},
         {"params": {"extent": 0}},
+        {"params": {"extent": 1e308}},
+        {"regime": "attr", "params": {"cluster_sd": 1e308}},
     ], ids=["list", "string", "string-n", "bool-n", "zero-n", "float-n",
             "int-regime", "string-sigma", "bool-sigma", "int-params",
             "list-params", "string-seed", "float-seed", "string-extent",
             "bool-extent", "inf-extent", "string-mix", "short-pair",
             "number-for-pair", "pair-for-number", "hedonic-params",
-            "negative-cluster-sd", "zero-extent"])
+            "negative-cluster-sd", "zero-extent", "overflowing-extent",
+            "overflowing-cluster-sd"])
     def test_malformed_synth_config_reports_json_error(self, tmp_path,
                                                        capsys, config):
         path = tmp_path / "synth.json"

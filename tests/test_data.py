@@ -454,6 +454,22 @@ class TestSyntheticGenerators:
         with pytest.raises(ParameterError, match="generator parameter"):
             generate_synthetic("mixed", n=20, **params)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("generate, params", [
+        ("geo", {"extent": 1e308}),
+        ("attr", {"cluster_sd": 1e308}),
+        ("mixed", {"cluster_centers": (-1e308, 1e308)}),
+        ("hedonic", {"extent": 1e308}),
+        ("hedonic", {"floor_area_effect": 1e308}),
+    ])
+    def test_overflowing_params_rejected_silently(self, generate, params):
+        with pytest.raises(ParameterError,
+                           match="generator parameters overflow"):
+            if generate == "hedonic":
+                generate_hedonic(n=20, **params)
+            else:
+                generate_synthetic(generate, n=20, **params)
+
     def test_param_values_accept_numbers_and_pairs(self):
         a, _ = generate_synthetic("attr", n=20, seed=1, extent=np.int64(500),
                                   cluster_centers=[-1, 1])

@@ -14,7 +14,8 @@ from scipy.spatial.distance import cdist
 import cwreg.local
 from cwreg.data import ObservationTable, StandardizationTransform, standardize
 from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
-from cwreg.errors import DimensionError, ParameterError, SearchFailureError
+from cwreg.errors import (DegenerateWeightsError, DimensionError,
+                          ParameterError, SearchFailureError)
 from cwreg.evaluate import rmse
 from cwreg.models import load_model, save_model
 from cwreg.local import (
@@ -192,6 +193,7 @@ class TestBandwidthGrid:
     def test_spans_percentile_to_max(self):
         rng = np.random.default_rng(42)
         D = np.abs(rng.normal(size=(30, 30)))
+        D = D + D.T
         np.fill_diagonal(D, 0.0)
         grid = bandwidth_grid(D, size=20)
         off = D[~np.eye(30, dtype=bool)]
@@ -219,12 +221,9 @@ class TestBandwidthGrid:
                                 attr / max(attr.max(), 1.0),
                                 DistanceSpec(r=r, attribute_columns=("a",)))
             assert np.array_equal(D, D.T)
-            lopsided = D.copy()
-            lopsided[0, -1] *= 1.5  # not symmetric: both triangles read
-            for M in (D, lopsided):
-                for size in (1, 20):
-                    assert (bandwidth_grid(M, size=size)
-                            == full_off_diagonal_grid(M, size))
+            for size in (1, 20):
+                assert (bandwidth_grid(D, size=size)
+                        == full_off_diagonal_grid(D, size))
 
     def test_many_zero_distances_fall_back_to_smallest_positive(self):
         # More than 1% of the off-diagonal entries are zero (duplicate
@@ -232,8 +231,10 @@ class TestBandwidthGrid:
         # the smallest positive distance instead.
         rng = np.random.default_rng(43)
         D = np.abs(rng.normal(size=(30, 30))) + 0.5
+        D = D + D.T
         D[:3, :3] = 0.0
         D[10:13, 20:23] = 0.0
+        D[20:23, 10:13] = 0.0
         np.fill_diagonal(D, 0.0)
         off = D[~np.eye(30, dtype=bool)]
         assert np.mean(off == 0) > 0.01
@@ -247,6 +248,7 @@ class TestBandwidthGrid:
     def test_input_left_unchanged(self):
         rng = np.random.default_rng(44)
         D = np.abs(rng.normal(size=(12, 12)))
+        D = D + D.T
         np.fill_diagonal(D, 0.0)
         before = D.copy()
         bandwidth_grid(D)
@@ -640,6 +642,16 @@ class TestPredictAt:
         knn = predict_at(fit, table, coords, covs, mode="knn-coef", k=3)
         loc = predict_at(fit, table, coords, covs, mode="local-fit")
         np.testing.assert_allclose(knn, loc, rtol=0.15, atol=0.5)
+
+    def test_local_fit_without_weight_names_the_query(self):
+        # 1e7 away from every training point, every kernel weight at
+        # h = 0.01 underflows to zero.
+        table = random_table(n=16, p=2, seed=57)
+        fit = fit_local(table, DistanceSpec(r=1.0), 0.01)
+        message = "local fit at query 1: all observation weights are zero"
+        with pytest.raises(DegenerateWeightsError, match=f"^{message}$"):
+            predict_at(fit, table, [table.coords[0], [1e7, 1e7]],
+                       [table.covariates[0], [0.0, 0.0]], mode="local-fit")
 
     def test_validation(self):
         table = random_table(n=10, p=2, seed=56)
