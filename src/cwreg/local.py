@@ -47,14 +47,15 @@ from .errors import (
     SearchFailureError,
     SingularFitError,
 )
-from .wls import BatchedDesign, design_matrix, solve_wls_batched
+from .wls import (BatchedDesign, design_matrix, normal_equations,
+                  solve_wls_batched)
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
 
 BANDWIDTH_GRID_SIZE = 20
 
-# Float64 cells (1 MiB) a chunk's n x n kernels and p x p systems may fill.
+# Float64 cells (1 MiB) a kernel chunk and a stack of p x p systems share.
 _CHUNK_CELLS = 2 ** 17
 
 SCORING_MODES = ("loo", "insample")
@@ -185,7 +186,8 @@ def _solve_rows(design, W, label):
     solve raises, DegenerateWeightsError when its weights are all zero
     and SingularFitError otherwise, naming the location either way.
     """
-    betas, regularized, failed = solve_wls_batched(design, W)
+    betas, regularized, failed = solve_wls_batched(
+        *normal_equations(design, W))
     if failed.any():
         i = int(np.argmax(failed))
         if not np.any(W[i] > 0):
@@ -241,6 +243,18 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     return [float(h) for h in np.geomspace(lo, hi, size)]
 
 
+def _chunk_sizes(n: int, p: int, size: int) -> tuple[int, int]:
+    """(b, k): the systems of b bandwidths go to one solve, built from
+    kernel chunks of k. Each system counts 2 p^2 cells, its normal
+    matrix and its Cholesky factor, so while one kernel and one
+    bandwidth fit (n^2 + 2 n p^2 <= _CHUNK_CELLS), k n^2 + 2 b n p^2
+    does too. At n = 160 and p = 3 that is b = 20, k = 2; at p = 3
+    from n = 345, b = k = 1."""
+    b = max(1, min(size, (_CHUNK_CELLS - n * n) // (2 * n * p * p)))
+    k = max(1, min(b, (_CHUNK_CELLS - 2 * b * n * p * p) // (n * n)))
+    return b, k
+
+
 def _grid_scores(design, D, grid, scoring) -> list[float]:
     """RMSE per bandwidth candidate over blended training distances.
 
@@ -248,24 +262,30 @@ def _grid_scores(design, D, grid, scoring) -> list[float]:
     "insample" keeps it (self weight is exactly 1 at zero distance).
     Candidates where any location fails to fit score infinity.
 
-    Chunks of k = max(1, _CHUNK_CELLS // (n (n + 2 p^2))) candidates go
-    as one (k, n, n) kernel stack to one solve_wls_batched call (at p =
-    3, k = 1 from n = 248), each kernel with its own GEMM; no system's
-    numbers depend on its batch, so the scores equal one-at-a-time
-    scoring's. Each system counts twice: its normal matrix and its
-    Cholesky factor hold one p x p array apiece.
+    The normal equations of b candidates are stacked and solved by one
+    solve_wls_batched call; they are built k kernels at a time, as
+    (k, n, n) stacks, each kernel's products written into its rows of
+    the stack (b and k from _chunk_sizes). No system's numbers depend
+    on its batch, so the scores equal one-at-a-time scoring's.
     """
     X, y = design.X, design.y
     n, p = X.shape
-    k = max(1, _CHUNK_CELLS // (n * (n + 2 * p * p)))
+    b, k = _chunk_sizes(n, p, len(grid))
     scores = []
-    for start in range(0, len(grid), k):
-        W = gaussian_weights(D, np.reshape(grid[start:start + k], (-1, 1, 1)))
-        if scoring == "loo":
-            W[:, range(n), range(n)] = 0.0
-        betas, _, failed = solve_wls_batched(design, W)
-        # Free these kernels before the next chunk is built.
-        del W
+    for start in range(0, len(grid), b):
+        hs = grid[start:start + b]
+        N, c = np.empty((len(hs) * n, p, p)), np.empty((len(hs) * n, p))
+        for i in range(0, len(hs), k):
+            W = gaussian_weights(D, np.reshape(hs[i:i + k], (-1, 1, 1)))
+            if scoring == "loo":
+                W.reshape(len(W), n * n)[:, ::n + 1] = 0.0
+            rows = slice(i * n, (i + len(W)) * n)
+            normal_equations(design, W, out=(N[rows], c[rows]))
+            # Free these kernels before the next chunk is built.
+            del W
+        betas, _, failed = solve_wls_batched(N, c)
+        # Free this stack before the next one is allocated.
+        del N, c
         pred = np.einsum("ij,kij->ki", X, betas.reshape(-1, n, p))
         rmse = np.sqrt(np.mean((y - pred) ** 2, axis=1))
         rmse[failed.reshape(-1, n).any(axis=1)] = np.inf

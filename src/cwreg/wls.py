@@ -4,11 +4,15 @@ A single fit goes through a rank-revealing decomposition of the
 square-root-weighted design rather than the normal equations and
 refuses a numerically singular system. The batched solver trades that
 robustness for throughput where thousands of small systems are solved
-at once: the local fits, and search candidates, whose kernels arrive
-stacked several to a call. Matrix products (GEMM) assemble the normal
-systems, the extreme eigenvalues of the symmetric X'WX estimate their
-condition, a small ridge solves the ones above CONDITION_LIMIT, and
-the rows even that cannot solve are flagged as failed.
+at once: the local fits and the search candidates. Building the
+systems and solving them are two steps. normal_equations assembles
+them with matrix products (GEMM), one pair per weight matrix, and can
+write them into rows of a larger stack, so a search fills one stack
+from several kernel chunks. solve_wls_batched then solves the whole
+stack in one call: the extreme eigenvalues of the symmetric X'WX
+estimate each condition, a small ridge solves the ones above
+CONDITION_LIMIT, and the rows even that cannot solve are flagged as
+failed.
 
 Each batch is factored once, N = LL' by batched Cholesky, and that
 factor both screens and solves. Its triangular inverse bounds each
@@ -20,6 +24,8 @@ alone gives, and only the rows it flags are solved by LU.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -125,14 +131,45 @@ class BatchedDesign:
             self.xy = X * y[:, None]
 
 
-def solve_wls_batched(design: BatchedDesign, W):
-    """Solve one weighted system per row of W through the normal equations.
+def normal_equations(design: BatchedDesign, W, out=None):
+    """Normal matrices N_i = X'W_iX and right-hand sides c_i = X'W_iy,
+    one per row of W.
 
     W is (m, n), one row of weights per system, or a stack (k, r, n)
-    solved as its k * r rows in order. Every normal matrix N = X'W_iX
-    comes from one GEMM per weight matrix, W @ vec(x x'), and every
-    right-hand side c = X'W_iy from a second, so a stack gives the
-    numbers of k calls (one tall GEMM can round differently).
+    whose k * r rows come in order. Each weight matrix gets its own two
+    GEMMs, W @ vec(x x') and W @ (x y), so a stack gives the numbers of
+    k calls (one tall GEMM can round differently). `out`, a pair of
+    C-contiguous arrays (m, p, p) and (m, p), receives the products in
+    place of new arrays; a caller stacks many calls' systems this way.
+    Overflow is left to solve_wls_batched, which flags such rows failed.
+
+    Returns (N (m, p, p), c (m, p)).
+    """
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    n, p = design.X.shape
+    if W.shape[-1] != n:
+        raise DimensionError(f"X has {n} rows but W is {W.shape}")
+    lead = W.shape[:-1]
+    if out is None:
+        m = math.prod(lead)
+        out = np.empty((m, p, p)), np.empty((m, p))
+    N, c = out
+    if not (N.flags.c_contiguous and c.flags.c_contiguous):
+        # A reshaped copy would take the products and leave out unset.
+        raise ParameterError("normal_equations writes only C-contiguous out")
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(W, design.outer, out=N.reshape(*lead, p * p))
+        np.matmul(W, design.xy, out=c.reshape(*lead, p))
+    return N, c
+
+
+def solve_wls_batched(N, c):
+    """Solve the normal equations N_i beta = c_i of a batch of weighted
+    systems, as normal_equations builds them.
+
+    N and c are consumed when they are C-contiguous float64 arrays, as
+    normal_equations returns them: the ridges and identities below are
+    written into N in place, and c's failed rows are zeroed.
 
     One batched Cholesky factor N = LL' screens and solves. A row whose
     bound ||N||_F ||L^-1||_F^2 >= cond(N) is above CONDITION_LIMIT / 2
@@ -149,14 +186,11 @@ def solve_wls_batched(design: BatchedDesign, W):
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    n, p = design.X.shape
-    if W.shape[-1] != n:
-        raise DimensionError(f"X has {n} rows but W is {W.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        N = (W @ design.outer).reshape(-1, p, p)
-        m = len(N)
-        c = (W @ design.xy).reshape(m, p)
+    N = np.ascontiguousarray(N, dtype=float)
+    c = np.ascontiguousarray(c, dtype=float)
+    if c.ndim != 2 or N.shape != c.shape + c.shape[-1:]:
+        raise DimensionError(f"N is {N.shape} but c is {c.shape}")
+    m, p = c.shape
     inv = _inverse_factor(N)
     bad = _ill_conditioned(N, inv)
     if inv is None or bad.any():

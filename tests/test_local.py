@@ -26,7 +26,8 @@ from cwreg.local import (
     predict_at,
     select_rate,
 )
-from cwreg.wls import BatchedDesign, design_matrix, fit_ols, solve_wls_batched
+from cwreg.wls import (BatchedDesign, design_matrix, fit_ols,
+                        normal_equations, solve_wls_batched)
 
 from conftest import brute_force_distance_matrix, brute_force_wls, random_table
 
@@ -366,7 +367,8 @@ def grid_scores_one_at_a_time(X, y, D, grid, scoring):
         W = gaussian_weights(D, h)
         if scoring == "loo":
             np.fill_diagonal(W, 0.0)
-        betas, _, failed = solve_wls_batched(BatchedDesign(X, y), W)
+        betas, _, failed = solve_wls_batched(
+            *normal_equations(BatchedDesign(X, y), W))
         if np.any(failed):
             scores.append(np.inf)
             continue
@@ -378,14 +380,18 @@ def grid_scores_one_at_a_time(X, y, D, grid, scoring):
 class TestGridScores:
     """Chunks of stacked kernels score exactly as one kernel at a time."""
 
-    # n = 30 takes every candidate in one chunk, n = 100 eleven per
-    # chunk and n = 370 one.
-    @pytest.mark.parametrize("n", [30, 100, 370])
+    # With q covariates and up to 21 candidates: n = 30 solves them all
+    # at once from one kernel chunk, n = 100 at once from chunks of 9
+    # kernels; n = 300 solves 7 at a time and n = 80 with q = 7 twelve
+    # at a time, one kernel a chunk; n = 370 solves one at a time.
+    @pytest.mark.parametrize("n, q", [(30, 2), (100, 2), (370, 2),
+                                      (300, 2), (80, 7)],
+                             ids=["30", "100", "370", "300", "80x7"])
     @pytest.mark.parametrize("size", [1, 7, 20])
     @pytest.mark.parametrize("scoring", ["loo", "insample"])
-    def test_equal_to_one_candidate_at_a_time(self, n, size, scoring):
+    def test_equal_to_one_candidate_at_a_time(self, n, q, size, scoring):
         rng = np.random.default_rng(n + size)
-        X = design_matrix(rng.normal(size=(n, 2)))
+        X = design_matrix(rng.normal(size=(n, q)))
         y = X[:, 1] + rng.normal(size=n)
         coords = rng.uniform(0, 10, size=(n, 2))
         D = brute_force_distance_matrix(coords, coords)
@@ -395,6 +401,12 @@ class TestGridScores:
             # No weight but a self weight survives 1e-300: under "loo"
             # every location fails, and the candidate scores inf.
             grid.insert(size // 2, 1e-300)
+            # Unless one solve takes one candidate, clean ones share
+            # the solve of the 1e-300 candidate: under "loo" Cholesky
+            # refuses that whole stack, and eigvalsh judges all of it.
+            b = cwreg.local._chunk_sizes(n, q + 1, len(grid))[0]
+            first = size // 2 // b * b
+            assert b == 1 or len(grid[first:first + b]) > 1
         scores = cwreg.local._grid_scores(BatchedDesign(X, y), D, grid,
                                           scoring)
         assert scores == grid_scores_one_at_a_time(X, y, D, grid, scoring)
@@ -403,12 +415,12 @@ class TestGridScores:
             assert np.all(np.isfinite(np.delete(scores, size // 2)))
 
     def test_default_search_solves_chunks(self, monkeypatch):
-        # At n = 160 and p = 3 four kernels share a chunk: each r's 20
-        # bandwidths take 5 calls, plus one for the final fit.
+        # At n = 160 and p = 3 each r's 20 bandwidths share one solve,
+        # plus one for the final fit.
         calls, systems = [], []
 
-        def counting(design, W):
-            result = solve_wls_batched(design, W)
+        def counting(N, c):
+            result = solve_wls_batched(N, c)
             calls.append(1)
             systems.append(result[0].shape[0])
             return result
@@ -416,8 +428,26 @@ class TestGridScores:
         monkeypatch.setattr(cwreg.local, "solve_wls_batched", counting)
         table = random_table(n=160, p=2, seed=49)
         fit_cwr(table, ["x1", "x2"])
-        assert len(calls) == 101 * 5 + 1
+        assert len(calls) == 101 + 1
         assert sum(systems) == (101 * 20 + 1) * 160
+
+    def test_chunk_sizes_fit_the_budget(self):
+        # k kernels and the systems of b bandwidths share the budget,
+        # 2 p^2 cells a system, whenever one kernel and one bandwidth
+        # fit; b and k are the largest that do, and never below 1.
+        budget = cwreg.local._CHUNK_CELLS
+        for n in range(2, 420, 7):
+            for p in range(1, 12):
+                for size in (1, 2, 7, 21, 500):
+                    b, k = cwreg.local._chunk_sizes(n, p, size)
+                    assert 1 <= k <= b <= size
+                    if n * n + 2 * n * p * p > budget:
+                        continue
+                    assert k * n * n + 2 * b * n * p * p <= budget
+                    assert b == size or (
+                        n * n + 2 * (b + 1) * n * p * p > budget)
+                    assert k == b or (
+                        (k + 1) * n * n + 2 * b * n * p * p > budget)
 
 
 class TestSelectBandwidth:
@@ -1019,3 +1049,45 @@ class TestFitCwr:
         assert model.fit.spec.r == 1.0
         assert model.fit.transform is None
         assert model.fit.attr_scale == 1.0
+
+
+class TestInvariances:
+    """Properties of the fitted model that hold bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           columns=st.one_of(st.none(), st.lists(
+               st.sampled_from(["x1", "x2", "x3"]), unique=True)))
+    def test_pure_geographic_fit_ignores_attribute_columns(self, seed,
+                                                           columns):
+        # At r = 1 the blend is the geographic distance alone, so the
+        # bandwidth search and the fit never read attribute_columns.
+        table = random_table(n=20, p=3, seed=seed)
+        base = fit_cwr(table, [], r=1.0, bandwidth_grid_size=6)
+        other = fit_cwr(table, columns, r=1.0, bandwidth_grid_size=6)
+        assert other.fit.bandwidth == base.fit.bandwidth
+        assert (other.fit.coefficients.tobytes()
+                == base.fit.coefficients.tobytes())
+        assert (other.traces["bandwidth"].scores
+                == base.traces["bandwidth"].scores)
+        assert other.fit.transform is None
+
+    @pytest.mark.parametrize("mode", cwreg.local.PREDICT_MODES)
+    @pytest.mark.parametrize("r", [0.0, 0.4, 1.0, "search"])
+    def test_save_load_keeps_predictions(self, tmp_path, mode, r):
+        # The model file holds every number prediction reads, exactly:
+        # a loaded model predicts the same bits in both modes.
+        table = random_table(n=30, p=2, seed=67)
+        model = fit_cwr(table, ["x1", "x2"], r=r, mode=mode, k=4,
+                        r_grid=[0.0, 0.5, 1.0], bandwidth_grid_size=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        clone = load_model(path)
+        assert clone.mode == mode
+        rng = np.random.default_rng(68)
+        coords = np.vstack([table.coords,
+                            table.coords[:10] + rng.normal(size=(10, 2))])
+        covs = np.vstack([table.covariates,
+                          table.covariates[:10] + rng.normal(size=(10, 2))])
+        assert (clone.predict(coords, covs).tobytes()
+                == model.predict(coords, covs).tobytes())

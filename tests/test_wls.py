@@ -22,6 +22,7 @@ from cwreg.wls import (
     BatchedDesign,
     design_matrix,
     fit_ols,
+    normal_equations,
     predict,
     solve_wls,
 )
@@ -30,8 +31,8 @@ from conftest import brute_force_wls, random_table
 
 
 def solve_wls_batched(X, y, W):
-    """The batched solver on the design built from X and y."""
-    return wls.solve_wls_batched(BatchedDesign(X, y), W)
+    """The batched solver on the normal equations of X, y and W."""
+    return wls.solve_wls_batched(*normal_equations(BatchedDesign(X, y), W))
 
 
 def random_system(rng, n=None, p=None, weight_floor=0.05):
@@ -266,6 +267,44 @@ class TestSolveWlsBatched:
             assert got.tobytes() == np.concatenate(parts).tobytes()
 
 
+class TestNormalEquations:
+    """normal_equations builds, solve_wls_batched consumes."""
+
+    def test_out_rows_equal_new_arrays(self):
+        # Two (2, 5, n) stacks written into the halves of one (20, p, p)
+        # stack give the bits of one call on all 20 rows.
+        rng = np.random.default_rng(13)
+        X = design_matrix(rng.normal(size=(15, 3)))
+        design = BatchedDesign(X, rng.normal(size=15))
+        W = rng.uniform(0.0, 2.0, size=(4, 5, 15))
+        N, c = np.empty((20, 4, 4)), np.empty((20, 4))
+        normal_equations(design, W[:2], out=(N[:10], c[:10]))
+        normal_equations(design, W[2:], out=(N[10:], c[10:]))
+        expected = normal_equations(design, W)
+        assert N.tobytes() == expected[0].tobytes()
+        assert c.tobytes() == expected[1].tobytes()
+        np.testing.assert_allclose(
+            N, np.einsum("mi,ij,ik->mjk", W.reshape(20, 15), X, X))
+
+    def test_strided_out_rejected(self):
+        design = BatchedDesign(design_matrix(np.arange(6.0)[:, None]),
+                               np.arange(6.0))
+        N, c = np.empty((4, 2, 2)), np.empty((4, 2))
+        with pytest.raises(ParameterError):
+            normal_equations(design, np.ones((2, 6)), out=(N[::2], c[::2]))
+
+    def test_solver_checks_shapes_and_consumes_n(self):
+        N = np.tile(np.diag([1.0, 1e-13]), (3, 1, 1))
+        c = np.ones((3, 2))
+        for bad_c in (c[:2], c[0]):
+            with pytest.raises(DimensionError):
+                wls.solve_wls_batched(N, bad_c)
+        _, regularized, _ = wls.solve_wls_batched(N, c)
+        # Every row took its ridge, 1e-8 * trace / p, in place.
+        assert regularized.all()
+        assert np.all(N[:, 0, 0] > 1.0) and np.all(N[:, 1, 1] > 1e-13)
+
+
 def reference_ill_conditioned(N, inv):
     """The condition rule without the Cholesky screen: eigvalsh on every
     row, flagging estimates that are not finite or exceed the limit."""
@@ -358,8 +397,8 @@ class TestConditionScreen:
         assert wls._inverse_factor(N) is None
 
     def test_default_search_sends_few_systems_to_eigvalsh(self, monkeypatch):
-        # n = 160, p = 3: every solve but the final fit stacks 4 kernels
-        # (640 systems), and the final fit has 160.
+        # n = 160, p = 3: every solve but the final fit stacks one r's 20
+        # bandwidths (3,200 systems), and the final fit has 160.
         systems, checked = [], []
         eigvalsh, solve = np.linalg.eigvalsh, cwreg_local.solve_wls_batched
 
@@ -367,8 +406,8 @@ class TestConditionScreen:
             checked.append(len(a))
             return eigvalsh(a)
 
-        def counting_solve(design, W):
-            result = solve(design, W)
+        def counting_solve(N, c):
+            result = solve(N, c)
             systems.append(len(result[0]))
             return result
 
