@@ -10,7 +10,10 @@ geographically weighted regression (GWR). Both hyperparameters are
 chosen by grid search: h against a leave-one-out cross-validation RMSE
 (each observation's own weight is zeroed for its fit), and r over an
 ascending grid with the bandwidth re-selected per candidate. Ties go
-to the first bandwidth candidate and to the larger r.
+to the first bandwidth candidate and to the larger r. The r candidates
+do not depend on one another: where numpy's OpenBLAS can be held at
+one thread, the calling thread and one helper thread share them, and
+every number is the one a single thread computes.
 
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
@@ -26,7 +29,13 @@ first prediction.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -47,8 +56,8 @@ from .errors import (
     SearchFailureError,
     SingularFitError,
 )
-from .wls import (BatchedDesign, design_matrix, normal_equations,
-                  solve_wls_batched)
+from .wls import (BatchedDesign, _one_blas_thread, design_matrix,
+                  normal_equations, solve_wls_batched)
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
@@ -73,6 +82,11 @@ class HyperSearchTrace:
     fits failed everywhere carry an infinite score. For blend-ratio
     searches `bandwidths` lists the bandwidth chosen for each r (NaN
     where none fitted). Non-finite values are written as JSON null.
+
+    `n_regularized` and `n_failed` count, per candidate, the local
+    systems of its leave-one-out fit that took the ridge or failed: at
+    each bandwidth, or at each r's chosen bandwidth (None where none
+    fitted). Models saved before these counts existed load them as None.
     """
 
     parameter: str
@@ -83,6 +97,8 @@ class HyperSearchTrace:
     selected_score: float
     bandwidths: list[float] | None = None
     selected_bandwidth: float | None = None
+    n_regularized: list[int | None] | None = None
+    n_failed: list[int | None] | None = None
 
     def to_dict(self) -> dict:
         def _clean(x):
@@ -99,12 +115,19 @@ class HyperSearchTrace:
                            else [_clean(h) for h in self.bandwidths]),
             "selected_bandwidth": (None if self.selected_bandwidth is None
                                    else float(self.selected_bandwidth)),
+            "n_regularized": self.n_regularized,
+            "n_failed": self.n_failed,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HyperSearchTrace":
         def _restore(x):
             return np.inf if x is None else float(x)
+
+        def _counts(key):
+            counts = doc.get(key)
+            return (None if counts is None else
+                    [None if c is None else int(c) for c in counts])
 
         return cls(
             parameter=doc["parameter"],
@@ -118,6 +141,8 @@ class HyperSearchTrace:
                               for h in doc["bandwidths"]]),
             selected_bandwidth=(None if doc.get("selected_bandwidth") is None
                                 else float(doc["selected_bandwidth"])),
+            n_regularized=_counts("n_regularized"),
+            n_failed=_counts("n_failed"),
         )
 
 
@@ -255,8 +280,10 @@ def _chunk_sizes(n: int, p: int, size: int) -> tuple[int, int]:
     return b, k
 
 
-def _grid_scores(design, D, grid, scoring) -> list[float]:
-    """RMSE per bandwidth candidate over blended training distances.
+def _grid_scores(design, D, grid, scoring):
+    """RMSE per bandwidth candidate over blended training distances,
+    and per candidate how many of its local systems took the ridge and
+    how many failed: three lists.
 
     "loo" zeroes each observation's own weight before its fit;
     "insample" keeps it (self weight is exactly 1 at zero distance).
@@ -271,7 +298,7 @@ def _grid_scores(design, D, grid, scoring) -> list[float]:
     X, y = design.X, design.y
     n, p = X.shape
     b, k = _chunk_sizes(n, p, len(grid))
-    scores = []
+    scores, n_regularized, n_failed = [], [], []
     for start in range(0, len(grid), b):
         hs = grid[start:start + b]
         N, c = np.empty((len(hs) * n, p, p)), np.empty((len(hs) * n, p))
@@ -283,14 +310,17 @@ def _grid_scores(design, D, grid, scoring) -> list[float]:
             normal_equations(design, W, out=(N[rows], c[rows]))
             # Free these kernels before the next chunk is built.
             del W
-        betas, _, failed = solve_wls_batched(N, c)
+        betas, regularized, failed = solve_wls_batched(N, c)
         # Free this stack before the next one is allocated.
         del N, c
+        failed = failed.reshape(-1, n)
         pred = np.einsum("ij,kij->ki", X, betas.reshape(-1, n, p))
         rmse = np.sqrt(np.mean((y - pred) ** 2, axis=1))
-        rmse[failed.reshape(-1, n).any(axis=1)] = np.inf
+        rmse[failed.any(axis=1)] = np.inf
         scores += rmse.tolist()
-    return scores
+        n_regularized += regularized.reshape(-1, n).sum(axis=1).tolist()
+        n_failed += failed.sum(axis=1).tolist()
+    return scores, n_regularized, n_failed
 
 
 def _validate_grid(grid, name):
@@ -306,6 +336,89 @@ def _first_finite_min(scores) -> int | None:
     """Index of the first smallest finite score; None if none is finite."""
     finite = [i for i, s in enumerate(scores) if np.isfinite(s)]
     return min(finite, key=lambda i: scores[i], default=None)
+
+
+class _Scored(NamedTuple):
+    """One r candidate's search: its score, the index of its chosen
+    bandwidth in `grid` (None when none fitted), and _grid_scores'
+    leave-one-out lists over the grid."""
+
+    score: float
+    best: int | None
+    grid: list[float]
+    h_scores: list[float]
+    n_regularized: list[int]
+    n_failed: list[int]
+
+    def at_best(self, values, missing=None):
+        """values[best], or `missing` when no bandwidth fitted."""
+        return missing if self.best is None else values[self.best]
+
+
+def _score_rate(geo, attr, spec, design, bw_grid, size, scoring) -> _Scored:
+    """Blend one r, take `bw_grid` or its blend's bandwidth_grid of
+    `size`, and choose h by leave-one-out. The r scores that h's
+    leave-one-out RMSE, or under "insample" its training RMSE. The
+    blend lives only as long as the call."""
+    D = blend_distances(geo, attr, spec)
+    grid = bandwidth_grid(D, size=size) if bw_grid is None else bw_grid
+    # Bandwidths are always chosen by leave-one-out: judged in-sample,
+    # a smaller h always looks better.
+    h_scores, n_regularized, n_failed = _grid_scores(design, D, grid, "loo")
+    best = _first_finite_min(h_scores)
+    if best is None:
+        score = np.inf
+    elif scoring == "loo":
+        score = h_scores[best]
+    else:
+        score = _grid_scores(design, D, [grid[best]], "insample")[0][0]
+    return _Scored(score, best, grid, h_scores, n_regularized, n_failed)
+
+
+def _new_helper():
+    # The r search's one helper thread, started by its first task. A
+    # forked child inherits the executor but not the thread, and a
+    # task submitted to it there would wait forever: it gets a new one.
+    global _helper
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="cwreg-search")
+
+
+_new_helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_helper)
+
+
+def _map_rates(score, specs, shared: bool) -> list:
+    """[score(spec) for spec in specs]. When `shared`, the caller and
+    the helper thread each take the next unscored spec until none is
+    left; the results keep the order of specs either way. Once both
+    have stopped, the caller's exception, or else the helper's, is
+    raised here unchanged."""
+    if not shared:
+        return [score(spec) for spec in specs]
+    results = [None] * len(specs)
+    todo = deque(range(len(specs)))  # popleft is atomic
+
+    def work():
+        try:
+            while todo:
+                try:
+                    i = todo.popleft()
+                except IndexError:  # the other worker took the last one
+                    return
+                results[i] = score(specs[i])
+        except BaseException:
+            todo.clear()  # the other worker stops after its current spec
+            raise
+
+    helper = _helper.submit(work)
+    try:
+        work()
+    finally:
+        # The caller's hold on BLAS must outlast the helper's spec.
+        wait([helper])
+    helper.result()
+    return results
 
 
 def select_rate(table: ObservationTable, attribute_columns,
@@ -597,52 +710,47 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     training = _TrainingSide(train, None if specs[0].r == 1.0 else
                              standardize(train, list(attribute_columns)))
     geo, geo_scale, attr, attr_scale = training.distances(normalization)
+    score = partial(_score_rate, geo, attr, design=training.design,
+                    bw_grid=bw_grid, size=bandwidth_grid_size,
+                    scoring=scoring if search_r else "loo")
     traces: dict[str, HyperSearchTrace] = {}
     best, bandwidths = 0, bw_grid
-    if search_r or cv:
-        scores, bandwidths = [], []
-        for spec in specs:
-            D = blend_distances(geo, attr, spec)
-            grid = (bandwidth_grid(D, size=bandwidth_grid_size)
-                    if bw_grid is None else bw_grid)
-            # Bandwidths are always chosen by leave-one-out: judged
-            # in-sample, a smaller h always looks better.
-            h_scores = _grid_scores(training.design, D, grid, "loo")
-            h_best = _first_finite_min(h_scores)
-            if h_best is None:
-                scores.append(np.inf)
-                bandwidths.append(np.nan)
+    # Several candidates are scored on two threads where BLAS holds at
+    # one thread, and the final fit runs under the same hold.
+    with (_one_blas_thread() if len(specs) > 1
+          else nullcontext(False)) as shared:
+        if search_r or cv:
+            results = _map_rates(score, specs, shared)
+            scores = [res.score for res in results]
+            bandwidths = [res.at_best(res.grid, np.nan) for res in results]
+            # Exact score ties go to the larger r, so search from the top.
+            from_top = _first_finite_min(scores[::-1])
+            if from_top is None:
+                raise SearchFailureError(
+                    f"no {'blend-ratio' if search_r else 'bandwidth'} "
+                    "candidate produced a valid fit")
+            best = len(specs) - 1 - from_top
+            if search_r:
+                traces["rate"] = HyperSearchTrace(
+                    parameter="rate", criterion=_CRITERION[scoring],
+                    candidates=rates, scores=scores, selected=rates[best],
+                    selected_score=scores[best], bandwidths=bandwidths,
+                    selected_bandwidth=bandwidths[best],
+                    n_regularized=[res.at_best(res.n_regularized)
+                                   for res in results],
+                    n_failed=[res.at_best(res.n_failed) for res in results])
             else:
-                scores.append(h_scores[h_best]
-                              if scoring == "loo" or not search_r else
-                              _grid_scores(training.design, D,
-                                           [grid[h_best]], "insample")[0])
-                bandwidths.append(grid[h_best])
-            # Free this blend before the next one is built.
-            del D
-        # Exact score ties go to the larger r, so search from the top.
-        from_top = _first_finite_min(scores[::-1])
-        if from_top is None:
-            raise SearchFailureError(
-                f"no {'blend-ratio' if search_r else 'bandwidth'} "
-                "candidate produced a valid fit")
-        best = len(specs) - 1 - from_top
-        if search_r:
-            traces["rate"] = HyperSearchTrace(
-                parameter="rate", criterion=_CRITERION[scoring],
-                candidates=rates, scores=scores, selected=rates[best],
-                selected_score=scores[best], bandwidths=bandwidths,
-                selected_bandwidth=bandwidths[best])
-        else:
-            # A fixed r ran the loop once; report its bandwidth search.
-            traces["bandwidth"] = HyperSearchTrace(
-                parameter="bandwidth", criterion=_CRITERION["loo"],
-                candidates=list(grid), scores=h_scores,
-                selected=grid[h_best], selected_score=h_scores[h_best])
-    spec, h = specs[best], bandwidths[best]
-    W = gaussian_weights(blend_distances(geo, attr, spec), h)
-    coefficients, regularized = _solve_rows(training.design, W,
-                                            "training location")
+                # A fixed r ran one candidate; report its bandwidth search.
+                res = results[0]
+                traces["bandwidth"] = HyperSearchTrace(
+                    parameter="bandwidth", criterion=_CRITERION["loo"],
+                    candidates=list(res.grid), scores=res.h_scores,
+                    selected=bandwidths[0], selected_score=res.score,
+                    n_regularized=res.n_regularized, n_failed=res.n_failed)
+        spec, h = specs[best], bandwidths[best]
+        W = gaussian_weights(blend_distances(geo, attr, spec), h)
+        coefficients, regularized = _solve_rows(training.design, W,
+                                                "training location")
     if spec.r == 1.0:
         # A pure geographic model keeps no attribute side.
         training.transform, training.attrs, attr_scale = None, None, 1.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cwreg.evaluate as evaluate
+import cwreg.wls
 from cwreg.data import ObservationTable, generate_synthetic, write_csv
 from cwreg.errors import (
     CwregError,
@@ -193,6 +194,17 @@ class TestRunComparison:
         assert a == b
         doc = json.loads(a)
         assert doc["format"] == "cwreg-comparison"
+
+    def test_report_holds_no_search_counts(self, monkeypatch):
+        # The models' traces, with their ridge and failure counts, stay
+        # out of the report, and its bytes are the same whether the r
+        # search ran on two threads or on the calling thread alone.
+        table = self.make_table()
+        shared = run_comparison(table, FAST).to_json()
+        monkeypatch.setattr(cwreg.wls, "_blas_threads", lambda: None)
+        assert run_comparison(table, FAST).to_json() == shared
+        for key in ("traces", "n_regularized", "n_failed"):
+            assert key not in shared
 
     def test_gwr_always_pure_geographic(self):
         report = run_comparison(self.make_table(), FAST)

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import cwreg.local
+import cwreg.wls
 from cwreg.data import ObservationTable, StandardizationTransform, standardize
 from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
 from cwreg.errors import (DegenerateWeightsError, DimensionError,
@@ -30,6 +35,29 @@ from cwreg.wls import (BatchedDesign, design_matrix, fit_ols,
                         normal_equations, solve_wls_batched)
 
 from conftest import brute_force_distance_matrix, brute_force_wls, random_table
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """fit_cwr scores every candidate on the calling thread: the lookup
+    of OpenBLAS's thread control finds nothing."""
+    monkeypatch.setattr(cwreg.wls, "_blas_threads", lambda: None)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """fit_cwr shares several candidates with its helper thread, also
+    where the process may run on one CPU. OpenBLAS starts at two
+    threads, and its count is put back afterwards; yields its getter."""
+    blas = cwreg.wls._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+    monkeypatch.setattr(cwreg.wls, "_usable_cpus", lambda: 2)
+    get, set_ = blas
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
 
 
 def reject_constant(name):
@@ -73,6 +101,19 @@ def loo_rmse_by_hand(table, D, bandwidth):
         beta = brute_force_wls(X, table.y, w)
         errors.append(table.y[i] - float(X[i] @ beta))
     return float(np.sqrt(np.mean(np.square(errors))))
+
+
+def collinear_table():
+    """Twelve records whose two covariates are exact duplicates."""
+    rng = np.random.default_rng(39)
+    x1 = rng.normal(size=12)
+    return ObservationTable(
+        ids=[f"c{i}" for i in range(12)],
+        coords=rng.uniform(0, 5, size=(12, 2)),
+        y=rng.normal(size=12),
+        covariates=np.column_stack([x1, x1]),
+        covariate_names=["x1", "x2"],
+    )
 
 
 def tie_table():
@@ -153,15 +194,7 @@ class TestFitLocal:
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
     def test_collinear_covariates_use_ridge_fallback(self):
-        rng = np.random.default_rng(39)
-        x1 = rng.normal(size=12)
-        table = ObservationTable(
-            ids=[f"c{i}" for i in range(12)],
-            coords=rng.uniform(0, 5, size=(12, 2)),
-            y=rng.normal(size=12),
-            covariates=np.column_stack([x1, x1]),  # exact duplicate
-            covariate_names=["x1", "x2"],
-        )
+        table = collinear_table()
         fit = fit_local(table, DistanceSpec(r=1.0), 1.0)
         assert fit.regularized.all()
         assert np.all(np.isfinite(fit.coefficients))
@@ -349,32 +382,46 @@ class TestSearchMemory:
             side.distances("max-scale"))) < limit
         assert (distances[2] is None) == (r == 1.0)
 
-    def test_search_peak_is_the_training_distances(self):
+    def test_search_peak_is_the_training_distances(self, serial):
         # A blend needs four n x n arrays (the scaled geographic and
         # attribute matrices and its two weighted terms); no other step
-        # of the search may need more.
+        # of the search may need more. This is the search on one thread.
         table = random_table(n=self.N, p=2, seed=47)
         peak = self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
                             bandwidth_grid_size=3))
         assert peak < 4.5
 
+    def test_two_worker_search_peak(self, two_workers):
+        # Each worker holds its own blend, so two workers hold the
+        # training distances (2 n x n arrays) and up to twice what one
+        # worker needs beyond them: 2.19 arrays, measured on one thread
+        # (4.19 above). Both at their peak at once is 6.38; measured
+        # peaks at n = 300 were 5.4 to 6.32.
+        table = random_table(n=self.N, p=2, seed=47)
+        peak = self._peak_matrices(
+            lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
+                            bandwidth_grid_size=3))
+        assert peak < 6.5
+
 
 def grid_scores_one_at_a_time(X, y, D, grid, scoring):
     """_grid_scores with one kernel and one batched solve per candidate."""
-    scores = []
+    scores, n_regularized, n_failed = [], [], []
     for h in grid:
         W = gaussian_weights(D, h)
         if scoring == "loo":
             np.fill_diagonal(W, 0.0)
-        betas, _, failed = solve_wls_batched(
+        betas, regularized, failed = solve_wls_batched(
             *normal_equations(BatchedDesign(X, y), W))
+        n_regularized.append(int(regularized.sum()))
+        n_failed.append(int(failed.sum()))
         if np.any(failed):
             scores.append(np.inf)
             continue
         pred = np.einsum("ij,ij->i", X, betas)
         scores.append(float(np.sqrt(np.mean((y - pred) ** 2))))
-    return scores
+    return scores, n_regularized, n_failed
 
 
 class TestGridScores:
@@ -407,11 +454,13 @@ class TestGridScores:
             b = cwreg.local._chunk_sizes(n, q + 1, len(grid))[0]
             first = size // 2 // b * b
             assert b == 1 or len(grid[first:first + b]) > 1
-        scores = cwreg.local._grid_scores(BatchedDesign(X, y), D, grid,
+        result = cwreg.local._grid_scores(BatchedDesign(X, y), D, grid,
                                           scoring)
-        assert scores == grid_scores_one_at_a_time(X, y, D, grid, scoring)
+        assert result == grid_scores_one_at_a_time(X, y, D, grid, scoring)
+        scores, _, n_failed = result
         if size > 1 and scoring == "loo":
             assert scores[size // 2] == np.inf
+            assert n_failed[size // 2] == n
             assert np.all(np.isfinite(np.delete(scores, size // 2)))
 
     def test_default_search_solves_chunks(self, monkeypatch):
@@ -939,6 +988,11 @@ class TestFitCwr:
         assert doc["traces"]["rate"]["bandwidths"] == [1e-6, None]
         clone = load_model(path).traces["rate"].bandwidths
         assert clone[0] == 1e-6 and math.isnan(clone[1])
+        # Nor does it have ridge or failure counts.
+        for key in ("n_regularized", "n_failed"):
+            assert doc["traces"]["rate"][key][1] is None
+            assert (getattr(load_model(path).traces["rate"], key)
+                    == getattr(model.traces["rate"], key))
 
     def test_load_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -1091,3 +1145,232 @@ class TestInvariances:
                           table.covariates[:10] + rng.normal(size=(10, 2))])
         assert (clone.predict(coords, covs).tobytes()
                 == model.predict(coords, covs).tobytes())
+
+
+def share_with_helper(score):
+    """A stand-in for cwreg.local._score_rate that calls `score` only
+    once the helper thread has taken a candidate, so both workers score
+    some. `score(in_caller, *args, **kwargs)` does the scoring."""
+    caller = threading.current_thread()
+    helper_took_one = threading.Event()
+
+    def scoring(*args, **kwargs):
+        in_caller = threading.current_thread() is caller
+        if in_caller:
+            assert helper_took_one.wait(60), "the helper took no candidate"
+        else:
+            helper_took_one.set()
+        return score(in_caller, *args, **kwargs)
+
+    return scoring
+
+
+def searches_match(a, b):
+    """Two searched models agree bit for bit: r/h, trace, coefficients."""
+    ta, tb = a.traces["rate"], b.traces["rate"]
+    return (a.fit.spec.r == b.fit.spec.r
+            and a.fit.bandwidth == b.fit.bandwidth
+            and ta.scores == tb.scores and ta.bandwidths == tb.bandwidths
+            and ta.to_dict() == tb.to_dict()
+            and a.fit.coefficients.tobytes() == b.fit.coefficients.tobytes())
+
+
+RATES = [i / 10 for i in range(11)]
+
+
+class TestTwoWorkers:
+    """The r candidates are shared by the caller and one helper thread
+    while OpenBLAS is held at one thread; every number is the one the
+    calling thread alone computes."""
+
+    @pytest.mark.parametrize("table, kwargs", [
+        (random_table(n=60, p=2, seed=70), dict(bandwidth_grid_size=6)),
+        (random_table(n=60, p=2, seed=70),
+         dict(bandwidth_grid_size=6, scoring="insample")),
+        (tie_table(), dict(r_grid=[0.0, 1.0], bandwidth_grid_size=5)),
+        (random_table(n=40, p=1, seed=71), dict(bw_grid=[0.05, 0.2, 0.8])),
+        # 1e-300 leaves every location without a leave-one-out weight,
+        # so that bandwidth scores inf at every r.
+        (random_table(n=40, p=1, seed=71),
+         dict(bw_grid=[0.05, 1e-300, 0.2, 0.8])),
+    ], ids=["loo", "insample", "tie", "bw_grid", "underflow"])
+    def test_equal_to_one_thread(self, two_workers, monkeypatch, table,
+                                 kwargs):
+        kwargs = {"r_grid": RATES, **kwargs}
+        columns = table.covariate_names
+        with monkeypatch.context() as m:
+            m.setattr(cwreg.wls, "_blas_threads", lambda: None)
+            alone = fit_cwr(table, columns, **kwargs)
+        shared = fit_cwr(table, columns, **kwargs)
+        assert searches_match(shared, alone)
+        if table.n == 5:
+            assert shared.fit.spec.r == 1.0  # ties go to the larger r
+
+    def test_search_failure_equal_to_one_thread(self, two_workers,
+                                                monkeypatch):
+        table = random_table(n=20, p=1, seed=46)
+        errors = []
+        for lookup in (lambda: None, cwreg.wls._blas_threads):
+            monkeypatch.setattr(cwreg.wls, "_blas_threads", lookup)
+            with pytest.raises(SearchFailureError) as info:
+                fit_cwr(table, ["x1"], r_grid=RATES, bw_grid=[1e-300])
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_caller_and_helper_share_the_candidates(self, two_workers,
+                                                    monkeypatch):
+        workers, blas_threads = set(), []
+        real = cwreg.local._score_rate
+
+        def score(in_caller, *args, **kwargs):
+            workers.add(threading.current_thread())
+            blas_threads.append(two_workers())
+            return real(*args, **kwargs)
+
+        table = random_table(n=40, p=2, seed=72)
+        alone = fit_cwr(table, ["x1", "x2"], r=1.0, bandwidth_grid_size=4)
+        monkeypatch.setattr(cwreg.local, "_score_rate",
+                            share_with_helper(score))
+        model = fit_cwr(table, ["x1", "x2"], r_grid=RATES,
+                        bandwidth_grid_size=4)
+        assert len(workers) == 2
+        assert set(blas_threads) == {1}
+        assert two_workers() == 2
+        at_one = model.traces["rate"].candidates.index(1.0)
+        assert (model.traces["rate"].scores[at_one]
+                == alone.traces["bandwidth"].selected_score)
+
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_exception_comes_out_unchanged(self, two_workers, monkeypatch,
+                                           raiser):
+        boom = RuntimeError("scoring failed")
+        real = cwreg.local._score_rate
+
+        def score(in_caller, *args, **kwargs):
+            if in_caller == (raiser == "caller"):
+                raise boom
+            return real(*args, **kwargs)
+
+        table = random_table(n=30, p=1, seed=73)
+        with monkeypatch.context() as m:
+            m.setattr(cwreg.local, "_score_rate", share_with_helper(score))
+            with pytest.raises(RuntimeError) as info:
+                fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
+        assert info.value is boom
+        assert two_workers() == 2
+        assert cwreg.wls._hold["depth"] == 0
+        # The helper thread serves the next search.
+        fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
+
+    def test_two_user_threads_search_at_once(self, two_workers):
+        table = random_table(n=60, p=2, seed=74)
+
+        def search():
+            return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
+                           bandwidth_grid_size=6)
+
+        expected = search()
+        models = [None, None]
+
+        def run(i):
+            models[i] = search()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        # Three workers on two cores, switching as often as they can.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(searches_match(model, expected) for model in models)
+        assert two_workers() == 2
+        assert cwreg.wls._hold["depth"] == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_helper(self, two_workers):
+        table = random_table(n=40, p=2, seed=75)
+
+        def search():
+            return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
+                           bandwidth_grid_size=4)
+
+        # The parent's helper thread exists now; the child has none.
+        expected = search()
+
+        def child():
+            sys.exit(0 if searches_match(search(), expected) else 3)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child's search did not finish")
+        assert process.exitcode == 0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(r=1.0), dict(r=0.5, bandwidth=0.4),
+        dict(r=0.5, bw_grid=[0.2, 0.4]),
+    ])
+    def test_one_candidate_starts_no_thread(self, monkeypatch, kwargs):
+        def refuse():
+            raise AssertionError("one candidate needs no thread")
+
+        monkeypatch.setattr(cwreg.local, "_one_blas_thread", refuse)
+        monkeypatch.setattr(cwreg.local, "_helper", None)
+        fit_cwr(random_table(n=20, p=2, seed=76), ["x1", "x2"], **kwargs)
+
+    def test_one_cpu_searches_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(cwreg.wls, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cwreg.local, "_helper", None)
+        with cwreg.wls._one_blas_thread() as shared:
+            assert not shared
+        fit_cwr(random_table(n=20, p=2, seed=76), ["x1", "x2"],
+                r_grid=RATES, bandwidth_grid_size=4)
+
+
+class TestSystemCounts:
+    """Traces count the ridged and failed local systems per candidate."""
+
+    def test_rate_counts_are_the_chosen_bandwidths(self):
+        table = random_table(n=40, p=2, seed=77)
+        grid = [1e-300, 0.05, 0.2, 0.8]
+        model = fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
+                        bw_grid=grid)
+        trace = model.traces["rate"]
+        for r, h, ridged, failed in zip(trace.candidates, trace.bandwidths,
+                                        trace.n_regularized, trace.n_failed):
+            fixed = fit_cwr(table, ["x1", "x2"], r=r,
+                            bw_grid=grid).traces["bandwidth"]
+            assert fixed.n_failed[0] == table.n
+            i = grid.index(h)
+            assert (ridged, failed) == (fixed.n_regularized[i],
+                                        fixed.n_failed[i])
+            # A chosen bandwidth fitted every location.
+            assert failed == 0
+
+    def test_collinear_systems_count_as_ridged(self):
+        model = fit_cwr(collinear_table(), r=1.0, bw_grid=[1.0, 2.0])
+        trace = model.traces["bandwidth"]
+        assert trace.n_regularized == [12, 12]
+        assert trace.n_failed == [0, 0]
+
+    def test_model_file_without_counts_loads(self, tmp_path):
+        model = fit_cwr(grid_table(n=30), ["x1"], r_grid=[0.0, 1.0],
+                        bw_grid=[1e-6])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        # A model file written before the counts existed loads without.
+        doc = json.loads(path.read_text())
+        for key in ("n_regularized", "n_failed"):
+            del doc["traces"]["rate"][key]
+        path.write_text(json.dumps(doc))
+        old = load_model(path).traces["rate"]
+        assert old.n_regularized is None and old.n_failed is None
+        assert old.scores == model.traces["rate"].scores
