@@ -17,6 +17,7 @@ import sys
 from .data import (
     generate_synthetic,
     hedonic_records,
+    json_text,
     load_csv,
     load_query_csv,
     load_schema,
@@ -221,7 +222,7 @@ def cmd_compare(args) -> int:
                 print(f"{case['name']}: {rmses}")
             print(f"wrote {args.out}")
         else:
-            sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+            sys.stdout.write(json_text(summary))
         return 0
     if not args.data:
         raise ParameterError("compare needs --data or --manifest")
@@ -243,7 +244,7 @@ def cmd_compare(args) -> int:
                     print(f"improvement {a} over {b}: {pct:.2f}%")
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(report.to_json())
+        sys.stdout.write(json_text(report.to_dict()))
     return 0
 
 

@@ -240,10 +240,15 @@ def read_json(path):
                 f"{path}: not a JSON document ({err})") from err
 
 
+def json_text(doc) -> str:
+    """`doc` as indented JSON plus a trailing newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def write_json(doc, path) -> None:
-    """Write `doc` as indented JSON plus a trailing newline."""
+    """Write json_text(doc) to `path`."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json_text(doc))
 
 
 def load_schema(path) -> dict:

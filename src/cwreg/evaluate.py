@@ -11,7 +11,6 @@ runtimes are therefore kept in memory only and never serialized).
 
 from __future__ import annotations
 
-import json
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -203,9 +202,6 @@ class ComparisonReport:
             "improvements": self.improvements,
             "residuals": residuals,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def fit_boosted(table: ObservationTable, config: ComparisonConfig):

@@ -13,7 +13,8 @@ ascending grid with the bandwidth re-selected per candidate. Ties go
 to the first bandwidth candidate and to the larger r. The r candidates
 do not depend on one another: where numpy's OpenBLAS can be held at
 one thread, the calling thread and one helper thread share them, and
-every number is the one a single thread computes.
+every number is the one a single thread computes. The helper and the
+hold last one search (_search_helper): both end before fit_cwr does.
 
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
@@ -29,12 +30,14 @@ first prediction.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -56,8 +59,8 @@ from .errors import (
     SearchFailureError,
     SingularFitError,
 )
-from .wls import (BatchedDesign, _one_blas_thread, design_matrix,
-                  normal_equations, solve_wls_batched)
+from .wls import (BatchedDesign, design_matrix, normal_equations,
+                  solve_wls_batched)
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
@@ -375,26 +378,88 @@ def _score_rate(geo, attr, spec, design, bw_grid, size, scoring) -> _Scored:
     return _Scored(score, best, grid, h_scores, n_regularized, n_failed)
 
 
-def _new_helper():
-    # The r search's one helper thread, started by its first task. A
-    # forked child inherits the executor but not the thread, and a
-    # task submitted to it there would wait forever: it gets a new one.
-    global _helper
-    _helper = ThreadPoolExecutor(1, thread_name_prefix="cwreg-search")
+@cache
+def _blas_threads():
+    """(get, set) thread-count entry points of the OpenBLAS numpy's
+    linalg is linked to, or None when none is found: another BLAS, or
+    a build naming them otherwise. numpy 2 wheels call them
+    scipy_openblas_{get,set}_num_threads64_."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            return get, set_
+    return None
 
 
-_new_helper()
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+# Searches holding OpenBLAS at one thread, and the count the first found.
+_hold = {"depth": 0, "threads": 1, "lock": threading.Lock()}
+
+
+@contextmanager
+def _search_helper(n_candidates: int):
+    """Yield one helper thread's executor for a search of `n_candidates`
+    r candidates, holding numpy's OpenBLAS at one thread, for every
+    thread of the process, while the block runs; or yield None, and
+    hold nothing, for a single candidate, where _blas_threads finds no
+    entry point, or where the process may run on one CPU only.
+    Concurrent searches share one hold: the last to leave restores the
+    count the first found. The helper is joined before the hold ends."""
+    blas = None if n_candidates < 2 else _blas_threads()
+    if blas is None or _usable_cpus() < 2:
+        yield None
+        return
+    get, set_ = blas
+    with _hold["lock"]:
+        if _hold["depth"] == 0:
+            _hold["threads"] = get()
+            set_(1)
+        _hold["depth"] += 1
+    try:
+        with ThreadPoolExecutor(1, thread_name_prefix="cwreg-search") as helper:
+            yield helper
+    finally:
+        with _hold["lock"]:
+            _hold["depth"] -= 1
+            if _hold["depth"] == 0:
+                set_(_hold["threads"])
+
+
+def _release_holds_in_child():
+    # A forked child has none of the threads that held OpenBLAS, and
+    # the lock may have been taken by one of them.
+    _hold["lock"] = threading.Lock()
+    if _hold["depth"]:
+        _hold["depth"] = 0
+        _blas_threads()[1](_hold["threads"])
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_helper)
+    os.register_at_fork(after_in_child=_release_holds_in_child)
 
 
-def _map_rates(score, specs, shared: bool) -> list:
-    """[score(spec) for spec in specs]. When `shared`, the caller and
-    the helper thread each take the next unscored spec until none is
-    left; the results keep the order of specs either way. Once both
-    have stopped, the caller's exception, or else the helper's, is
-    raised here unchanged."""
-    if not shared:
+def _map_rates(score, specs, helper) -> list:
+    """[score(spec) for spec in specs]. With a `helper` executor, the
+    caller and the helper each take the next unscored spec until none
+    is left; the results keep the order of specs either way. The
+    caller's exception, or else the helper's, is raised here unchanged.
+    Once the caller has raised, the helper stops after its current
+    spec, and leaving _search_helper's block waits for it."""
+    if helper is None:
         return [score(spec) for spec in specs]
     results = [None] * len(specs)
     todo = deque(range(len(specs)))  # popleft is atomic
@@ -411,13 +476,9 @@ def _map_rates(score, specs, shared: bool) -> list:
             todo.clear()  # the other worker stops after its current spec
             raise
 
-    helper = _helper.submit(work)
-    try:
-        work()
-    finally:
-        # The caller's hold on BLAS must outlast the helper's spec.
-        wait([helper])
-    helper.result()
+    future = helper.submit(work)
+    work()
+    future.result()
     return results
 
 
@@ -717,10 +778,9 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     best, bandwidths = 0, bw_grid
     # Several candidates are scored on two threads where BLAS holds at
     # one thread, and the final fit runs under the same hold.
-    with (_one_blas_thread() if len(specs) > 1
-          else nullcontext(False)) as shared:
+    with _search_helper(len(specs)) as helper:
         if search_r or cv:
-            results = _map_rates(score, specs, shared)
+            results = _map_rates(score, specs, helper)
             scores = [res.score for res in results]
             bandwidths = [res.at_best(res.grid, np.nan) for res in results]
             # Exact score ties go to the larger r, so search from the top.

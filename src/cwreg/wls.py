@@ -22,19 +22,13 @@ conditioned by both measures and is solved as L^-T (L^-1 c); only the
 other rows are handed to eigvalsh, so the flags are those eigvalsh
 alone gives, and only the rows it flags are solved by LU.
 
-A search that scores its candidates on two threads holds numpy's
-OpenBLAS at one thread while it runs (_one_blas_thread), so the two
-threads do not oversubscribe the cores with BLAS threads of their own.
+The module keeps no state, so threads may call it at once; how many
+threads OpenBLAS uses is the caller's choice (see local._search_helper).
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -280,74 +274,3 @@ def _ill_conditioned(N, inv):
     if bad.any():
         bad[bad] = _eigvalsh_rule(N[bad])
     return bad
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) thread-count entry points of the OpenBLAS numpy's
-    linalg is linked to, or None when none is found: another BLAS, or
-    a build naming them otherwise. numpy 2 wheels call them
-    scipy_openblas_{get,set}_num_threads64_."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            return get, set_
-    return None
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity outside Linux
-        return os.cpu_count() or 1
-
-
-# Holds of _one_blas_thread in progress, and the count the first found.
-_hold = {"depth": 0, "threads": 1, "lock": threading.Lock()}
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread, for every thread of the
-    process, while the block runs; yields whether it holds. It does
-    not where _blas_threads finds no entry point, nor where the process
-    may run on one CPU only. Concurrent holds share one: the last to
-    leave restores the count the first found."""
-    blas = _blas_threads()
-    if blas is None or _usable_cpus() < 2:
-        yield False
-        return
-    get, set_ = blas
-    with _hold["lock"]:
-        if _hold["depth"] == 0:
-            _hold["threads"] = get()
-            set_(1)
-        _hold["depth"] += 1
-    try:
-        yield True
-    finally:
-        with _hold["lock"]:
-            _hold["depth"] -= 1
-            if _hold["depth"] == 0:
-                set_(_hold["threads"])
-
-
-def _release_holds_in_child():
-    # A forked child has none of the threads that held OpenBLAS, and
-    # the lock may have been taken by one of them.
-    _hold["lock"] = threading.Lock()
-    if _hold["depth"]:
-        _hold["depth"] = 0
-        _blas_threads()[1](_hold["threads"])
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_release_holds_in_child)

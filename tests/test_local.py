@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import cwreg.local
-import cwreg.wls
 from cwreg.data import ObservationTable, StandardizationTransform, standardize
 from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
 from cwreg.errors import (DegenerateWeightsError, DimensionError,
@@ -41,7 +40,7 @@ from conftest import brute_force_distance_matrix, brute_force_wls, random_table
 def serial(monkeypatch):
     """fit_cwr scores every candidate on the calling thread: the lookup
     of OpenBLAS's thread control finds nothing."""
-    monkeypatch.setattr(cwreg.wls, "_blas_threads", lambda: None)
+    monkeypatch.setattr(cwreg.local, "_blas_threads", lambda: None)
 
 
 @pytest.fixture
@@ -49,10 +48,10 @@ def two_workers(monkeypatch):
     """fit_cwr shares several candidates with its helper thread, also
     where the process may run on one CPU. OpenBLAS starts at two
     threads, and its count is put back afterwards; yields its getter."""
-    blas = cwreg.wls._blas_threads()
+    blas = cwreg.local._blas_threads()
     if blas is None:
         pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
-    monkeypatch.setattr(cwreg.wls, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cwreg.local, "_usable_cpus", lambda: 2)
     get, set_ = blas
     before = get()
     set_(2)
@@ -1105,6 +1104,18 @@ class TestFitCwr:
         assert model.fit.attr_scale == 1.0
 
 
+def integer_coord_table(n, seed):
+    """random_table with integer coordinates in [0, 100)."""
+    table = random_table(n=n, p=2, seed=seed)
+    table.coords = np.random.default_rng(seed).integers(0, 100, (n, 2)) * 1.0
+    return table
+
+
+INVARIANT_SEARCH = dict(attribute_columns=["x1", "x2"],
+                        r_grid=[0.0, 0.25, 0.5, 0.75, 1.0],
+                        bandwidth_grid_size=6)
+
+
 class TestInvariances:
     """Properties of the fitted model that hold bit for bit."""
 
@@ -1125,6 +1136,44 @@ class TestInvariances:
         assert (other.traces["bandwidth"].scores
                 == base.traces["bandwidth"].scores)
         assert other.fit.transform is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(12, 29),
+           move=st.sampled_from(["rotate", "reflect", "translate", "scale"]),
+           shift=st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(-10 ** 6, 10 ** 6)),
+           k=st.integers(-20, 20))
+    def test_search_ignores_rigid_moves_and_scale(self, seed, n, move,
+                                                  shift, k):
+        # With integer coordinates every geographic distance is the same
+        # float after a 90-degree rotation, a reflection or an integer
+        # translation, and a power-of-two scale cancels in max-scale.
+        base = integer_coord_table(n, seed)
+        x, y = base.coords.T
+        coords = {"rotate": np.column_stack([-y, x]),
+                  "reflect": np.column_stack([-x, y]),
+                  "translate": base.coords + shift,
+                  "scale": base.coords * 2.0 ** k}[move]
+        moved = dataclasses.replace(base, coords=coords)
+        assert searches_match(fit_cwr(moved, **INVARIANT_SEARCH),
+                              fit_cwr(base, **INVARIANT_SEARCH))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(12, 29),
+           k=st.integers(-20, 20))
+    def test_response_scale_scales_scores_and_coefficients(self, seed, n, k):
+        # Every score and coefficient is linear in y, and a power-of-two
+        # factor rounds nowhere, so r and h stay and the rest scale.
+        table = integer_coord_table(n, seed)
+        base = fit_cwr(table, **INVARIANT_SEARCH)
+        model = fit_cwr(dataclasses.replace(table, y=table.y * 2.0 ** k),
+                        **INVARIANT_SEARCH)
+        assert model.fit.spec.r == base.fit.spec.r
+        assert model.fit.bandwidth == base.fit.bandwidth
+        scores = base.traces["rate"].scores
+        assert model.traces["rate"].scores == [s * 2.0 ** k for s in scores]
+        assert (model.fit.coefficients.tobytes()
+                == (base.fit.coefficients * 2.0 ** k).tobytes())
 
     @pytest.mark.parametrize("mode", cwreg.local.PREDICT_MODES)
     @pytest.mark.parametrize("r", [0.0, 0.4, 1.0, "search"])
@@ -1175,6 +1224,11 @@ def searches_match(a, b):
             and a.fit.coefficients.tobytes() == b.fit.coefficients.tobytes())
 
 
+def refuse(*args):
+    """A stand-in for what a search on the calling thread never calls."""
+    raise AssertionError("the search started a thread")
+
+
 RATES = [i / 10 for i in range(11)]
 
 
@@ -1199,7 +1253,7 @@ class TestTwoWorkers:
         kwargs = {"r_grid": RATES, **kwargs}
         columns = table.covariate_names
         with monkeypatch.context() as m:
-            m.setattr(cwreg.wls, "_blas_threads", lambda: None)
+            m.setattr(cwreg.local, "_blas_threads", lambda: None)
             alone = fit_cwr(table, columns, **kwargs)
         shared = fit_cwr(table, columns, **kwargs)
         assert searches_match(shared, alone)
@@ -1210,8 +1264,8 @@ class TestTwoWorkers:
                                                 monkeypatch):
         table = random_table(n=20, p=1, seed=46)
         errors = []
-        for lookup in (lambda: None, cwreg.wls._blas_threads):
-            monkeypatch.setattr(cwreg.wls, "_blas_threads", lookup)
+        for lookup in (lambda: None, cwreg.local._blas_threads):
+            monkeypatch.setattr(cwreg.local, "_blas_threads", lookup)
             with pytest.raises(SearchFailureError) as info:
                 fit_cwr(table, ["x1"], r_grid=RATES, bw_grid=[1e-300])
             errors.append(str(info.value))
@@ -1258,7 +1312,7 @@ class TestTwoWorkers:
                 fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
         assert info.value is boom
         assert two_workers() == 2
-        assert cwreg.wls._hold["depth"] == 0
+        assert cwreg.local._hold["depth"] == 0
         # The helper thread serves the next search.
         fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
 
@@ -1289,7 +1343,7 @@ class TestTwoWorkers:
         assert not any(thread.is_alive() for thread in threads)
         assert all(searches_match(model, expected) for model in models)
         assert two_workers() == 2
-        assert cwreg.wls._hold["depth"] == 0
+        assert cwreg.local._hold["depth"] == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_its_own_helper(self, two_workers):
@@ -1299,7 +1353,7 @@ class TestTwoWorkers:
             return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
                            bandwidth_grid_size=4)
 
-        # The parent's helper thread exists now; the child has none.
+        # The parent's search, helper thread and hold have ended.
         expected = search()
 
         def child():
@@ -1319,20 +1373,73 @@ class TestTwoWorkers:
         dict(r=0.5, bw_grid=[0.2, 0.4]),
     ])
     def test_one_candidate_starts_no_thread(self, monkeypatch, kwargs):
-        def refuse():
-            raise AssertionError("one candidate needs no thread")
-
-        monkeypatch.setattr(cwreg.local, "_one_blas_thread", refuse)
-        monkeypatch.setattr(cwreg.local, "_helper", None)
+        # Neither the OpenBLAS lookup nor a helper thread is reached.
+        monkeypatch.setattr(cwreg.local, "_blas_threads", refuse)
+        monkeypatch.setattr(cwreg.local, "ThreadPoolExecutor", refuse)
         fit_cwr(random_table(n=20, p=2, seed=76), ["x1", "x2"], **kwargs)
 
     def test_one_cpu_searches_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(cwreg.wls, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(cwreg.local, "_helper", None)
-        with cwreg.wls._one_blas_thread() as shared:
-            assert not shared
+        monkeypatch.setattr(cwreg.local, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cwreg.local, "ThreadPoolExecutor", refuse)
+        with cwreg.local._search_helper(2) as helper:
+            assert helper is None
         fit_cwr(random_table(n=20, p=2, seed=76), ["x1", "x2"],
                 r_grid=RATES, bandwidth_grid_size=4)
+
+    @pytest.mark.parametrize("raiser", [None, "caller", "helper"])
+    def test_no_helper_outlives_the_search(self, two_workers, monkeypatch,
+                                           raiser):
+        real = cwreg.local._score_rate
+
+        def score(in_caller, *args, **kwargs):
+            if raiser is not None and in_caller == (raiser == "caller"):
+                raise RuntimeError("scoring failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cwreg.local, "_score_rate",
+                            share_with_helper(score))
+        try:
+            fit_cwr(random_table(n=30, p=1, seed=73), ["x1"], r_grid=RATES,
+                    bandwidth_grid_size=4)
+        except RuntimeError:
+            assert raiser is not None
+        else:
+            assert raiser is None
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("cwreg-search")]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_child_forked_during_a_search_is_not_held(self, two_workers):
+        table = random_table(n=40, p=2, seed=75)
+
+        def search():
+            return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
+                           bandwidth_grid_size=4)
+
+        expected = search()
+
+        def child():
+            # The fork hook ends the parent's hold: OpenBLAS is back at
+            # the two threads the hold found, and the child can hold it.
+            if cwreg.local._hold["depth"] != 0:
+                sys.exit(3)
+            if two_workers() != 2:
+                sys.exit(4)
+            sys.exit(0 if searches_match(search(), expected) else 5)
+
+        with cwreg.local._search_helper(2) as helper:
+            assert helper is not None and two_workers() == 1
+            process = multiprocessing.get_context("fork").Process(
+                target=child)
+            process.start()
+        process.join(timeout=120)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child's search did not finish")
+        assert process.exitcode == 0
+        assert two_workers() == 2
+        assert cwreg.local._hold["depth"] == 0
 
 
 class TestSystemCounts:
