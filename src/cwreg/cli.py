@@ -14,7 +14,10 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from .data import (
+    _write_rows,
     generate_synthetic,
     hedonic_records,
     json_text,
@@ -102,31 +105,22 @@ def _config(args, **settings) -> ComparisonConfig:
 def _synth_settings(args):
     """(regime, n, sigma, seed, params): the flags, overridden by --config.
 
-    The config must be a JSON object; a null sigma takes the generator's
-    default. The generators check the seed.
+    The config must be a JSON object whose params, if given, are an
+    object; a null sigma takes the generator's default. The generators
+    check n, sigma, the seed and the params.
     """
     if not args.config:
         return args.regime, args.n, args.sigma, args.seed, {}
     conf = read_json(args.config)
-    if not isinstance(conf, dict):
-        raise ParameterError("synth config must be a JSON object")
-    regime = conf.get("regime", args.regime)
-    n = conf.get("n", args.n)
-    sigma = conf.get("sigma", args.sigma)
-    params = conf.get("params", {})
-    if not isinstance(regime, str):
-        raise ParameterError(f"synth config regime must be a string, got {regime!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ParameterError(f"synth config n must be a positive integer, got {n!r}")
-    if sigma is not None and (isinstance(sigma, bool)
-                              or not isinstance(sigma, (int, float))):
-        raise ParameterError(f"synth config sigma must be a number or null, got {sigma!r}")
+    params = conf.get("params", {}) if isinstance(conf, dict) else None
     if not isinstance(params, dict):
-        raise ParameterError(f"synth config params must be an object, got {params!r}")
+        raise ParameterError("synth config must be a JSON object whose "
+                             f"params are an object, got {conf!r}")
+    regime = conf.get("regime", args.regime)
     if regime == "hedonic" and params:
         raise ParameterError("hedonic synth data takes no params, got "
                              f"{sorted(params)}")
-    return (regime, n, None if sigma is None else float(sigma),
+    return (regime, conf.get("n", args.n), conf.get("sigma", args.sigma),
             conf.get("seed", args.seed), params)
 
 
@@ -158,6 +152,7 @@ def cmd_synth(args) -> int:
         if truth_doc is None:
             raise ParameterError("--truth-out is not available for hedonic data")
         write_json(truth_doc, args.truth_out)
+    sigma = sigma if sigma is None else float(sigma)
     print(f"wrote {args.out} ({regime}, n={n}, sigma={sigma}, seed={seed})")
     return 0
 
@@ -200,8 +195,7 @@ def cmd_predict(args) -> int:
     if not args.out:
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return 0
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    _write_rows(args.out, rows[0], rows[1:])
     print(f"wrote {args.out} ({len(ids)} predictions)")
     return 0
 
@@ -368,13 +362,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Numbers too large for float arithmetic fail, not write inf or NaN.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except CwregError as err:
         _emit_error(type(err).__name__, str(err))
-        return 1
     except OSError as err:
         _emit_error("OSError", str(err))
-        return 1
+    except FloatingPointError as err:
+        _emit_error("FloatingPointError", str(err))
+    return 1
 
 
 def console_main() -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +31,33 @@ from .errors import (
     ParameterError,
     SchemaError,
 )
+
+
+def _finite_number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a `kind` (numbers.Real or numbers.Integral),
+    not a bool, and finite as a float: NaN, the infinities and integers
+    too large for a float are not."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
+def _names(value, what) -> list[str]:
+    """`value`, a list of strings, as a new list."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ParameterError(f"{what} must be a list of strings, got {value!r}")
+    return list(value)
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write `header`, then `rows`, as a CSV file with \\r\\n line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 ROLES = ("id", "coordinate", "response", "covariate", "dummy-source")
 
@@ -184,7 +212,7 @@ class ObservationTable:
             coords=np.asarray(doc["coords"], dtype=float),
             y=np.asarray(doc["y"], dtype=float),
             covariates=np.asarray(doc["covariates"], dtype=float),
-            covariate_names=doc["covariate_names"],
+            covariate_names=_names(doc["covariate_names"], "covariate_names"),
             dummy_names=doc.get("dummy_names", []),
         )
 
@@ -307,6 +335,20 @@ def _parse_float(raw, column):
     return value
 
 
+def _csv_rows(path, required):
+    """(file line, row dict) for each data row of a CSV file whose
+    header names every column in `required`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise IngestionError(f"{path}: empty file")
+        missing = [c for c in required if c not in reader.fieldnames]
+        if missing:
+            raise SchemaError(f"{path}: header is missing columns {missing}")
+        for row in reader:
+            yield reader.line_num, row
+
+
 def load_csv(path, schema: dict | None = None):
     """Read a dataset CSV against a schema.
 
@@ -321,39 +363,31 @@ def load_csv(path, schema: dict | None = None):
     records = []
     rejections: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestionError(f"{path}: empty file")
-        missing = [c for c in view.required if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: header is missing columns {missing}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                if view.id_column:
-                    rid = (row.get(view.id_column) or "").strip()
-                    if not rid:
-                        raise _RowError(f"missing value in {view.id_column!r}")
-                else:
-                    rid = f"row{line}"
-                if rid in seen_ids:
-                    raise _RowError(f"duplicate id {rid!r}")
-                coord = [_parse_float(row.get(c), c) for c in view.coord_columns]
-                response = _parse_float(row.get(view.response_column),
-                                        view.response_column)
-                covs = [_parse_float(row.get(c), c) for c in view.covariate_columns]
-                dummies = []
-                for c in view.dummy_columns:
-                    raw = (row.get(c) or "").strip()
-                    if not raw:
-                        raise _RowError(f"missing value in {c!r}")
-                    dummies.append(raw)
-            except _RowError as err:
-                rejections.append((line, str(err)))
-                continue
-            seen_ids.add(rid)
-            records.append((rid, coord, response, covs, dummies))
+    for line, row in _csv_rows(path, view.required):
+        try:
+            if view.id_column:
+                rid = (row.get(view.id_column) or "").strip()
+                if not rid:
+                    raise _RowError(f"missing value in {view.id_column!r}")
+            else:
+                rid = f"row{line}"
+            if rid in seen_ids:
+                raise _RowError(f"duplicate id {rid!r}")
+            coord = [_parse_float(row.get(c), c) for c in view.coord_columns]
+            response = _parse_float(row.get(view.response_column),
+                                    view.response_column)
+            covs = [_parse_float(row.get(c), c) for c in view.covariate_columns]
+            dummies = []
+            for c in view.dummy_columns:
+                raw = (row.get(c) or "").strip()
+                if not raw:
+                    raise _RowError(f"missing value in {c!r}")
+                dummies.append(raw)
+        except _RowError as err:
+            rejections.append((line, str(err)))
+            continue
+        seen_ids.add(rid)
+        records.append((rid, coord, response, covs, dummies))
     total = len(records) + len(rejections)
     if total == 0:
         raise IngestionError(f"{path}: no data rows")
@@ -411,14 +445,10 @@ def table_schema(table: ObservationTable) -> dict:
 
 def write_csv(table: ObservationTable, path) -> None:
     """Write a table as id,u,v,price plus one column per covariate."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "u", "v", "price"] + table.covariate_names)
-        for i in range(table.n):
-            row = [table.ids[i], repr(float(table.coords[i, 0])),
-                   repr(float(table.coords[i, 1])), repr(float(table.y[i]))]
-            row += [repr(float(v)) for v in table.covariates[i]]
-            writer.writerow(row)
+    values = np.column_stack([table.coords, table.y, table.covariates])
+    _write_rows(path, ["id", "u", "v", "price"] + table.covariate_names,
+                ([rid, *map(repr, row)] for rid, row in
+                 zip(table.ids, values.tolist())))
 
 
 def load_query_csv(path, covariate_names):
@@ -429,24 +459,15 @@ def load_query_csv(path, covariate_names):
     raises IngestionError rather than being skipped.
     """
     ids, coords, rows = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise IngestionError(f"{path}: empty file")
-        missing = [c for c in ["u", "v"] + list(covariate_names)
-                   if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: header is missing columns {missing}")
-        for row in reader:
-            line = reader.line_num
-            try:
-                coords.append([_parse_float(row.get("u"), "u"),
-                               _parse_float(row.get("v"), "v")])
-                rows.append([_parse_float(row.get(c), c) for c in covariate_names])
-            except _RowError as err:
-                raise IngestionError(f"{path}: line {line}: {err}") from None
-            rid = (row.get("id") or "").strip()
-            ids.append(rid if rid else f"q{line}")
+    for line, row in _csv_rows(path, ["u", "v", *covariate_names]):
+        try:
+            coords.append([_parse_float(row.get("u"), "u"),
+                           _parse_float(row.get("v"), "v")])
+            rows.append([_parse_float(row.get(c), c) for c in covariate_names])
+        except _RowError as err:
+            raise IngestionError(f"{path}: line {line}: {err}") from None
+        rid = (row.get("id") or "").strip()
+        ids.append(rid if rid else f"q{line}")
     if not ids:
         raise IngestionError(f"{path}: no query rows")
     return ids, np.array(coords, dtype=float), np.array(rows, dtype=float)
@@ -454,8 +475,7 @@ def load_query_csv(path, covariate_names):
 
 def _check_seed(seed) -> None:
     """Refuse what np.random.default_rng would: a seed must be an int >= 0."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
-            or seed < 0:
+    if not _finite_number(seed, numbers.Integral) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -625,11 +645,6 @@ def _geo_surfaces(coords, params):
     return b0, b1
 
 
-def _finite_real(x) -> bool:
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and -np.inf < x < np.inf)
-
-
 # Generator parameters whose values are restricted: (range, test).
 _PARAM_RANGES = {"extent": ("positive", lambda x: x > 0),
                  "cluster_sd": ("nonnegative", lambda x: x >= 0),
@@ -645,7 +660,7 @@ def _merged(defaults, params):
     for key, value in params.items():
         pair = isinstance(defaults[key], tuple)
         values = value if pair and isinstance(value, (list, tuple)) else [value]
-        if len(values) != (2 if pair else 1) or not all(map(_finite_real, values)):
+        if len(values) != (2 if pair else 1) or not all(map(_finite_number, values)):
             raise ParameterError(
                 f"generator parameter {key} must be "
                 f"{'a pair of finite numbers' if pair else 'a finite number'}"
@@ -662,6 +677,16 @@ def _check_generated(*arrays) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ParameterError(
             "generator parameters overflow: the generated data is not finite")
+
+
+def _check_draw(n, sigma, seed) -> None:
+    """Refuse what every generator refuses: n must be an int >= 10,
+    sigma a finite number >= 0, and the seed as for _check_seed."""
+    if not _finite_number(n, numbers.Integral) or n < 10:
+        raise ParameterError(f"need an integer n >= 10, got {n!r}")
+    if not _finite_number(sigma) or sigma < 0:
+        raise ParameterError(f"sigma must be a finite number >= 0, got {sigma!r}")
+    _check_seed(seed)
 
 
 @np.errstate(all="ignore")
@@ -684,40 +709,28 @@ def generate_synthetic(regime: str, n: int = 200, sigma: float = 1.0,
     Returns (ObservationTable, SyntheticTruth). With sigma = 0 the
     response equals intercepts + slopes * x1 exactly.
     """
+    defaults = {"geo": GEO_DEFAULTS, "attr": ATTR_DEFAULTS,
+                "mixed": {**GEO_DEFAULTS, **ATTR_DEFAULTS, "mix": 0.5}}
     if regime not in REGIMES:
         raise ParameterError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    if n < 10:
-        raise ParameterError(f"need n >= 10, got {n}")
-    if sigma < 0:
-        raise ParameterError(f"sigma must be nonnegative, got {sigma}")
-    _check_seed(seed)
+    _check_draw(n, sigma, seed)
+    p = _merged(defaults[regime], params)
     rng = np.random.default_rng(seed)
-
+    coords = rng.uniform(0.0, p["extent"], size=(n, 2))
     if regime == "geo":
-        p = _merged(GEO_DEFAULTS, params)
-        coords = rng.uniform(0.0, p["extent"], size=(n, 2))
         x1 = rng.normal(0.0, 1.0, size=n)
         b0, b1 = _geo_surfaces(coords, p)
-    elif regime == "attr":
-        p = _merged(ATTR_DEFAULTS, params)
-        coords = rng.uniform(0.0, p["extent"], size=(n, 2))
+    else:
         k = rng.integers(0, 2, size=n)
         x1 = np.asarray(p["cluster_centers"])[k] + rng.normal(
             0.0, p["cluster_sd"], size=n)
         b0 = np.asarray(p["cluster_intercepts"], dtype=float)[k]
         b1 = np.asarray(p["cluster_slopes"], dtype=float)[k]
-    else:
-        p = _merged({**GEO_DEFAULTS, **ATTR_DEFAULTS, "mix": 0.5}, params)
+    if regime == "mixed":
         mix = p["mix"] = float(p["mix"])
-        coords = rng.uniform(0.0, p["extent"], size=(n, 2))
-        k = rng.integers(0, 2, size=n)
-        x1 = np.asarray(p["cluster_centers"])[k] + rng.normal(
-            0.0, p["cluster_sd"], size=n)
         g0, g1 = _geo_surfaces(coords, p)
-        b0 = mix * g0 + (1.0 - mix) * np.asarray(p["cluster_intercepts"],
-                                                 dtype=float)[k]
-        b1 = mix * g1 + (1.0 - mix) * np.asarray(p["cluster_slopes"],
-                                                 dtype=float)[k]
+        b0 = mix * g0 + (1.0 - mix) * b0
+        b1 = mix * g1 + (1.0 - mix) * b1
 
     noise = sigma * rng.standard_normal(n)
     y = b0 + b1 * x1 + noise
@@ -752,12 +765,10 @@ def generate_hedonic(n: int = 200, sigma: float = 10.0, seed: int = 0,
     smooth spatial offset and noise); the n_poi point-of-interest
     distance columns are pure noise. Returns (table, truth).
     """
-    if n < 10:
-        raise ParameterError(f"need n >= 10, got {n}")
+    _check_draw(n, sigma, seed)
     if not 0 <= n_poi <= len(POI_NAMES):
         raise ParameterError(f"n_poi must be in [0, {len(POI_NAMES)}], got {n_poi}")
     p = _merged(HEDONIC_DEFAULTS, params)
-    _check_seed(seed)
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, p["extent"], size=(n, 2))
     floor_area = rng.uniform(40.0, 200.0, size=n)
@@ -824,7 +835,5 @@ def write_records(records, path) -> None:
     """Write raw record dicts (as from hedonic_records) to CSV."""
     if not records:
         raise ParameterError("no records to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
-        writer.writeheader()
-        writer.writerows(records)
+    fields = list(records[0])
+    _write_rows(path, fields, ([r.get(f, "") for f in fields] for r in records))

@@ -60,10 +60,12 @@ class DistanceSpec:
             raise ParameterError("attribute_columns must be non-empty when r < 1")
 
 
-def _check_matrix(a, name, n_cols=None):
+def _check_matrix(a, name, n_cols=None, n_rows=None):
     arr = np.atleast_2d(np.asarray(a, dtype=float))
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
+    if n_rows is not None and arr.shape[0] != n_rows:
+        raise DimensionError(f"{name} must have {n_rows} rows, got {arr.shape[0]}")
     if n_cols is not None and arr.shape[1] != n_cols:
         raise DimensionError(f"{name} must have {n_cols} columns, got {arr.shape[1]}")
     if not np.all(np.isfinite(arr)):

@@ -17,20 +17,19 @@ training MSE can never increase from one stage to the next.
 
 from __future__ import annotations
 
-import csv
-import sys
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _finite_number, _write_rows
 from .errors import DimensionError, ParameterError
 
 
 def _finite(doc: dict, key: str) -> float:
     """doc[key] as a float; it must be a finite real number, not a bool."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
+    if not _finite_number(value):
         raise ParameterError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -84,7 +83,7 @@ class TreeNode:
         node = cls(value=_finite(doc, "value"))
         if "feature" in doc:
             feature = doc["feature"]
-            if isinstance(feature, bool) or not isinstance(feature, int) \
+            if not _finite_number(feature, numbers.Integral) \
                     or not 0 <= feature < n_features:
                 raise ParameterError(
                     f"tree split feature must be an integer in "
@@ -296,12 +295,10 @@ class ImportanceReport:
         return [self.names[i] for i in self.order]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["predictor", "raw_reduction", "normalized", "rank"])
-            for rank, i in enumerate(self.order, start=1):
-                writer.writerow([self.names[i], repr(float(self.raw[i])),
-                                 repr(float(self.normalized[i])), rank])
+        _write_rows(path, ["predictor", "raw_reduction", "normalized", "rank"],
+                    ([self.names[i], repr(float(self.raw[i])),
+                      repr(float(self.normalized[i])), rank]
+                     for rank, i in enumerate(self.order, start=1)))
 
 
 def predictor_importance(ensemble: BoostedEnsemble) -> ImportanceReport:

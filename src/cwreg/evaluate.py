@@ -20,6 +20,8 @@ import numpy as np
 from .data import (
     ObservationTable,
     SplitSpec,
+    _finite_number,
+    _write_rows,
     load_csv,
     load_schema,
     split,
@@ -111,7 +113,7 @@ class ComparisonConfig:
         if not self.models:
             raise ParameterError("at least one model is required")
         # Numeric fields, found by annotation, hold finite numbers of
-        # their kind (NaN fails both comparisons).
+        # their kind.
         for f in fields(self):
             value, kinds = getattr(self, f.name), f.type.split(" | ")
             number = (numbers.Integral if "int" in kinds
@@ -119,8 +121,7 @@ class ComparisonConfig:
             if (number is None or (value is None and "None" in kinds)
                     or (isinstance(value, str) and "str" in kinds)):
                 continue
-            if (isinstance(value, bool) or not isinstance(value, number)
-                    or not -np.inf < value < np.inf):
+            if not _finite_number(value, number):
                 raise ParameterError(
                     f"config {f.name} must be a finite {f.type}, "
                     f"got {value!r}")
@@ -396,8 +397,6 @@ def export_maps(model, table: ObservationTable, lattice, out_prefix,
     covariate's training median unless overridden through
     covariate_values. Residual rows cover `table` one to one.
     """
-    import csv as _csv
-
     nx, ny = int(lattice[0]), int(lattice[1])
     if nx < 1 or ny < 1:
         raise ParameterError(f"lattice counts must be >= 1, got {(nx, ny)}")
@@ -420,21 +419,16 @@ def export_maps(model, table: ObservationTable, lattice, out_prefix,
     grid_pred = model.predict(grid_coords, grid_covs)
 
     grid_path = f"{out_prefix}_grid.csv"
-    with open(grid_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["u", "v"] + names + ["predicted"])
-        for i in range(grid_coords.shape[0]):
-            writer.writerow([*grid_coords[i], *values, grid_pred[i]])
+    _write_rows(grid_path, ["u", "v"] + names + ["predicted"],
+                ([*grid_coords[i], *values, grid_pred[i]]
+                 for i in range(grid_coords.shape[0])))
 
     predictions = model.predict(table.coords, table.covariate_matrix(names))
     residual_path = f"{out_prefix}_residuals.csv"
-    with open(residual_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["id", "u", "v", "actual", "predicted", "residual"])
-        for i in range(table.n):
-            actual, predicted = table.y[i], predictions[i]
-            writer.writerow([table.ids[i], *table.coords[i], actual,
-                             predicted, actual - predicted])
+    _write_rows(residual_path,
+                ["id", "u", "v", "actual", "predicted", "residual"],
+                ([table.ids[i], *table.coords[i], table.y[i], predictions[i],
+                  table.y[i] - predictions[i]] for i in range(table.n)))
     return GridExport(
         grid_path=grid_path,
         residual_path=residual_path,

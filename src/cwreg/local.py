@@ -31,6 +31,7 @@ first prediction.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import os
 import threading
 from collections import deque
@@ -43,9 +44,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import ObservationTable, StandardizationTransform, standardize
+from .data import (ObservationTable, StandardizationTransform,
+                   _finite_number, _names, standardize)
 from .distances import (
     DistanceSpec,
+    _check_matrix,
     attribute_distances,
     blend_distances,
     gaussian_weights,
@@ -54,7 +57,6 @@ from .distances import (
 )
 from .errors import (
     DegenerateWeightsError,
-    DimensionError,
     ParameterError,
     SearchFailureError,
     SingularFitError,
@@ -509,21 +511,10 @@ def _query_blended(fit: LocalFit, training: _TrainingSide, coords,
                    covariates):
     """Blended query-to-training distances under the fit's scales."""
     table = training.table
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if (covariates.ndim != 2
-            or covariates.shape[1] != len(table.covariate_names)):
-        raise DimensionError(
-            f"queries need {len(table.covariate_names)} covariates, "
-            f"got {covariates.shape[1]}"
-        )
-    if coords.shape[0] != covariates.shape[0]:
-        raise DimensionError("coords and covariates disagree on query count")
-    if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(covariates))):
-        raise ParameterError("query coordinates and covariates must be finite")
-    if coords.ndim != 2 or coords.shape[1] != 2:
-        raise DimensionError(
-            f"query coordinates must have 2 columns, got {coords.shape[1]}")
+    coords = _check_matrix(coords, "query coordinates", n_cols=2)
+    covariates = _check_matrix(covariates, "query covariates",
+                               n_cols=len(table.covariate_names),
+                               n_rows=coords.shape[0])
     geo = cdist(coords, table.coords) / fit.geo_scale
     if fit.spec.r == 1.0:
         return geo
@@ -662,7 +653,8 @@ class FittedCwr:
             bandwidth=float(doc["bandwidth"]),
             spec=DistanceSpec(
                 r=doc["spec"]["r"],
-                attribute_columns=tuple(doc["spec"]["attribute_columns"]),
+                attribute_columns=_names(doc["spec"]["attribute_columns"],
+                                         "spec.attribute_columns"),
                 normalization=doc["spec"]["normalization"],
             ),
             geo_scale=float(doc["geo_scale"]),
@@ -672,10 +664,12 @@ class FittedCwr:
                            doc["standardization"])),
             regularized=np.asarray(doc["regularized"], dtype=bool),
         )
+        if not _finite_number(doc["k"], numbers.Integral):
+            raise ParameterError(f"model k must be an integer, got {doc['k']!r}")
         model = cls(
             fit=fit,
             table=table,
-            k=int(doc["k"]),
+            k=doc["k"],
             mode=doc["mode"],
             traces={k: HyperSearchTrace.from_dict(t)
                     for k, t in doc.get("traces", {}).items()},

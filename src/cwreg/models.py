@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_json, write_json
+from .data import _finite_number, _names, read_json, write_json
 from .ensemble import BoostedEnsemble
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .local import FittedCwr
 from .wls import design_matrix, predict as linear_predict
 
@@ -32,13 +32,7 @@ class OlsModel:
     name: str = "ols"
 
     def predict(self, coords, covariates) -> np.ndarray:
-        X = design_matrix(np.atleast_2d(np.asarray(covariates, dtype=float)))
-        if X.shape[1] != self.coefficients.shape[0]:
-            raise DimensionError(
-                f"expected {self.coefficients.shape[0] - 1} covariates, "
-                f"got {X.shape[1] - 1}"
-            )
-        return linear_predict(X, self.coefficients)
+        return linear_predict(design_matrix(covariates), self.coefficients)
 
     def predict_table(self, table) -> np.ndarray:
         return self.predict(table.coords,
@@ -53,8 +47,13 @@ class OlsModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OlsModel":
-        return cls(coefficients=np.asarray(doc["coefficients"], dtype=float),
-                   covariate_names=list(doc["covariate_names"]))
+        names = _names(doc["covariate_names"], "covariate_names")
+        beta = doc["coefficients"]
+        if not (isinstance(beta, list) and len(beta) == len(names) + 1
+                and all(map(_finite_number, beta))):
+            raise ParameterError(f"coefficients must be {len(names) + 1} finite numbers")
+        return cls(coefficients=np.asarray(beta, dtype=float),
+                   covariate_names=names)
 
 
 @dataclass
@@ -66,8 +65,7 @@ class LsboostModel:
     name: str = "lsboost"
 
     def predict(self, coords, covariates) -> np.ndarray:
-        return self.ensemble.predict(
-            np.atleast_2d(np.asarray(covariates, dtype=float)))
+        return self.ensemble.predict(covariates)
 
     def predict_table(self, table) -> np.ndarray:
         return self.predict(table.coords,
@@ -82,8 +80,12 @@ class LsboostModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LsboostModel":
-        return cls(ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
-                   covariate_names=list(doc["covariate_names"]))
+        ensemble = BoostedEnsemble.from_dict(doc["ensemble"])
+        names = _names(doc["covariate_names"], "covariate_names")
+        if len(names) != ensemble.n_features:
+            raise ParameterError(f"{len(names)} covariate names for "
+                                 f"{ensemble.n_features} ensemble features")
+        return cls(ensemble=ensemble, covariate_names=names)
 
 
 def save_model(model, path) -> None:
@@ -100,12 +102,14 @@ def load_model(path):
         raise ParameterError(
             f"{path}: unsupported model version {doc.get('version')!r}")
     kind = doc.get("model_type")
-    model_class = {"cwr": FittedCwr, "gwr": FittedCwr, "ols": OlsModel,
-                   "lsboost": LsboostModel}.get(kind)
+    classes = {"cwr": FittedCwr, "gwr": FittedCwr, "ols": OlsModel,
+               "lsboost": LsboostModel}
+    model_class = classes.get(kind) if isinstance(kind, str) else None
     if model_class is None:
         raise ParameterError(f"{path}: unknown model_type {kind!r}")
     try:
         return model_class.from_dict(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as err:
         raise ParameterError(f"{path}: malformed {kind} model: "
                              f"{type(err).__name__}: {err}") from err

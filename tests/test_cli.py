@@ -1,12 +1,17 @@
 """End-to-end command-line coverage through cli.main."""
 
+import copy
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwreg
 from cwreg.cli import main
@@ -334,21 +339,39 @@ class TestErrorHandling:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParameterError"
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc.pop("spec"),
-        lambda doc: doc["coefficients"].pop(),
-        lambda doc: doc.__setitem__("standardization", None),
-        lambda doc: doc.__setitem__("traces", []),
-        None,
+    @pytest.mark.parametrize("kind, corrupt", [
+        ("cwr", lambda doc: doc.pop("spec")),
+        ("cwr", lambda doc: doc["coefficients"].pop()),
+        ("cwr", lambda doc: doc.__setitem__("standardization", None)),
+        ("cwr", lambda doc: doc.__setitem__("traces", [])),
+        ("cwr", None),
+        ("cwr", lambda doc: doc.__setitem__("model_type", ["cwr"])),
+        ("ols", lambda doc: doc.__setitem__("model_type", {"ols": 1})),
+        ("cwr", lambda doc: doc.__setitem__("k", True)),
+        ("cwr", lambda doc: doc["spec"].__setitem__("attribute_columns",
+                                                    "x1")),
+        ("ols", lambda doc: doc.__setitem__("coefficients", 1.5)),
+        ("ols", lambda doc: doc.__setitem__("coefficients", None)),
+        ("ols", lambda doc: doc["coefficients"].append(0.0)),
+        ("ols", lambda doc: doc["coefficients"].__setitem__(0, True)),
+        ("ols", lambda doc: doc.__setitem__("covariate_names", "x1")),
+        ("lsboost", lambda doc: doc["covariate_names"].append("x2")),
+        ("lsboost", lambda doc: doc.__setitem__("covariate_names", [])),
     ], ids=["missing-spec", "truncated-coefficients",
             "blended-without-standardization", "traces-not-object",
-            "not-json"])
+            "not-json", "model-type-list", "model-type-object",
+            "cwr-k-bool", "cwr-attribute-columns-string",
+            "ols-coefficients-number", "ols-coefficients-null",
+            "ols-coefficients-too-many", "ols-coefficient-bool",
+            "ols-names-string", "lsboost-names-too-many",
+            "lsboost-names-empty"])
     def test_malformed_model_reports_json_error(self, tmp_path, capsys,
-                                                corrupt):
+                                                kind, corrupt):
         data, schema = make_dataset(tmp_path, n=40)
         model_path = tmp_path / "m.json"
-        run_cli(["fit", "--model", "cwr", "--data", data, "--schema", schema,
-                 "--r", 0.5, "--bandwidth", 0.5, "--out", model_path])
+        assert run_cli(["fit", "--model", kind, "--data", data,
+                        "--schema", schema, "--r", 0.5, "--bandwidth", 0.5,
+                        "--trees", 5, "--out", model_path]) == 0
         if corrupt is None:
             model_path.write_text("{not json", encoding="utf-8")
         else:
@@ -360,8 +383,9 @@ class TestErrorHandling:
         capsys.readouterr()
         code = run_cli(["predict", "--model", model_path, "--query", query])
         assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ParameterError"
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ParameterError"
 
     @pytest.mark.parametrize("feature", [7, -1, 0.5, "0", True],
                              ids=["out-of-range", "negative", "float",
@@ -509,13 +533,16 @@ class TestErrorHandling:
         {"params": {"extent": 0}},
         {"params": {"extent": 1e308}},
         {"regime": "attr", "params": {"cluster_sd": 1e308}},
+        {"regime": "hedonic", "sigma": -1}, {"sigma": float("nan")},
+        {"n": 10 ** 400}, {"params": {"extent": 10 ** 400}},
     ], ids=["list", "string", "string-n", "bool-n", "zero-n", "float-n",
             "int-regime", "string-sigma", "bool-sigma", "int-params",
             "list-params", "string-seed", "float-seed", "string-extent",
             "bool-extent", "inf-extent", "string-mix", "short-pair",
             "number-for-pair", "pair-for-number", "hedonic-params",
             "negative-cluster-sd", "zero-extent", "overflowing-extent",
-            "overflowing-cluster-sd"])
+            "overflowing-cluster-sd", "hedonic-negative-sigma", "nan-sigma",
+            "huge-integer-n", "huge-integer-extent"])
     def test_malformed_synth_config_reports_json_error(self, tmp_path,
                                                        capsys, config):
         path = tmp_path / "synth.json"
@@ -576,3 +603,133 @@ class TestErrorHandling:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert out.exists()
+
+
+# Replacements for one node of a JSON input, and for one cell of a CSV
+# input. None of them is a size that would allocate much memory.
+FUZZ_VALUES = [None, True, 0, -1, 0.5, 1e308, float("nan"), float("inf"),
+               10 ** 400, "x", "", [], {}, [0.5, "x"], {"x": 1}]
+FUZZ_CELLS = ["", "x", "nan", "inf", "-1", "0", "1e308", "1e400", "a,b", '"']
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """`doc` with one node below the root replaced or deleted. A walk
+    from the root picks it; the walk may stop at any container."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child) \
+                or draw(st.integers(0, 3)) == 0:
+            break
+        node = child
+    value = draw(st.sampled_from(["<delete>", *FUZZ_VALUES]))
+    if value == "<delete>":
+        del node[key]
+    else:
+        node[key] = value
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """`text` with one row deleted, or one cell replaced or deleted; the
+    header is the row in one draw out of three."""
+    rows = list(csv.reader(io.StringIO(text)))
+    i = 0 if draw(st.integers(0, 2)) == 0 \
+        else draw(st.integers(1, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    action = draw(st.sampled_from(["<delete row>", "<delete cell>",
+                                   *FUZZ_CELLS]))
+    if action == "<delete row>":
+        del rows[i]
+    elif action == "<delete cell>":
+        del rows[i][j]
+    else:
+        rows[i][j] = action
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory holding a valid input file of every kind."""
+    d = tmp_path_factory.mktemp("fuzz")
+    argv = [["synth", "--regime", "attr", "--n", 12, "--sigma", 0.5,
+             "--seed", 1, "--out", d / "data.csv",
+             "--schema-out", d / "schema.json"]]
+    flags = {"ols": [], "lsboost": ["--trees", 3, "--min-leaf", 2],
+             "cwr": ["--r", 0.5],
+             "gwr": ["--bandwidth", 0.5, "--predict-mode", "local-fit"]}
+    for name, extra in flags.items():
+        argv.append(["fit", "--model", name, "--data", d / "data.csv",
+                     "--schema", d / "schema.json", *extra,
+                     "--out", d / f"{name}.json"])
+    with redirect_stdout(io.StringIO()):
+        assert all(run_cli(a) == 0 for a in argv)
+    (d / "query.csv").write_text("id,u,v,x1\nq1,100,200,1.5\nq2,800,300,-2\n",
+                                 encoding="utf-8")
+    (d / "manifest.json").write_text(json.dumps({"cases": [
+        {"name": "a", "data": "data.csv", "schema": "schema.json",
+         "config": {"seed": 1, "knn": 2, "train_fraction": 0.7}}]}),
+        encoding="utf-8")
+    (d / "synth.json").write_text(json.dumps({
+        "regime": "mixed", "n": 20, "sigma": 0.5, "seed": 1,
+        "params": {"extent": 500.0, "cluster_centers": [-1.0, 1.0],
+                   "mix": 0.3}}), encoding="utf-8")
+    return d
+
+
+def fuzz_commands(d, kind, path):
+    """The commands that read the `kind` input, given as `path`."""
+    data = ["--data", d / "data.csv", "--schema", d / "schema.json"]
+    fit = ["fit", "--model", "cwr", "--r", 0.5, "--bandwidth", 0.5,
+           "--out", d / "out.json"]
+    if kind in ("ols", "lsboost", "cwr", "gwr"):
+        return [["predict", "--model", path, "--query", d / "query.csv"],
+                ["map", "--model", path, *data, "--nx", 2, "--ny", 2,
+                 "--out-prefix", d / "map"]]
+    return {"data": [[*fit, "--data", path, "--schema", d / "schema.json"],
+                     ["importance", "--data", path,
+                      "--schema", d / "schema.json", "--trees", 3]],
+            "schema": [[*fit, "--data", d / "data.csv", "--schema", path]],
+            "query": [["predict", "--model", d / "cwr.json", "--query", path]],
+            "manifest": [["compare", "--manifest", path,
+                          "--models", "ols,lsboost", "--trees", 3]],
+            "synth": [["synth", "--config", path, "--out", d / "s.csv"]],
+            }[kind]
+
+
+FUZZ_FILES = {"ols": "ols.json", "lsboost": "lsboost.json",
+              "cwr": "cwr.json", "gwr": "gwr.json", "data": "data.csv",
+              "schema": "schema.json", "query": "query.csv",
+              "manifest": "manifest.json", "synth": "synth.json"}
+
+
+@pytest.mark.parametrize("kind", list(FUZZ_FILES))
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(draw=st.data())
+def test_mutated_input_exits_cleanly(fuzz_inputs, kind, draw):
+    # A valid input with one node or cell mutated: each command that
+    # reads it exits 0, or exits 1 with the JSON error as its last
+    # stderr line, after nothing but the ingestion report. None raises.
+    name = FUZZ_FILES[kind]
+    text = (fuzz_inputs / name).read_text(encoding="utf-8")
+    mutated = draw.draw(mutated_csv(text) if name.endswith(".csv")
+                        else mutated_json(json.loads(text)))
+    path = fuzz_inputs / f"mutated_{name}"
+    path.write_text(mutated, encoding="utf-8")
+    for argv in fuzz_commands(fuzz_inputs, kind, path):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run_cli(argv)
+        assert code in (0, 1), argv
+        if code == 1:
+            *report, last = err.getvalue().splitlines()
+            assert set(json.loads(last)) == {"error", "message"}
+            assert all(line.startswith(("ingestion: ", "  line "))
+                       for line in report)

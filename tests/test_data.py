@@ -481,6 +481,24 @@ class TestSyntheticGenerators:
         with pytest.raises(ParameterError):
             generate_synthetic("geo", n=5)
 
+    @pytest.mark.parametrize("generate", ["geo", "mixed", "hedonic"])
+    @pytest.mark.parametrize("settings, match", [
+        ({"n": 50.0}, "n >= 10"), ({"n": True}, "n >= 10"),
+        ({"n": "50"}, "n >= 10"), ({"n": 10 ** 400}, "n >= 10"),
+        ({"sigma": np.nan}, "sigma"), ({"sigma": -1.0}, "sigma"),
+        ({"sigma": True}, "sigma"), ({"sigma": "1"}, "sigma"),
+        ({"seed": 1.0}, "seed"),
+    ], ids=["float-n", "bool-n", "string-n", "huge-integer-n", "nan-sigma",
+            "negative-sigma", "bool-sigma", "string-sigma", "float-seed"])
+    def test_every_generator_checks_n_sigma_and_seed(self, generate,
+                                                     settings, match):
+        # The generators own these checks, for the CLI's synth config too.
+        with pytest.raises(ParameterError, match=match):
+            if generate == "hedonic":
+                generate_hedonic(**{"n": 20, **settings})
+            else:
+                generate_synthetic(generate, **{"n": 20, **settings})
+
     def test_sigma_scales_residual_noise(self):
         quiet, truth_q = generate_synthetic("geo", n=300, sigma=0.1, seed=1)
         loud, truth_l = generate_synthetic("geo", n=300, sigma=5.0, seed=1)

@@ -743,6 +743,23 @@ class TestPredictAt:
         with pytest.raises(DimensionError):
             predict_at(fit, table, [[0.0, 0.0]], [[1.0]])
 
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    @pytest.mark.parametrize("coords, covariates, error", [
+        ([[0.0, 0.0, 0.0]], [[1.0, 1.0]], DimensionError),
+        ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0]], DimensionError),
+        ([[[0.0, 0.0]]], [[1.0, 1.0]], DimensionError),
+        ([[0.0, 0.0]], [[[1.0, 1.0]]], DimensionError),
+        ([[np.nan, 0.0]], [[1.0, 1.0]], ParameterError),
+        ([[0.0, 0.0]], [[1.0, np.inf]], ParameterError),
+    ], ids=["three-coordinates", "row-counts-differ", "3d-coords",
+            "3d-covariates", "nan-coordinate", "inf-covariate"])
+    def test_query_arrays_checked(self, r, coords, covariates, error):
+        table = random_table(n=10, p=2, seed=56)
+        model = fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.5)
+        for mode in cwreg.local.PREDICT_MODES:
+            with pytest.raises(error):
+                predict_at(model.fit, table, coords, covariates, mode=mode)
+
 
 def full_sort(D, k):
     """The selection rule by definition: a full stable sort per row."""
