@@ -564,15 +564,22 @@ def standardize(table: ObservationTable, columns) -> StandardizationTransform:
     """Fit a z-score transform on the given columns of a training table.
 
     A zero-variance column cannot be scaled; it is dropped from the
-    transform with a warning. transform.apply_table(table) gives the
+    transform with a warning. A column whose mean or variance overflows
+    raises ParameterError. transform.apply_table(table) gives the
     standardized columns.
     """
     columns = list(columns)
     M = table.covariate_matrix(columns)
-    means = M.mean(axis=0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = M.mean(axis=0)
         stds = M.std(axis=0, ddof=1) if table.n > 1 else np.zeros(len(columns))
-    keep = np.isfinite(stds) & (stds > 0)
+    finite = np.isfinite(means) & np.isfinite(stds)
+    huge = [c for c, ok in zip(columns, finite) if not ok]
+    if huge:
+        raise ParameterError(
+            f"columns {huge} are too large to standardize: their mean or "
+            "variance overflows")
+    keep = stds > 0
     excluded = [c for c, k in zip(columns, keep) if not k]
     if excluded:
         warnings.warn(

@@ -154,9 +154,14 @@ def training_scale(distances) -> float:
 
     Returns the maximum entry of a training distance matrix, or 1.0
     when the matrix is empty or all-zero so that division is a no-op.
+    A maximum that is not finite (coordinates so large that their
+    distances overflow) raises ParameterError.
     """
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         return 1.0
     m = float(d.max())
+    if not np.isfinite(m):
+        raise ParameterError(
+            f"the largest training distance is {m}: coordinates too large")
     return m if m > 0 else 1.0

@@ -12,9 +12,9 @@ chosen by grid search: h against a leave-one-out cross-validation RMSE
 ascending grid with the bandwidth re-selected per candidate. Ties go
 to the first bandwidth candidate and to the larger r. The r candidates
 do not depend on one another: where numpy's OpenBLAS can be held at
-one thread, the calling thread and one helper thread share them, and
-every number is the one a single thread computes. The helper and the
-hold last one search (_search_helper): both end before fit_cwr does.
+one thread, a pool of two threads scores them, and every number is the
+one a single thread computes. The pool and the hold last one search
+(_search_helper): both end before fit_cwr does.
 
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
@@ -34,7 +34,6 @@ import ctypes
 import numbers
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -126,28 +125,40 @@ class HyperSearchTrace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HyperSearchTrace":
-        def _restore(x):
-            return np.inf if x is None else float(x)
+        def number(x, key, null=False, kind=numbers.Real):
+            """x as a float, or an int for kind Integral; a null reads as
+            `null`, and is refused where that is False."""
+            if x is None and null is not False:
+                return null
+            if not _finite_number(x, kind):
+                raise ParameterError(
+                    f"trace {key} holds {x!r}, not a finite {kind.__name__}")
+            return int(x) if kind is numbers.Integral else float(x)
 
-        def _counts(key):
-            counts = doc.get(key)
-            return (None if counts is None else
-                    [None if c is None else int(c) for c in counts])
+        def listed(key, null=False, kind=numbers.Real):
+            """doc[key] as a list of numbers; the bandwidths and the
+            counts may be missing or null."""
+            values = doc.get(key)
+            if values is None and key in ("bandwidths", "n_regularized",
+                                          "n_failed"):
+                return None
+            if not isinstance(values, list):
+                raise ParameterError(f"trace {key} must be a list")
+            return [number(x, key, null, kind) for x in values]
 
         return cls(
             parameter=doc["parameter"],
             criterion=doc["criterion"],
-            candidates=[float(c) for c in doc["candidates"]],
-            scores=[_restore(s) for s in doc["scores"]],
-            selected=float(doc["selected"]),
-            selected_score=_restore(doc["selected_score"]),
-            bandwidths=(None if doc.get("bandwidths") is None
-                        else [np.nan if h is None else float(h)
-                              for h in doc["bandwidths"]]),
-            selected_bandwidth=(None if doc.get("selected_bandwidth") is None
-                                else float(doc["selected_bandwidth"])),
-            n_regularized=_counts("n_regularized"),
-            n_failed=_counts("n_failed"),
+            candidates=listed("candidates"),
+            scores=listed("scores", np.inf),
+            selected=number(doc["selected"], "selected"),
+            selected_score=number(doc["selected_score"], "selected_score",
+                                  np.inf),
+            bandwidths=listed("bandwidths", np.nan),
+            selected_bandwidth=number(doc.get("selected_bandwidth"),
+                                      "selected_bandwidth", None),
+            n_regularized=listed("n_regularized", None, numbers.Integral),
+            n_failed=listed("n_failed", None, numbers.Integral),
         )
 
 
@@ -414,16 +425,18 @@ _hold = {"depth": 0, "threads": 1, "lock": threading.Lock()}
 
 @contextmanager
 def _search_helper(n_candidates: int):
-    """Yield one helper thread's executor for a search of `n_candidates`
-    r candidates, holding numpy's OpenBLAS at one thread, for every
-    thread of the process, while the block runs; or yield None, and
-    hold nothing, for a single candidate, where _blas_threads finds no
-    entry point, or where the process may run on one CPU only.
-    Concurrent searches share one hold: the last to leave restores the
-    count the first found. The helper is joined before the hold ends."""
+    """Yield the map for a search of `n_candidates` r candidates: a
+    two-thread pool's map, holding numpy's OpenBLAS at one thread for
+    every thread of the process while the block runs; or the builtin
+    map, holding nothing, for a single candidate, where _blas_threads
+    finds no entry point, or where the process may run on one CPU only.
+    Both keep the input order and raise the first failing candidate's
+    exception. Concurrent searches share one hold: the last to leave
+    restores the count the first found. The pool's threads are joined
+    before the hold ends."""
     blas = None if n_candidates < 2 else _blas_threads()
     if blas is None or _usable_cpus() < 2:
-        yield None
+        yield map
         return
     get, set_ = blas
     with _hold["lock"]:
@@ -432,8 +445,8 @@ def _search_helper(n_candidates: int):
             set_(1)
         _hold["depth"] += 1
     try:
-        with ThreadPoolExecutor(1, thread_name_prefix="cwreg-search") as helper:
-            yield helper
+        with ThreadPoolExecutor(2, thread_name_prefix="cwreg-search") as pool:
+            yield pool.map
     finally:
         with _hold["lock"]:
             _hold["depth"] -= 1
@@ -452,36 +465,6 @@ def _release_holds_in_child():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_release_holds_in_child)
-
-
-def _map_rates(score, specs, helper) -> list:
-    """[score(spec) for spec in specs]. With a `helper` executor, the
-    caller and the helper each take the next unscored spec until none
-    is left; the results keep the order of specs either way. The
-    caller's exception, or else the helper's, is raised here unchanged.
-    Once the caller has raised, the helper stops after its current
-    spec, and leaving _search_helper's block waits for it."""
-    if helper is None:
-        return [score(spec) for spec in specs]
-    results = [None] * len(specs)
-    todo = deque(range(len(specs)))  # popleft is atomic
-
-    def work():
-        try:
-            while todo:
-                try:
-                    i = todo.popleft()
-                except IndexError:  # the other worker took the last one
-                    return
-                results[i] = score(specs[i])
-        except BaseException:
-            todo.clear()  # the other worker stops after its current spec
-            raise
-
-    future = helper.submit(work)
-    work()
-    future.result()
-    return results
 
 
 def select_rate(table: ObservationTable, attribute_columns,
@@ -648,6 +631,19 @@ class FittedCwr:
         """Rebuild and check a model document. models.load_model checks
         its format and version first and reports a malformed one."""
         table = ObservationTable.from_dict(doc["training"])
+        for key in ("bandwidth", "geo_scale", "attr_scale"):
+            if not (_finite_number(doc[key]) and doc[key] > 0):
+                raise ParameterError(
+                    f"model {key} must be finite and positive, got {doc[key]!r}")
+        if not _finite_number(doc["spec"]["r"]):
+            raise ParameterError(
+                f"model spec.r must be a number, got {doc['spec']['r']!r}")
+        if doc["mode"] not in PREDICT_MODES:
+            raise ParameterError(f"unknown prediction mode {doc['mode']!r}")
+        if not (_finite_number(doc["k"], numbers.Integral)
+                and 1 <= doc["k"] <= table.n):
+            raise ParameterError(
+                f"model k must be an integer in [1, {table.n}], got {doc['k']!r}")
         fit = LocalFit(
             coefficients=np.asarray(doc["coefficients"], dtype=float),
             bandwidth=float(doc["bandwidth"]),
@@ -664,17 +660,10 @@ class FittedCwr:
                            doc["standardization"])),
             regularized=np.asarray(doc["regularized"], dtype=bool),
         )
-        if not _finite_number(doc["k"], numbers.Integral):
-            raise ParameterError(f"model k must be an integer, got {doc['k']!r}")
-        model = cls(
-            fit=fit,
-            table=table,
-            k=doc["k"],
-            mode=doc["mode"],
-            traces={k: HyperSearchTrace.from_dict(t)
-                    for k, t in doc.get("traces", {}).items()},
-            name=doc.get("model_type", "cwr"),
-        )
+        model = cls(fit=fit, table=table, k=doc["k"], mode=doc["mode"],
+                    traces={k: HyperSearchTrace.from_dict(t)
+                            for k, t in doc.get("traces", {}).items()},
+                    name=doc.get("model_type", "cwr"))
         n, p = table.n, len(table.covariate_names) + 1
         if fit.coefficients.shape != (n, p) or fit.regularized.shape != (n,):
             raise ParameterError(
@@ -682,11 +671,6 @@ class FittedCwr:
                 f"flags ({n},) for its training table")
         if not np.all(np.isfinite(fit.coefficients)):
             raise ParameterError("model coefficients must be finite")
-        for name in ("bandwidth", "geo_scale", "attr_scale"):
-            value = getattr(fit, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ParameterError(
-                    f"model {name} must be finite and positive, got {value}")
         transform = fit.transform
         if transform is None and fit.spec.r < 1.0:
             raise ParameterError("blended model (r < 1) lacks standardization")
@@ -772,9 +756,9 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     best, bandwidths = 0, bw_grid
     # Several candidates are scored on two threads where BLAS holds at
     # one thread, and the final fit runs under the same hold.
-    with _search_helper(len(specs)) as helper:
+    with _search_helper(len(specs)) as map_rates:
         if search_r or cv:
-            results = _map_rates(score, specs, helper)
+            results = list(map_rates(score, specs))
             scores = [res.score for res in results]
             bandwidths = [res.at_best(res.grid, np.nan) for res in results]
             # Exact score ties go to the larger r, so search from the top.

@@ -357,6 +357,12 @@ class TestErrorHandling:
         ("ols", lambda doc: doc.__setitem__("covariate_names", "x1")),
         ("lsboost", lambda doc: doc["covariate_names"].append("x2")),
         ("lsboost", lambda doc: doc.__setitem__("covariate_names", [])),
+        ("cwr", lambda doc: doc.__setitem__("mode", "foo")),
+        ("cwr", lambda doc: doc.__setitem__("bandwidth", "0.5")),
+        ("cwr", lambda doc: doc["traces"].__setitem__("rate", {
+            "parameter": "rate", "criterion": "loo_rmse",
+            "candidates": [0.5], "scores": [1.0], "selected": 0.5,
+            "selected_score": 1.0, "n_regularized": [2.7]})),
     ], ids=["missing-spec", "truncated-coefficients",
             "blended-without-standardization", "traces-not-object",
             "not-json", "model-type-list", "model-type-object",
@@ -364,7 +370,8 @@ class TestErrorHandling:
             "ols-coefficients-number", "ols-coefficients-null",
             "ols-coefficients-too-many", "ols-coefficient-bool",
             "ols-names-string", "lsboost-names-too-many",
-            "lsboost-names-empty"])
+            "lsboost-names-empty", "cwr-mode-unknown", "cwr-bandwidth-string",
+            "cwr-trace-count-float"])
     def test_malformed_model_reports_json_error(self, tmp_path, capsys,
                                                 kind, corrupt):
         data, schema = make_dataset(tmp_path, n=40)

@@ -1,5 +1,6 @@
 """Tables, CSV ingestion, splitting, standardization, generators."""
 
+import dataclasses
 import json
 import warnings
 
@@ -31,6 +32,7 @@ from cwreg.errors import (
     ParameterError,
     SchemaError,
 )
+from cwreg.local import fit_cwr
 
 from conftest import random_table
 
@@ -363,6 +365,18 @@ class TestStandardize:
         assert transform.columns == []
         # The column drops out rather than being zeroed or NaN'd.
         assert transform.apply_table(table).shape == (3, 0)
+
+    def test_overflowing_column_raises(self):
+        # 1e308 in x1 overflows its variance. Before, x1 was excluded as
+        # "zero-variance" after an overflow RuntimeWarning.
+        table = random_table(n=12, p=2, seed=1)
+        covariates = table.covariates.copy()
+        covariates[3, 0] = 1e308
+        table = dataclasses.replace(table, covariates=covariates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"\['x1'\]"):
+                fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.5)
 
     def test_transform_reuse_on_query_rows(self):
         transform = standardize(self.make_table([1.0, 2.0, 3.0]), ["x1"])

@@ -1,5 +1,6 @@
 """Distance matrices, blending, and the Gaussian kernel."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,8 +15,9 @@ from cwreg.distances import (
     training_scale,
 )
 from cwreg.errors import DimensionError, ParameterError
+from cwreg.local import fit_cwr
 
-from conftest import brute_force_distance_matrix
+from conftest import brute_force_distance_matrix, random_table
 
 
 class TestGeographicDistances:
@@ -207,6 +209,19 @@ class TestTrainingScale:
     def test_degenerate_all_zero_scale_is_one(self):
         # Avoids a 0/0 when every pairwise distance is zero.
         assert training_scale(np.zeros((4, 4))) == 1.0
+
+    def test_overflowing_coordinates_raise(self):
+        # Distances from a coordinate of 1e308 overflow to inf. Before,
+        # the scaled matrix filled with NaN and the fit ended in a
+        # SingularFitError.
+        table = random_table(n=12, p=2, seed=1)
+        coords = table.coords.copy()
+        coords[3, 0] = 1e308
+        table = dataclasses.replace(table, coords=coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="coordinates too large"):
+                fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.5)
 
     def test_scaled_matrix_has_unit_max(self):
         rng = np.random.default_rng(21)

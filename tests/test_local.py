@@ -45,7 +45,7 @@ def serial(monkeypatch):
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """fit_cwr shares several candidates with its helper thread, also
+    """fit_cwr scores several candidates on its two-thread pool, also
     where the process may run on one CPU. OpenBLAS starts at two
     threads, and its count is put back afterwards; yields its getter."""
     blas = cwreg.local._blas_threads()
@@ -1032,11 +1032,25 @@ class TestFitCwr:
         lambda doc: doc["standardization"]["stds"].__setitem__(0, 0.0),
         lambda doc: doc["standardization"]["stds"].pop(),
         lambda doc: doc.__setitem__("standardization", None),
+        lambda doc: doc.__setitem__("bandwidth", "0.5"),
+        lambda doc: doc.__setitem__("bandwidth", True),
+        lambda doc: doc.__setitem__("geo_scale", "0.5"),
+        lambda doc: doc.__setitem__("geo_scale", True),
+        lambda doc: doc.__setitem__("attr_scale", "0.5"),
+        lambda doc: doc.__setitem__("attr_scale", True),
+        lambda doc: doc["spec"].__setitem__("r", "0.5"),
+        lambda doc: doc["spec"].__setitem__("r", True),
+        lambda doc: doc.__setitem__("mode", "foo"),
+        lambda doc: doc.__setitem__("k", 0),
+        lambda doc: doc.__setitem__("k", 10 ** 6),
     ], ids=["nan-coefficient", "inf-coefficient", "zero-bandwidth",
             "inf-bandwidth", "negative-geo-scale", "nan-geo-scale",
             "zero-attr-scale", "inf-attr-scale",
             "standardization-column-not-covariate", "nan-mean", "zero-std",
-            "stds-too-short", "blended-without-standardization"])
+            "stds-too-short", "blended-without-standardization",
+            "string-bandwidth", "bool-bandwidth", "string-geo-scale",
+            "bool-geo-scale", "string-attr-scale", "bool-attr-scale",
+            "string-r", "bool-r", "unknown-mode", "zero-k", "k-above-n"])
     def test_load_rejects_invalid_values(self, corrupt):
         table = random_table(n=20, p=2, seed=67)
         doc = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.8).to_dict()
@@ -1044,6 +1058,37 @@ class TestFitCwr:
         corrupt(doc)
         with pytest.raises(ParameterError):
             FittedCwr.from_dict(doc)
+
+    @pytest.mark.parametrize("key, index, value", [
+        ("candidates", 0, True),
+        ("candidates", 1, "0.5"),
+        ("scores", 0, "1"),
+        ("scores", 2, float("nan")),
+        ("bandwidths", 1, "0.2"),
+        ("bandwidths", 1, False),
+        ("n_regularized", 0, 2.7),
+        ("n_regularized", 0, True),
+        ("n_failed", 2, "0"),
+        ("selected", None, "0.5"),
+        ("selected_score", None, True),
+        ("selected_bandwidth", None, "0.2"),
+    ])
+    def test_load_rejects_invalid_trace_entries(self, tmp_path, key, index,
+                                                value):
+        table = random_table(n=20, p=2, seed=67)
+        model = fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
+                        bandwidth_grid_size=4)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        trace = doc["traces"]["rate"]
+        if index is None:
+            trace[key] = value
+        else:
+            trace[key][index] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError):
+            load_model(path)
 
     def test_validation(self):
         table = random_table(n=20, p=1, seed=63)
@@ -1214,21 +1259,40 @@ class TestInvariances:
 
 
 def share_with_helper(score):
-    """A stand-in for cwreg.local._score_rate that calls `score` only
-    once the helper thread has taken a candidate, so both workers score
-    some. `score(in_caller, *args, **kwargs)` does the scoring."""
-    caller = threading.current_thread()
-    helper_took_one = threading.Event()
+    """A stand-in for cwreg.local._score_rate whose first call on each
+    thread waits, at a two-party barrier, for the other thread's first,
+    so both search threads score some candidates; the barrier breaks
+    after 60 s. `score(*args, **kwargs)` does the scoring."""
+    both_started = threading.Barrier(2, timeout=60)
+    started = set()
 
     def scoring(*args, **kwargs):
-        in_caller = threading.current_thread() is caller
-        if in_caller:
-            assert helper_took_one.wait(60), "the helper took no candidate"
-        else:
-            helper_took_one.set()
-        return score(in_caller, *args, **kwargs)
+        if threading.current_thread() not in started:
+            started.add(threading.current_thread())
+            both_started.wait()
+        return score(*args, **kwargs)
 
     return scoring
+
+
+def raise_in_reverse(rates):
+    """A `score` for share_with_helper under which the candidates at
+    `rates` raise, the larger r first, and the others are scored.
+    Returns it with the exception each of `rates` raises."""
+    real = cwreg.local._score_rate
+    errors = {r: RuntimeError(f"scoring failed at r = {r}") for r in rates}
+    raised = {r: threading.Event() for r in rates}
+
+    def score(geo, attr, spec, **kwargs):
+        if spec.r not in errors:
+            return real(geo, attr, spec, **kwargs)
+        for r in rates:
+            if r > spec.r:
+                assert raised[r].wait(60), f"r = {r} did not raise"
+        raised[spec.r].set()
+        raise errors[spec.r]
+
+    return score, errors
 
 
 def searches_match(a, b):
@@ -1250,9 +1314,9 @@ RATES = [i / 10 for i in range(11)]
 
 
 class TestTwoWorkers:
-    """The r candidates are shared by the caller and one helper thread
-    while OpenBLAS is held at one thread; every number is the one the
-    calling thread alone computes."""
+    """The r candidates are scored by a pool of two threads while
+    OpenBLAS is held at one thread; every number is the one the calling
+    thread alone computes."""
 
     @pytest.mark.parametrize("table, kwargs", [
         (random_table(n=60, p=2, seed=70), dict(bandwidth_grid_size=6)),
@@ -1288,12 +1352,12 @@ class TestTwoWorkers:
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
-    def test_caller_and_helper_share_the_candidates(self, two_workers,
-                                                    monkeypatch):
+    def test_two_threads_share_the_candidates(self, two_workers,
+                                              monkeypatch):
         workers, blas_threads = set(), []
         real = cwreg.local._score_rate
 
-        def score(in_caller, *args, **kwargs):
+        def score(*args, **kwargs):
             workers.add(threading.current_thread())
             blas_threads.append(two_workers())
             return real(*args, **kwargs)
@@ -1305,32 +1369,30 @@ class TestTwoWorkers:
         model = fit_cwr(table, ["x1", "x2"], r_grid=RATES,
                         bandwidth_grid_size=4)
         assert len(workers) == 2
+        assert threading.current_thread() not in workers
         assert set(blas_threads) == {1}
         assert two_workers() == 2
         at_one = model.traces["rate"].candidates.index(1.0)
         assert (model.traces["rate"].scores[at_one]
                 == alone.traces["bandwidth"].selected_score)
 
-    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    @pytest.mark.parametrize("raiser", ["helper", "both"])
     def test_exception_comes_out_unchanged(self, two_workers, monkeypatch,
                                            raiser):
-        boom = RuntimeError("scoring failed")
-        real = cwreg.local._score_rate
-
-        def score(in_caller, *args, **kwargs):
-            if in_caller == (raiser == "caller"):
-                raise boom
-            return real(*args, **kwargs)
-
+        # The two threads' first candidates are r = 0 and r = 0.1. Under
+        # "both", r = 0.1 raises before r = 0 does; a search on one
+        # thread raises r = 0's exception, and so must the pool.
+        score, errors = raise_in_reverse(
+            [0.0] if raiser == "helper" else [0.0, 0.1])
         table = random_table(n=30, p=1, seed=73)
         with monkeypatch.context() as m:
             m.setattr(cwreg.local, "_score_rate", share_with_helper(score))
             with pytest.raises(RuntimeError) as info:
                 fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
-        assert info.value is boom
+        assert info.value is errors[0.0]
         assert two_workers() == 2
         assert cwreg.local._hold["depth"] == 0
-        # The helper thread serves the next search.
+        # The next search has a pool of its own.
         fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
 
     def test_two_user_threads_search_at_once(self, two_workers):
@@ -1370,7 +1432,7 @@ class TestTwoWorkers:
             return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
                            bandwidth_grid_size=4)
 
-        # The parent's search, helper thread and hold have ended.
+        # The parent's search, pool and hold have ended.
         expected = search()
 
         def child():
@@ -1390,7 +1452,7 @@ class TestTwoWorkers:
         dict(r=0.5, bw_grid=[0.2, 0.4]),
     ])
     def test_one_candidate_starts_no_thread(self, monkeypatch, kwargs):
-        # Neither the OpenBLAS lookup nor a helper thread is reached.
+        # Neither the OpenBLAS lookup nor a thread pool is reached.
         monkeypatch.setattr(cwreg.local, "_blas_threads", refuse)
         monkeypatch.setattr(cwreg.local, "ThreadPoolExecutor", refuse)
         fit_cwr(random_table(n=20, p=2, seed=76), ["x1", "x2"], **kwargs)
@@ -1398,21 +1460,16 @@ class TestTwoWorkers:
     def test_one_cpu_searches_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(cwreg.local, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(cwreg.local, "ThreadPoolExecutor", refuse)
-        with cwreg.local._search_helper(2) as helper:
-            assert helper is None
+        with cwreg.local._search_helper(2) as map_rates:
+            assert map_rates is map
         fit_cwr(random_table(n=20, p=2, seed=76), ["x1", "x2"],
                 r_grid=RATES, bandwidth_grid_size=4)
 
-    @pytest.mark.parametrize("raiser", [None, "caller", "helper"])
+    @pytest.mark.parametrize("raiser", [None, "helper", "both"])
     def test_no_helper_outlives_the_search(self, two_workers, monkeypatch,
                                            raiser):
-        real = cwreg.local._score_rate
-
-        def score(in_caller, *args, **kwargs):
-            if raiser is not None and in_caller == (raiser == "caller"):
-                raise RuntimeError("scoring failed")
-            return real(*args, **kwargs)
-
+        score, _ = raise_in_reverse({None: [], "helper": [0.0],
+                                     "both": [0.0, 0.1]}[raiser])
         monkeypatch.setattr(cwreg.local, "_score_rate",
                             share_with_helper(score))
         try:
@@ -1444,8 +1501,8 @@ class TestTwoWorkers:
                 sys.exit(4)
             sys.exit(0 if searches_match(search(), expected) else 5)
 
-        with cwreg.local._search_helper(2) as helper:
-            assert helper is not None and two_workers() == 1
+        with cwreg.local._search_helper(2) as map_rates:
+            assert map_rates is not map and two_workers() == 1
             process = multiprocessing.get_context("fork").Process(
                 target=child)
             process.start()
