@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,33 @@ def _finite_number(value, kind=numbers.Real) -> bool:
         return False
 
 
+def _numbers(value, what, shape=(), kind=numbers.Real):
+    """`value` as a float (an int for numbers.Integral) or, given a
+    `shape`, nested lists of exactly that shape as a float (int) array.
+    Every cell passes _finite_number(cell, kind); list cells are checked
+    by their set of types, then in one isfinite pass."""
+    dtype = int if kind is numbers.Integral else float
+    if not shape and _finite_number(value, kind):
+        return dtype(value)
+    cells = [value]
+    for size in shape:
+        if not all(isinstance(c, list) and len(c) == size for c in cells):
+            raise ParameterError(f"{what} must be nested lists of shape {shape}")
+        cells = [x for c in cells for x in c]
+    with suppress(OverflowError):  # an int beyond the array's dtype
+        if shape and all(issubclass(t, kind) and not issubclass(t, bool)
+                         for t in set(map(type, cells))):
+            array = np.array(cells, dtype)
+            if np.all(np.isfinite(array)):
+                return array.reshape(shape)
+    raise ParameterError(f"{what} must hold finite {kind.__name__} numbers, "
+                         f"got {value!r:.60}")
+
+
 def _names(value, what) -> list[str]:
     """`value`, a list of strings, as a new list."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise ParameterError(f"{what} must be a list of strings, got {value!r}")
+        raise ParameterError(f"{what} must be a list of strings, got {value!r:.60}")
     return list(value)
 
 
@@ -207,14 +231,15 @@ class ObservationTable:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ObservationTable":
-        return cls(
-            ids=doc["ids"],
-            coords=np.asarray(doc["coords"], dtype=float),
-            y=np.asarray(doc["y"], dtype=float),
-            covariates=np.asarray(doc["covariates"], dtype=float),
-            covariate_names=_names(doc["covariate_names"], "covariate_names"),
-            dummy_names=doc.get("dummy_names", []),
-        )
+        ids, names = (_names(doc[key], key) for key in ("ids", "covariate_names"))
+        n = len(ids)
+        return cls(ids=ids, coords=_numbers(doc["coords"], "coords", (n, 2)),
+                   y=_numbers(doc["y"], "y", (n,)),
+                   covariates=_numbers(doc["covariates"], "covariates",
+                                       (n, len(names))),
+                   covariate_names=names,
+                   dummy_names=_names(doc.get("dummy_names", []),
+                                      "dummy_names"))
 
 
 def tables_equal(a: ObservationTable, b: ObservationTable) -> bool:
@@ -552,12 +577,14 @@ class StandardizationTransform:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StandardizationTransform":
-        return cls(
-            columns=list(doc["columns"]),
-            means=np.asarray(doc["means"], dtype=float),
-            stds=np.asarray(doc["stds"], dtype=float),
-            excluded=list(doc.get("excluded", [])),
-        )
+        columns = _names(doc["columns"], "standardization columns")
+        means, stds = (_numbers(doc[key], f"standardization {key}",
+                                (len(columns),)) for key in ("means", "stds"))
+        if not np.all(stds > 0):
+            raise ParameterError("standardization stds must be positive")
+        return cls(columns=columns, means=means, stds=stds,
+                   excluded=_names(doc.get("excluded", []),
+                                   "standardization excluded"))
 
 
 def standardize(table: ObservationTable, columns) -> StandardizationTransform:

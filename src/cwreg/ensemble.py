@@ -22,16 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _finite_number, _write_rows
+from .data import _names, _numbers, _write_rows
 from .errors import DimensionError, ParameterError
-
-
-def _finite(doc: dict, key: str) -> float:
-    """doc[key] as a float; it must be a finite real number, not a bool."""
-    value = doc[key]
-    if not _finite_number(value):
-        raise ParameterError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -80,17 +72,15 @@ class TreeNode:
     def from_dict(cls, doc: dict, n_features: int) -> "TreeNode":
         """Rebuild a tree; every split feature must index one of
         `n_features` columns, and every number must be finite."""
-        node = cls(value=_finite(doc, "value"))
-        if "feature" in doc:
-            feature = doc["feature"]
-            if not _finite_number(feature, numbers.Integral) \
-                    or not 0 <= feature < n_features:
-                raise ParameterError(
-                    f"tree split feature must be an integer in "
-                    f"[0, {n_features}), got {feature!r}")
+        node = cls(value=_numbers(doc["value"], "tree value"))
+        if doc.keys() != {"value"}:  # a split node
+            feature = _numbers(doc["feature"], "tree feature", kind=numbers.Integral)
+            if not 0 <= feature < n_features:
+                raise ParameterError(f"tree split feature {feature} is not "
+                                     f"in [0, {n_features})")
             node.feature = feature
-            node.threshold = _finite(doc, "threshold")
-            node.gain = _finite(doc, "gain")
+            node.threshold = _numbers(doc["threshold"], "tree threshold")
+            node.gain = _numbers(doc["gain"], "tree gain")
             node.left = cls.from_dict(doc["left"], n_features)
             node.right = cls.from_dict(doc["right"], n_features)
         return node
@@ -219,16 +209,20 @@ class BoostedEnsemble:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
+        counts = {key: _numbers(doc[key], key, kind=numbers.Integral)
+                  for key in ("max_depth", "min_leaf", "n_features")}
+        trees, names = doc["trees"], doc.get("feature_names")
+        if not isinstance(trees, list):
+            raise ParameterError("ensemble trees must be a list")
         return cls(
-            f0=_finite(doc, "f0"),
-            trees=[TreeNode.from_dict(t, doc["n_features"])
-                   for t in doc["trees"]],
-            shrinkage=_finite(doc, "shrinkage"),
-            max_depth=doc["max_depth"],
-            min_leaf=doc["min_leaf"],
-            n_features=doc["n_features"],
-            feature_names=doc.get("feature_names"),
-            train_mse=list(doc.get("train_mse", [])),
+            f0=_numbers(doc["f0"], "f0"),
+            trees=[TreeNode.from_dict(t, counts["n_features"]) for t in trees],
+            shrinkage=_numbers(doc["shrinkage"], "shrinkage"),
+            feature_names=(None if names is None
+                           else _names(names, "feature_names")),
+            train_mse=_numbers(doc.get("train_mse", []), "train_mse",
+                               (len(trees),)).tolist(),
+            **counts,
         )
 
 

@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import (ObservationTable, StandardizationTransform,
-                   _finite_number, _names, standardize)
+from .data import (ObservationTable, StandardizationTransform, _names,
+                   _numbers, standardize)
 from .distances import (
     DistanceSpec,
     _check_matrix,
@@ -125,38 +125,41 @@ class HyperSearchTrace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HyperSearchTrace":
-        def number(x, key, null=False, kind=numbers.Real):
-            """x as a float, or an int for kind Integral; a null reads as
-            `null`, and is refused where that is False."""
-            if x is None and null is not False:
-                return null
-            if not _finite_number(x, kind):
-                raise ParameterError(
-                    f"trace {key} holds {x!r}, not a finite {kind.__name__}")
-            return int(x) if kind is numbers.Integral else float(x)
+        if (doc["parameter"] not in ("rate", "bandwidth")
+                or doc["criterion"] not in _CRITERION.values()):
+            raise ParameterError(
+                f"unknown trace parameter {doc['parameter']!r} or "
+                f"criterion {doc['criterion']!r}")
+        m = len(doc["candidates"])
+
+        def number(key, null=False):
+            """doc[key] as a float; a null reads as `null`, if given."""
+            x = doc.get(key)
+            return (null if x is None and null is not False
+                    else _numbers(x, f"trace {key}"))
 
         def listed(key, null=False, kind=numbers.Real):
-            """doc[key] as a list of numbers; the bandwidths and the
-            counts may be missing or null."""
+            """doc[key] as a list as long as the candidates, each null
+            read as `null`; the bandwidths and counts may be null or missing."""
             values = doc.get(key)
             if values is None and key in ("bandwidths", "n_regularized",
                                           "n_failed"):
                 return None
-            if not isinstance(values, list):
-                raise ParameterError(f"trace {key} must be a list")
-            return [number(x, key, null, kind) for x in values]
+            if null is False or not isinstance(values, list):
+                return _numbers(values, f"trace {key}", (m,), kind).tolist()
+            read = _numbers([0 if x is None else x for x in values],
+                            f"trace {key}", (m,), kind).tolist()
+            return [null if x is None else y for x, y in zip(values, read)]
 
         return cls(
             parameter=doc["parameter"],
             criterion=doc["criterion"],
             candidates=listed("candidates"),
             scores=listed("scores", np.inf),
-            selected=number(doc["selected"], "selected"),
-            selected_score=number(doc["selected_score"], "selected_score",
-                                  np.inf),
+            selected=number("selected"),
+            selected_score=number("selected_score", np.inf),
             bandwidths=listed("bandwidths", np.nan),
-            selected_bandwidth=number(doc.get("selected_bandwidth"),
-                                      "selected_bandwidth", None),
+            selected_bandwidth=number("selected_bandwidth", None),
             n_regularized=listed("n_regularized", None, numbers.Integral),
             n_failed=listed("n_failed", None, numbers.Integral),
         )
@@ -631,65 +634,43 @@ class FittedCwr:
         """Rebuild and check a model document. models.load_model checks
         its format and version first and reports a malformed one."""
         table = ObservationTable.from_dict(doc["training"])
-        for key in ("bandwidth", "geo_scale", "attr_scale"):
-            if not (_finite_number(doc[key]) and doc[key] > 0):
-                raise ParameterError(
-                    f"model {key} must be finite and positive, got {doc[key]!r}")
-        if not _finite_number(doc["spec"]["r"]):
-            raise ParameterError(
-                f"model spec.r must be a number, got {doc['spec']['r']!r}")
+        n, p = table.n, len(table.covariate_names) + 1
+        scales = {key: _numbers(doc[key], f"model {key}")
+                  for key in ("bandwidth", "geo_scale", "attr_scale")}
+        if min(scales.values()) <= 0:
+            raise ParameterError(f"model scales must be positive, got {scales}")
         if doc["mode"] not in PREDICT_MODES:
             raise ParameterError(f"unknown prediction mode {doc['mode']!r}")
-        if not (_finite_number(doc["k"], numbers.Integral)
-                and 1 <= doc["k"] <= table.n):
-            raise ParameterError(
-                f"model k must be an integer in [1, {table.n}], got {doc['k']!r}")
+        k = _numbers(doc["k"], "model k", kind=numbers.Integral)
+        if not 1 <= k <= n:
+            raise ParameterError(f"model k must be in [1, {n}], got {k}")
+        flags = _numbers(doc["regularized"], "regularized", (n,), numbers.Integral)
+        if not np.all(np.isin(flags, (0, 1))):
+            raise ParameterError("model regularized flags must be 0 or 1")
+        transform = (None if doc["standardization"] is None else
+                     StandardizationTransform.from_dict(doc["standardization"]))
+        unknown = (set(transform.columns if transform else ())
+                   - set(table.covariate_names))
+        if unknown:
+            raise ParameterError(f"standardization columns {sorted(unknown)} "
+                                 "are not covariates of the training table")
         fit = LocalFit(
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            bandwidth=float(doc["bandwidth"]),
+            coefficients=_numbers(doc["coefficients"], "coefficients", (n, p)),
             spec=DistanceSpec(
-                r=doc["spec"]["r"],
+                r=_numbers(doc["spec"]["r"], "model spec.r"),
                 attribute_columns=_names(doc["spec"]["attribute_columns"],
                                          "spec.attribute_columns"),
                 normalization=doc["spec"]["normalization"],
             ),
-            geo_scale=float(doc["geo_scale"]),
-            attr_scale=float(doc["attr_scale"]),
-            transform=(None if doc["standardization"] is None
-                       else StandardizationTransform.from_dict(
-                           doc["standardization"])),
-            regularized=np.asarray(doc["regularized"], dtype=bool),
+            transform=transform, regularized=flags.astype(bool),
+            **scales,
         )
-        model = cls(fit=fit, table=table, k=doc["k"], mode=doc["mode"],
-                    traces={k: HyperSearchTrace.from_dict(t)
-                            for k, t in doc.get("traces", {}).items()},
-                    name=doc.get("model_type", "cwr"))
-        n, p = table.n, len(table.covariate_names) + 1
-        if fit.coefficients.shape != (n, p) or fit.regularized.shape != (n,):
-            raise ParameterError(
-                f"model coefficients must be ({n}, {p}) and regularized "
-                f"flags ({n},) for its training table")
-        if not np.all(np.isfinite(fit.coefficients)):
-            raise ParameterError("model coefficients must be finite")
-        transform = fit.transform
         if transform is None and fit.spec.r < 1.0:
             raise ParameterError("blended model (r < 1) lacks standardization")
-        if transform is not None:
-            unknown = sorted(set(transform.columns)
-                             - set(table.covariate_names))
-            if unknown:
-                raise ParameterError(
-                    f"standardization columns {unknown} are not covariates "
-                    "of the training table")
-            m = len(transform.columns)
-            means, stds = transform.means, transform.stds
-            if (means.shape != (m,) or stds.shape != (m,)
-                    or not np.all(np.isfinite(means))
-                    or not np.all(np.isfinite(stds) & (stds > 0))):
-                raise ParameterError(
-                    f"standardization needs {m} finite means and {m} finite "
-                    "positive stds")
-        return model
+        return cls(fit=fit, table=table, k=k, mode=doc["mode"],
+                   traces={key: HyperSearchTrace.from_dict(t)
+                           for key, t in doc.get("traces", {}).items()},
+                   name=doc.get("model_type", "cwr"))
 
 
 def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",

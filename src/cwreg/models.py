@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _finite_number, _names, read_json, write_json
+from .data import _names, _numbers, read_json, write_json
 from .ensemble import BoostedEnsemble
 from .errors import ParameterError
 from .local import FittedCwr
@@ -48,11 +48,8 @@ class OlsModel:
     @classmethod
     def from_dict(cls, doc: dict) -> "OlsModel":
         names = _names(doc["covariate_names"], "covariate_names")
-        beta = doc["coefficients"]
-        if not (isinstance(beta, list) and len(beta) == len(names) + 1
-                and all(map(_finite_number, beta))):
-            raise ParameterError(f"coefficients must be {len(names) + 1} finite numbers")
-        return cls(coefficients=np.asarray(beta, dtype=float),
+        return cls(coefficients=_numbers(doc["coefficients"], "coefficients",
+                                         (len(names) + 1,)),
                    covariate_names=names)
 
 
@@ -98,9 +95,9 @@ def load_model(path):
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ParameterError(f"{path}: not a {MODEL_FORMAT} document")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ParameterError(
-            f"{path}: unsupported model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ParameterError(f"{path}: unsupported model version {version!r}")
     kind = doc.get("model_type")
     classes = {"cwr": FittedCwr, "gwr": FittedCwr, "ols": OlsModel,
                "lsboost": LsboostModel}

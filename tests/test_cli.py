@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import numbers
 import os
 import subprocess
 import sys
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 import cwreg
 from cwreg.cli import main
-from cwreg.data import generate_synthetic, write_csv
+from cwreg.data import _finite_number, _numbers, generate_synthetic, write_csv
 from cwreg.errors import ParameterError
-from cwreg.models import load_model
+from cwreg.models import load_model, save_model
 
 
 def reject_constant(name):
@@ -363,6 +364,27 @@ class TestErrorHandling:
             "parameter": "rate", "criterion": "loo_rmse",
             "candidates": [0.5], "scores": [1.0], "selected": 0.5,
             "selected_score": 1.0, "n_regularized": [2.7]})),
+        ("cwr", lambda doc: doc["training"]["coords"][0].__setitem__(
+            0, "1.5")),
+        ("cwr", lambda doc: doc["training"]["y"].__setitem__(0, "3")),
+        ("cwr", lambda doc: doc["training"]["covariates"][0].__setitem__(
+            0, False)),
+        ("cwr", lambda doc: doc["standardization"]["stds"].__setitem__(
+            0, True)),
+        ("cwr", lambda doc: doc["regularized"].__setitem__(0, 7)),
+        ("cwr", lambda doc: doc["training"]["ids"].__setitem__(0, 12345)),
+        ("cwr", lambda doc: doc["traces"].__setitem__("rate", {
+            "parameter": 5, "criterion": 7, "candidates": [0.5],
+            "scores": [1.0], "selected": 0.5, "selected_score": 1.0})),
+        ("ols", lambda doc: doc["coefficients"].__setitem__(0, "2")),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("max_depth",
+                                                             "x")),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("train_mse",
+                                                             "abc")),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("feature_names",
+                                                             5)),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("trees", {})),
+        ("lsboost", lambda doc: doc["ensemble"]["trees"][0].pop("feature")),
     ], ids=["missing-spec", "truncated-coefficients",
             "blended-without-standardization", "traces-not-object",
             "not-json", "model-type-list", "model-type-object",
@@ -371,7 +393,12 @@ class TestErrorHandling:
             "ols-coefficients-too-many", "ols-coefficient-bool",
             "ols-names-string", "lsboost-names-too-many",
             "lsboost-names-empty", "cwr-mode-unknown", "cwr-bandwidth-string",
-            "cwr-trace-count-float"])
+            "cwr-trace-count-float", "cwr-coord-string", "cwr-y-string",
+            "cwr-covariate-bool", "cwr-std-bool", "cwr-regularized-7",
+            "cwr-id-number", "cwr-trace-names-numbers",
+            "ols-coefficient-string", "lsboost-max-depth-string",
+            "lsboost-train-mse-string", "lsboost-feature-names-number",
+            "lsboost-trees-object", "lsboost-split-without-feature"])
     def test_malformed_model_reports_json_error(self, tmp_path, capsys,
                                                 kind, corrupt):
         data, schema = make_dataset(tmp_path, n=40)
@@ -615,7 +642,7 @@ class TestErrorHandling:
 # Replacements for one node of a JSON input, and for one cell of a CSV
 # input. None of them is a size that would allocate much memory.
 FUZZ_VALUES = [None, True, 0, -1, 0.5, 1e308, float("nan"), float("inf"),
-               10 ** 400, "x", "", [], {}, [0.5, "x"], {"x": 1}]
+               10 ** 400, "x", "0.5", "", [], {}, [0.5, "x"], {"x": 1}]
 FUZZ_CELLS = ["", "x", "nan", "inf", "-1", "0", "1e308", "1e400", "a,b", '"']
 
 
@@ -711,6 +738,36 @@ def fuzz_commands(d, kind, path):
             }[kind]
 
 
+def gives_back(loaded, saved) -> bool:
+    """Whether the document `saved` gives back `loaded`: the same values
+    of the same types, except that an int may come back as a float and
+    a key missing from `loaded` may come back with its default."""
+    if isinstance(loaded, dict):
+        return (isinstance(saved, dict) and loaded.keys() <= saved.keys()
+                and all(gives_back(v, saved[k]) for k, v in loaded.items()))
+    if isinstance(loaded, list):
+        return (isinstance(saved, list) and len(loaded) == len(saved)
+                and all(map(gives_back, loaded, saved)))
+    return loaded == saved and (type(loaded) is type(saved)
+                                or (type(loaded), type(saved)) == (int, float))
+
+
+@pytest.mark.parametrize("kind", [numbers.Real, numbers.Integral])
+def test_number_reader_agrees_with_finite_number(kind):
+    # _numbers checks list cells by their types, then in one isfinite
+    # pass; it must accept exactly the cells _finite_number accepts.
+    for value in FUZZ_VALUES:
+        for shape, doc in (((), value), ((1,), [value]), ((2,), [1, value]),
+                           ((1, 1), [[value]])):
+            try:
+                _numbers(doc, "cell", shape, kind)
+            except ParameterError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == _finite_number(value, kind), (value, shape)
+
+
 FUZZ_FILES = {"ols": "ols.json", "lsboost": "lsboost.json",
               "cwr": "cwr.json", "gwr": "gwr.json", "data": "data.csv",
               "schema": "schema.json", "query": "query.csv",
@@ -730,6 +787,16 @@ def test_mutated_input_exits_cleanly(fuzz_inputs, kind, draw):
                         else mutated_json(json.loads(text)))
     path = fuzz_inputs / f"mutated_{name}"
     path.write_text(mutated, encoding="utf-8")
+    if kind in ("ols", "lsboost", "cwr", "gwr"):
+        # What loads saves back as the document it was loaded from.
+        try:
+            model = load_model(path)
+        except ParameterError:
+            pass
+        else:
+            save_model(model, fuzz_inputs / "saved.json")
+            saved = (fuzz_inputs / "saved.json").read_text(encoding="utf-8")
+            assert gives_back(json.loads(mutated), json.loads(saved))
     for argv in fuzz_commands(fuzz_inputs, kind, path):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):

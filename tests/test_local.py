@@ -1043,6 +1043,17 @@ class TestFitCwr:
         lambda doc: doc.__setitem__("mode", "foo"),
         lambda doc: doc.__setitem__("k", 0),
         lambda doc: doc.__setitem__("k", 10 ** 6),
+        lambda doc: doc["training"]["coords"][0].__setitem__(1, "1.5"),
+        lambda doc: doc["training"]["coords"][2].__setitem__(0, True),
+        lambda doc: doc["training"]["y"].__setitem__(4, "3"),
+        lambda doc: doc["training"]["covariates"][1].__setitem__(0, False),
+        lambda doc: doc["coefficients"][5].__setitem__(2, "2"),
+        lambda doc: doc["standardization"]["means"].__setitem__(0, "0.1"),
+        lambda doc: doc["standardization"]["stds"].__setitem__(1, True),
+        lambda doc: doc["regularized"].__setitem__(3, "yes"),
+        lambda doc: doc["regularized"].__setitem__(3, 7),
+        lambda doc: doc["training"]["ids"].__setitem__(0, 12345),
+        lambda doc: doc["training"]["ids"].__setitem__(0, [1]),
     ], ids=["nan-coefficient", "inf-coefficient", "zero-bandwidth",
             "inf-bandwidth", "negative-geo-scale", "nan-geo-scale",
             "zero-attr-scale", "inf-attr-scale",
@@ -1050,7 +1061,11 @@ class TestFitCwr:
             "stds-too-short", "blended-without-standardization",
             "string-bandwidth", "bool-bandwidth", "string-geo-scale",
             "bool-geo-scale", "string-attr-scale", "bool-attr-scale",
-            "string-r", "bool-r", "unknown-mode", "zero-k", "k-above-n"])
+            "string-r", "bool-r", "unknown-mode", "zero-k", "k-above-n",
+            "string-coord", "bool-coord", "string-y", "bool-covariate",
+            "string-coefficient", "string-mean", "bool-std",
+            "string-regularized", "regularized-not-0-or-1", "number-id",
+            "list-id"])
     def test_load_rejects_invalid_values(self, corrupt):
         table = random_table(n=20, p=2, seed=67)
         doc = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.8).to_dict()
@@ -1072,6 +1087,13 @@ class TestFitCwr:
         ("selected", None, "0.5"),
         ("selected_score", None, True),
         ("selected_bandwidth", None, "0.2"),
+        ("scores", None, [1.0, 1.0, 1.0, 1.0]),
+        ("bandwidths", None, [0.5, 0.5]),
+        ("n_failed", None, [0]),
+        ("parameter", None, 5),
+        ("parameter", None, "h"),
+        ("criterion", None, 7),
+        ("criterion", None, "rmse"),
     ])
     def test_load_rejects_invalid_trace_entries(self, tmp_path, key, index,
                                                 value):
