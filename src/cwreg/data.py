@@ -242,17 +242,6 @@ class ObservationTable:
                                       "dummy_names"))
 
 
-def tables_equal(a: ObservationTable, b: ObservationTable) -> bool:
-    return (
-        a.ids == b.ids
-        and a.covariate_names == b.covariate_names
-        and a.dummy_names == b.dummy_names
-        and np.array_equal(a.coords, b.coords)
-        and np.array_equal(a.y, b.y)
-        and np.array_equal(a.covariates, b.covariates)
-    )
-
-
 @dataclass
 class IngestionReport:
     """Per-file ingestion outcome: counts plus (line, reason) rejections."""

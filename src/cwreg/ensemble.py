@@ -141,16 +141,23 @@ def _grow(X, y, rows, order, depth, max_depth, min_leaf):
     return node
 
 
-def _tree_inputs(X, y, max_depth, min_leaf):
-    """Checked (X, y) as float arrays, and X's stable per-column presort."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise DimensionError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+def _check_boosting(shrinkage, max_depth, min_leaf) -> None:
+    """The boosting settings' rule: 0 < shrinkage <= 1, depth and leaf >= 1."""
+    if not 0.0 < shrinkage <= 1.0:
+        raise ParameterError(f"shrinkage must be in (0, 1], got {shrinkage}")
     if max_depth < 1:
         raise ParameterError(f"max_depth must be >= 1, got {max_depth}")
     if min_leaf < 1:
         raise ParameterError(f"min_leaf must be >= 1, got {min_leaf}")
+
+
+def _tree_inputs(X, y, shrinkage, max_depth, min_leaf):
+    """Checked settings, (X, y) as float arrays, and X's stable presort."""
+    _check_boosting(shrinkage, max_depth, min_leaf)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise DimensionError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if y.shape[0] < 2 * min_leaf:
         raise ParameterError(
             f"need at least 2 * min_leaf = {2 * min_leaf} rows, got {y.shape[0]}"
@@ -166,7 +173,7 @@ def fit_tree(X, y, max_depth: int = 3, min_leaf: int = 5) -> TreeNode:
     Returns a single leaf when y is constant or no split has positive
     gain. Requires n >= 2 * min_leaf so at least one split is legal.
     """
-    X, y, order = _tree_inputs(X, y, max_depth, min_leaf)
+    X, y, order = _tree_inputs(X, y, 1.0, max_depth, min_leaf)
     return _grow(X, y, np.ones(y.shape[0], dtype=bool), order, 0,
                  max_depth, min_leaf)
 
@@ -183,6 +190,9 @@ class BoostedEnsemble:
     n_features: int
     feature_names: list[str] | None = None
     train_mse: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        _check_boosting(self.shrinkage, self.max_depth, self.min_leaf)
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -240,13 +250,11 @@ def fit_lsboost(X, y, n_trees: int = 100, shrinkage: float = 0.1,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if n_trees < 1:
         raise ParameterError(f"n_trees must be >= 1, got {n_trees}")
-    if not 0.0 < shrinkage <= 1.0:
-        raise ParameterError(f"shrinkage must be in (0, 1], got {shrinkage}")
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise DimensionError(
             f"{len(feature_names)} feature names for {X.shape[1]} features"
         )
-    X, y, order = _tree_inputs(X, y, max_depth, min_leaf)
+    X, y, order = _tree_inputs(X, y, shrinkage, max_depth, min_leaf)
     rows = np.ones(y.shape[0], dtype=bool)
     f0 = float(y.mean())
     current = np.full(y.shape[0], f0)

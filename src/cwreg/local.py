@@ -43,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import (ObservationTable, StandardizationTransform, _names,
-                   _numbers, standardize)
+from .data import (ObservationTable, StandardizationTransform,
+                   _finite_number, _names, _numbers, standardize)
 from .distances import (
     DistanceSpec,
     _check_matrix,
@@ -104,6 +104,17 @@ class HyperSearchTrace:
     n_regularized: list[int | None] | None = None
     n_failed: list[int | None] | None = None
 
+    def __post_init__(self):
+        if (self.parameter not in ("rate", "bandwidth")
+                or self.criterion not in _CRITERION.values()):
+            raise ParameterError(
+                f"unknown trace parameter {self.parameter!r} or "
+                f"criterion {self.criterion!r}")
+        if (self.selected, self.selected_score) not in zip(self.candidates,
+                                                           self.scores):
+            raise ParameterError(f"trace selection {self.selected} with score "
+                                 f"{self.selected_score} matches no candidate")
+
     def to_dict(self) -> dict:
         def _clean(x):
             return None if not np.isfinite(x) else float(x)
@@ -125,11 +136,6 @@ class HyperSearchTrace:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HyperSearchTrace":
-        if (doc["parameter"] not in ("rate", "bandwidth")
-                or doc["criterion"] not in _CRITERION.values()):
-            raise ParameterError(
-                f"unknown trace parameter {doc['parameter']!r} or "
-                f"criterion {doc['criterion']!r}")
         m = len(doc["candidates"])
 
         def number(key, null=False):
@@ -183,6 +189,14 @@ class LocalFit:
     attr_scale: float
     transform: StandardizationTransform | None
     regularized: np.ndarray
+
+    def __post_init__(self):
+        scales = (self.bandwidth, self.geo_scale, self.attr_scale)
+        if not all(_finite_number(x) and x > 0 for x in scales):
+            raise ParameterError("bandwidth and distance scales must be finite "
+                                 f"and positive, got {scales}")
+        if self.transform is None and self.spec.r < 1.0:
+            raise ParameterError("blended model (r < 1) lacks standardization")
 
 
 class _TrainingSide:
@@ -538,6 +552,17 @@ def _nearest(D, k: int) -> np.ndarray:
     return order
 
 
+def _check_prediction(mode, k, n: int) -> None:
+    """The prediction settings' rule: `mode` is one of PREDICT_MODES and
+    `k` an integer, not a bool, in [1, n] for n training rows."""
+    if mode not in PREDICT_MODES:
+        raise ParameterError(
+            f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}"
+        )
+    if not (_finite_number(k, numbers.Integral) and 1 <= k <= n):
+        raise ParameterError(f"k must be an integer in [1, {n}], got {k!r}")
+
+
 def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
                mode: str = "knn-coef", k: int = 3, *,
                training: _TrainingSide | None = None) -> np.ndarray:
@@ -554,18 +579,11 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     The training half of the distances is built per call here unless
     `training` (FittedCwr's own) was made for this table and transform.
     """
-    if mode not in PREDICT_MODES:
-        raise ParameterError(
-            f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}"
-        )
+    _check_prediction(mode, k, table.n)
     training = _TrainingSide.of(table, fit.transform, training)
     D = _query_blended(fit, training, coords, covariates)
     Xq = design_matrix(np.atleast_2d(np.asarray(covariates, dtype=float)))
     if mode == "knn-coef":
-        if not 1 <= k <= table.n:
-            raise ParameterError(
-                f"k must be in [1, {table.n}] for this training table, got {k}"
-            )
         beta_bar = fit.coefficients[_nearest(D, k)].mean(axis=1)
         return np.einsum("ij,ij->i", Xq, beta_bar)
     W = gaussian_weights(D, fit.bandwidth)
@@ -593,6 +611,16 @@ class FittedCwr:
     # replaced table or a replaced transform.
     _training: _TrainingSide | None = field(default=None, init=False,
                                             repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_prediction(self.mode, self.k, self.table.n)
+        h = self.fit.bandwidth
+        for trace in self.traces.values():
+            rate = trace.parameter == "rate"
+            if (trace.selected != (self.fit.spec.r if rate else h)
+                    or (rate and trace.selected_bandwidth != h)):
+                raise ParameterError(f"the {trace.parameter} trace selected "
+                                     "other values than the model holds")
 
     @property
     def covariate_names(self) -> list[str]:
@@ -635,15 +663,6 @@ class FittedCwr:
         its format and version first and reports a malformed one."""
         table = ObservationTable.from_dict(doc["training"])
         n, p = table.n, len(table.covariate_names) + 1
-        scales = {key: _numbers(doc[key], f"model {key}")
-                  for key in ("bandwidth", "geo_scale", "attr_scale")}
-        if min(scales.values()) <= 0:
-            raise ParameterError(f"model scales must be positive, got {scales}")
-        if doc["mode"] not in PREDICT_MODES:
-            raise ParameterError(f"unknown prediction mode {doc['mode']!r}")
-        k = _numbers(doc["k"], "model k", kind=numbers.Integral)
-        if not 1 <= k <= n:
-            raise ParameterError(f"model k must be in [1, {n}], got {k}")
         flags = _numbers(doc["regularized"], "regularized", (n,), numbers.Integral)
         if not np.all(np.isin(flags, (0, 1))):
             raise ParameterError("model regularized flags must be 0 or 1")
@@ -663,11 +682,10 @@ class FittedCwr:
                 normalization=doc["spec"]["normalization"],
             ),
             transform=transform, regularized=flags.astype(bool),
-            **scales,
+            **{key: _numbers(doc[key], f"model {key}")
+               for key in ("bandwidth", "geo_scale", "attr_scale")},
         )
-        if transform is None and fit.spec.r < 1.0:
-            raise ParameterError("blended model (r < 1) lacks standardization")
-        return cls(fit=fit, table=table, k=k, mode=doc["mode"],
+        return cls(fit=fit, table=table, k=doc["k"], mode=doc["mode"],
                    traces={key: HyperSearchTrace.from_dict(t)
                            for key, t in doc.get("traces", {}).items()},
                    name=doc.get("model_type", "cwr"))
@@ -688,12 +706,7 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     search; select_rate and fit_local are views of it. The search and
     the final fit share one set of training distances and one solver.
     """
-    if mode not in PREDICT_MODES:
-        raise ParameterError(
-            f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}"
-        )
-    if not 1 <= k <= train.n:
-        raise ParameterError(f"k must be in [1, {train.n}], got {k}")
+    _check_prediction(mode, k, train.n)
     if scoring not in SCORING_MODES:
         raise ParameterError(
             f"unknown scoring {scoring!r}, expected one of {SCORING_MODES}"

@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import math
 import numbers
 import os
 import subprocess
@@ -385,6 +386,13 @@ class TestErrorHandling:
                                                              5)),
         ("lsboost", lambda doc: doc["ensemble"].__setitem__("trees", {})),
         ("lsboost", lambda doc: doc["ensemble"]["trees"][0].pop("feature")),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("shrinkage",
+                                                             -1.0)),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("shrinkage",
+                                                             0.0)),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("max_depth",
+                                                             -5)),
+        ("lsboost", lambda doc: doc["ensemble"].__setitem__("min_leaf", 0)),
     ], ids=["missing-spec", "truncated-coefficients",
             "blended-without-standardization", "traces-not-object",
             "not-json", "model-type-list", "model-type-object",
@@ -398,7 +406,9 @@ class TestErrorHandling:
             "cwr-id-number", "cwr-trace-names-numbers",
             "ols-coefficient-string", "lsboost-max-depth-string",
             "lsboost-train-mse-string", "lsboost-feature-names-number",
-            "lsboost-trees-object", "lsboost-split-without-feature"])
+            "lsboost-trees-object", "lsboost-split-without-feature",
+            "lsboost-shrinkage-negative", "lsboost-shrinkage-zero",
+            "lsboost-max-depth-negative", "lsboost-min-leaf-zero"])
     def test_malformed_model_reports_json_error(self, tmp_path, capsys,
                                                 kind, corrupt):
         data, schema = make_dataset(tmp_path, n=40)
@@ -412,6 +422,8 @@ class TestErrorHandling:
             doc = json.loads(model_path.read_text())
             corrupt(doc)
             model_path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParameterError):
+            load_model(model_path)
         query = tmp_path / "q.csv"
         query.write_text("u,v,x1\n10.0,20.0,0.5\n", encoding="utf-8")
         capsys.readouterr()
@@ -752,6 +764,36 @@ def gives_back(loaded, saved) -> bool:
                                 or (type(loaded), type(saved)) == (int, float))
 
 
+def meets_value_rules(model) -> bool:
+    """Whether a loaded model keeps the value rules, written out here
+    apart from the program's checks: boosting settings in range; k and
+    the prediction mode; finite, positive bandwidth and scales; a
+    standardization wherever r < 1; and search traces whose selection
+    is a candidate with its score, and is the model's r or bandwidth."""
+    if hasattr(model, "ensemble"):
+        ens = model.ensemble
+        return (0 < ens.shrinkage <= 1 and ens.max_depth >= 1
+                and ens.min_leaf >= 1)
+    if not hasattr(model, "fit"):
+        return True  # an OLS model has no ranged setting
+    fit = model.fit
+    scales = (fit.bandwidth, fit.geo_scale, fit.attr_scale)
+    for trace in model.traces.values():
+        if trace.parameter == "rate":
+            tied = (trace.selected == fit.spec.r
+                    and trace.selected_bandwidth == fit.bandwidth)
+        else:
+            tied = (trace.parameter == "bandwidth"
+                    and trace.selected == fit.bandwidth)
+        if not (tied and any(c == trace.selected and s == trace.selected_score
+                             for c, s in zip(trace.candidates, trace.scores))):
+            return False
+    return (model.mode in ("knn-coef", "local-fit")
+            and type(model.k) is int and 1 <= model.k <= model.table.n
+            and all(math.isfinite(x) and x > 0 for x in scales)
+            and (fit.spec.r == 1 or fit.transform is not None))
+
+
 @pytest.mark.parametrize("kind", [numbers.Real, numbers.Integral])
 def test_number_reader_agrees_with_finite_number(kind):
     # _numbers checks list cells by their types, then in one isfinite
@@ -788,12 +830,14 @@ def test_mutated_input_exits_cleanly(fuzz_inputs, kind, draw):
     path = fuzz_inputs / f"mutated_{name}"
     path.write_text(mutated, encoding="utf-8")
     if kind in ("ols", "lsboost", "cwr", "gwr"):
-        # What loads saves back as the document it was loaded from.
+        # What loads keeps the value rules, and saves back as the
+        # document it was loaded from.
         try:
             model = load_model(path)
         except ParameterError:
             pass
         else:
+            assert meets_value_rules(model)
             save_model(model, fuzz_inputs / "saved.json")
             saved = (fuzz_inputs / "saved.json").read_text(encoding="utf-8")
             assert gives_back(json.loads(mutated), json.loads(saved))

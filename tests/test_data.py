@@ -22,7 +22,6 @@ from cwreg.data import (
     split,
     standardize,
     table_schema,
-    tables_equal,
     write_csv,
     write_records,
 )
@@ -89,7 +88,7 @@ class TestObservationTable:
 
     def test_dict_round_trip(self, small_table):
         clone = ObservationTable.from_dict(small_table.to_dict())
-        assert tables_equal(small_table, clone)
+        assert small_table.to_dict() == clone.to_dict()
 
     def test_default_attribute_columns_skip_dummies(self):
         t = ObservationTable(
@@ -406,9 +405,9 @@ class TestSyntheticGenerators:
         for regime in ("geo", "attr", "mixed"):
             t1, _ = generate_synthetic(regime, n=40, seed=5)
             t2, _ = generate_synthetic(regime, n=40, seed=5)
-            assert tables_equal(t1, t2)
+            assert t1.to_dict() == t2.to_dict()
             t3, _ = generate_synthetic(regime, n=40, seed=6)
-            assert not tables_equal(t1, t3)
+            assert t1.to_dict() != t3.to_dict()
 
     def test_noiseless_response_matches_truth_exactly(self):
         # sigma=0 leaves y = b0(s) + b1(s) * x1 with no noise term.
@@ -527,7 +526,7 @@ class TestHedonicGenerator:
     def test_determinism_and_shape(self):
         t1, truth = generate_hedonic(n=60, seed=9, n_poi=5)
         t2, _ = generate_hedonic(n=60, seed=9, n_poi=5)
-        assert tables_equal(t1, t2)
+        assert t1.to_dict() == t2.to_dict()
         assert t1.covariate_names[:2] == ["floor_area", "house_age"]
         assert sum(c.startswith("dist_") for c in t1.covariate_names) == 5
 

@@ -369,6 +369,16 @@ class TestFitLsboost:
                 fit_lsboost(X, y, shrinkage=bad)
         with pytest.raises(ParameterError):
             fit_lsboost(X, y, n_trees=0)
+        # An ensemble built directly, as loading builds one, meets the
+        # same rule.
+        good = dict(f0=0.0, trees=[], shrinkage=0.1, max_depth=3,
+                    min_leaf=5, n_features=1)
+        BoostedEnsemble(**good)
+        for key, bad in (("shrinkage", 0.0), ("shrinkage", -1.0),
+                         ("shrinkage", 1.5), ("max_depth", 0),
+                         ("max_depth", -5), ("min_leaf", 0)):
+            with pytest.raises(ParameterError):
+                BoostedEnsemble(**{**good, key: bad})
 
     def test_non_finite_inputs_and_residuals_rejected(self):
         # Checked once for the ensemble, and at each stage's residuals:

@@ -24,6 +24,7 @@ from cwreg.evaluate import rmse
 from cwreg.models import load_model, save_model
 from cwreg.local import (
     FittedCwr,
+    HyperSearchTrace,
     bandwidth_grid,
     fit_cwr,
     fit_local,
@@ -926,6 +927,26 @@ class TestPredictionState:
         assert own.tobytes() == model.predict(qc, qx).tobytes()
 
 
+def rebuilt(part, **changes):
+    """A corruption that loads the document, then builds its model
+    ("model") or the model's fit ("fit") again directly with `changes`."""
+    def build(doc):
+        model = FittedCwr.from_dict(doc)
+        dataclasses.replace(model if part == "model" else model.fit,
+                            **changes)
+    return build
+
+
+def select_another_rate(trace):
+    """Make a rate trace select another r with that r's score and
+    bandwidth: consistent in itself, but not the model's r."""
+    i = next(i for i, r in enumerate(trace["candidates"])
+             if r != trace["selected"] and trace["scores"][i] is not None)
+    trace.update(selected=trace["candidates"][i],
+                 selected_score=trace["scores"][i],
+                 selected_bandwidth=trace["bandwidths"][i])
+
+
 class TestFitCwr:
     def test_search_populates_rate_trace(self):
         table = random_table(n=30, p=1, seed=57)
@@ -1054,6 +1075,24 @@ class TestFitCwr:
         lambda doc: doc["regularized"].__setitem__(3, 7),
         lambda doc: doc["training"]["ids"].__setitem__(0, 12345),
         lambda doc: doc["training"]["ids"].__setitem__(0, [1]),
+        rebuilt("fit", bandwidth=0.0),
+        rebuilt("fit", bandwidth=float("nan")),
+        rebuilt("fit", geo_scale=-1.0),
+        rebuilt("fit", attr_scale=float("inf")),
+        rebuilt("fit", transform=None),
+        rebuilt("model", mode="foo"),
+        rebuilt("model", k=0),
+        rebuilt("model", k=21),
+        rebuilt("model", k=True),
+        rebuilt("model", k=2.0),
+        rebuilt("model", traces={"rate": HyperSearchTrace(
+            "rate", "loo_rmse", [0.5, 1.0], [2.0, 1.0], 1.0, 1.0,
+            selected_bandwidth=0.8)}),
+        rebuilt("model", traces={"rate": HyperSearchTrace(
+            "rate", "loo_rmse", [0.5, 1.0], [1.0, 2.0], 0.5, 1.0,
+            selected_bandwidth=0.9)}),
+        rebuilt("model", traces={"bandwidth": HyperSearchTrace(
+            "bandwidth", "loo_rmse", [0.8, 0.9], [2.0, 1.0], 0.9, 1.0)}),
     ], ids=["nan-coefficient", "inf-coefficient", "zero-bandwidth",
             "inf-bandwidth", "negative-geo-scale", "nan-geo-scale",
             "zero-attr-scale", "inf-attr-scale",
@@ -1065,13 +1104,21 @@ class TestFitCwr:
             "string-coord", "bool-coord", "string-y", "bool-covariate",
             "string-coefficient", "string-mean", "bool-std",
             "string-regularized", "regularized-not-0-or-1", "number-id",
-            "list-id"])
+            "list-id", "built-zero-bandwidth", "built-nan-bandwidth",
+            "built-negative-geo-scale", "built-inf-attr-scale",
+            "built-blended-without-standardization", "built-unknown-mode",
+            "built-zero-k", "built-k-above-n", "built-bool-k",
+            "built-float-k", "built-rate-trace-other-r",
+            "built-rate-trace-other-bandwidth",
+            "built-bandwidth-trace-other-bandwidth"])
     def test_load_rejects_invalid_values(self, corrupt):
+        # An edit to the document must fail its load, and a value given
+        # to a constructor directly ("built-") must fail it as well.
         table = random_table(n=20, p=2, seed=67)
         doc = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.8).to_dict()
         FittedCwr.from_dict(doc)
-        corrupt(doc)
         with pytest.raises(ParameterError):
+            corrupt(doc)
             FittedCwr.from_dict(doc)
 
     @pytest.mark.parametrize("key, index, value", [
@@ -1094,6 +1141,9 @@ class TestFitCwr:
         ("parameter", None, "h"),
         ("criterion", None, 7),
         ("criterion", None, "rmse"),
+        ("selected_score", None, 123.0),
+        ("selected", None, 0.77),
+        (None, None, select_another_rate),
     ])
     def test_load_rejects_invalid_trace_entries(self, tmp_path, key, index,
                                                 value):
@@ -1104,7 +1154,9 @@ class TestFitCwr:
         save_model(model, path)
         doc = json.loads(path.read_text())
         trace = doc["traces"]["rate"]
-        if index is None:
+        if key is None:
+            value(trace)
+        elif index is None:
             trace[key] = value
         else:
             trace[key][index] = value
