@@ -541,6 +541,10 @@ class StandardizationTransform:
     stds: np.ndarray
     excluded: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.stds) & (np.asarray(self.stds) > 0)):
+            raise ParameterError("standardization stds must be finite and > 0")
+
     def apply(self, matrix) -> np.ndarray:
         M = np.atleast_2d(np.asarray(matrix, dtype=float))
         if M.shape[1] != len(self.columns):
@@ -569,8 +573,6 @@ class StandardizationTransform:
         columns = _names(doc["columns"], "standardization columns")
         means, stds = (_numbers(doc[key], f"standardization {key}",
                                 (len(columns),)) for key in ("means", "stds"))
-        if not np.all(stds > 0):
-            raise ParameterError("standardization stds must be positive")
         return cls(columns=columns, means=means, stds=stds,
                    excluded=_names(doc.get("excluded", []),
                                    "standardization excluded"))

@@ -127,26 +127,35 @@ def blend_distances(geographic, attribute, spec: DistanceSpec) -> np.ndarray:
 
 
 def gaussian_weights(distances, bandwidth) -> np.ndarray:
-    """Gaussian kernel weights exp(-(d / h)^2).
+    """Gaussian kernel weights exp(-(d / h)^2), by _gaussian: exp(-1) at
+    d = h, exp(-4) at 2h, exactly 1 at d = 0 and exactly 0 where the
+    exponent overflows, for any finite h > 0, h = 1e-300 too (1/h^2 is
+    clamped). Bandwidths of shape (k, 1, 1) give k stacked kernels."""
+    h, d = _kernel_inputs(distances, bandwidth)
+    with np.errstate(over="ignore"):
+        return _gaussian(np.square(d), h)
 
-    A point at distance h gets weight exp(-1); at 2h, exp(-4); at zero
-    distance, exactly 1. Bandwidths of shape (k, 1, 1) give k stacked
-    kernels, each equal to its scalar call; all must be finite and > 0.
-    """
+
+def _kernel_inputs(distances, bandwidth):
+    """(h, d) as float arrays: h finite and > 0, d >= 0, or raise."""
     h = np.asarray(bandwidth, dtype=float)
-    if not np.all(np.isfinite(h) & (h > 0)):
+    if not (np.isfinite(h) & (h > 0)).all():
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
     d = np.asarray(distances, dtype=float)
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ParameterError("distances must be nonnegative")
-    # d/h can overflow for extreme candidate bandwidths; the weight is
-    # then a legitimate 0, so silence the spurious warning. The kernels
-    # are computed in place in the one array d / h allocates.
+    return h, d
+
+
+def _gaussian(squared, h, out=None):
+    """exp(s * -d^2), s = 1/h^2, of squared distances (into `out`): the
+    one kernel formula. For every finite h > 0 a weight is exactly 1 at
+    d = 0 and 0 where s d^2 overflows, silently; s is clamped to the
+    largest float, so 0 * s is 0 where 1/h^2 overflows (h < 1e-154)."""
     with np.errstate(over="ignore"):
-        w = d / h
-        np.square(w, out=w)
-        np.negative(w, out=w)
-        return np.exp(w, out=w)
+        s = np.minimum(np.square(1.0 / h), np.finfo(float).max)
+        w = np.multiply(squared, -s, out=out)
+    return np.exp(w, out=w)
 
 
 def training_scale(distances) -> float:

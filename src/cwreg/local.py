@@ -16,6 +16,12 @@ one thread, a pool of two threads scores them, and every number is the
 one a single thread computes. The pool and the hold last one search
 (_search_helper): both end before fit_cwr does.
 
+One pipeline (_local_systems) builds every local system, so a model's
+coefficients come from the kernel that scored it. Per block of rows it
+squares the distances once; per tile of bandwidths it writes the
+kernels into a buffer that, with the block, holds 2^17 float64 cells
+(_BLOCK_CELLS, 1 MiB), and their products into the block's systems.
+
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
 ("knn-coef", the default with K = 3) or solves a fresh weighted fit
@@ -48,6 +54,8 @@ from .data import (ObservationTable, StandardizationTransform,
 from .distances import (
     DistanceSpec,
     _check_matrix,
+    _gaussian,
+    _kernel_inputs,
     attribute_distances,
     blend_distances,
     gaussian_weights,
@@ -60,16 +68,15 @@ from .errors import (
     SearchFailureError,
     SingularFitError,
 )
-from .wls import (BatchedDesign, design_matrix, normal_equations,
-                  solve_wls_batched)
+from .wls import BatchedDesign, design_matrix, solve_wls_batched
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
 
 BANDWIDTH_GRID_SIZE = 20
 
-# Float64 cells (1 MiB) a kernel chunk and a stack of p x p systems share.
-_CHUNK_CELLS = 2 ** 17
+# Float64 cells (1 MiB) of a row block's d^2 and a tile of its kernels.
+_BLOCK_CELLS = 2 ** 17
 
 SCORING_MODES = ("loo", "insample")
 
@@ -237,18 +244,66 @@ class _TrainingSide:
         return geo, geo_scale, attr, attr_scale
 
 
-def _solve_rows(design, W, label):
-    """Solve one weighted system per row of W: (betas, regularized).
+def _row_blocks(m: int, n: int, size: int):
+    """(edges, B, t): blocks of rows edges[i]:edges[i + 1] of an m x n
+    distance matrix, the most rows a block holds, and the bandwidths of
+    a kernel tile: the fewest tiles of `size` bandwidths, as even as
+    can be, with (1 + t) B n <= _BLOCK_CELLS. Blocks are as few as a
+    limit of max(8, _BLOCK_CELLS // 2n) rows, rounded down to a
+    multiple of 8, allows, and equal multiples of 8 rows but the last;
+    a single row left over joins the block before. BLAS rounds rows by
+    their place in groups of up to 8, and one-row products otherwise,
+    so such blocks give equal numbers (within one BLAS kernel regime).
+    """
+    blocks = max(1, -(-m // max(8, _BLOCK_CELLS // (2 * n) // 8 * 8)))
+    rows = max(8, -(-m // (8 * blocks)) * 8)
+    edges = [*range(0, m, rows), m]
+    if len(edges) > 2 and m - edges[-2] == 1:
+        del edges[-2]
+    B = max((b - a for a, b in zip(edges, edges[1:])), default=1)
+    fits = max(1, _BLOCK_CELLS // (B * n) - 1)
+    return edges, B, -(-size // -(-size // fits))
+
+
+def _local_systems(design, D, bandwidths, loo=False):
+    """Normal equations (N, c) of one Gaussian-weighted system per
+    bandwidth j and row i of D, in row j m + i for D's m rows. Inputs
+    are checked once; per row block d^2 is built once, and per tile of
+    bandwidths the kernels go to one buffer, "loo" zeroes each row's
+    own weight, and each kernel's two GEMMs fill the block's systems.
+    """
+    h, D = _kernel_inputs(D, bandwidths)
+    (m, n), k, p = D.shape, len(h), design.X.shape[1]
+    N, c = np.empty((k, m, p * p)), np.empty((k, m, p))
+    edges, B, t = _row_blocks(m, n, k)
+    buffer = np.empty(((1 + t) * B, n))
+    # Overflow is left to the solver, which flags such rows failed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(edges, edges[1:]):
+            squared = np.square(D[a:b], out=buffer[:b - a])
+            for j in range(0, k, t):
+                hs = h[j:j + t, None, None]
+                tile = buffer[B:B + len(hs) * (b - a)]
+                W = _gaussian(squared, hs, out=tile.reshape(-1, b - a, n))
+                if loo:
+                    W[:, np.arange(b - a), np.arange(a, b)] = 0.0
+                np.matmul(W, design.outer, out=N[j:j + t, a:b])
+                np.matmul(W, design.xy, out=c[j:j + t, a:b])
+    return N.reshape(k * m, p, p), c.reshape(k * m, p)
+
+
+def _solve_rows(design, D, h, label):
+    """(betas, regularized) of the local system of each row of D at h.
 
     The batched solver's flags are final: the first row it could not
     solve raises, DegenerateWeightsError when its weights are all zero
     and SingularFitError otherwise, naming the location either way.
     """
     betas, regularized, failed = solve_wls_batched(
-        *normal_equations(design, W))
+        *_local_systems(design, D, [h]))
     if failed.any():
         i = int(np.argmax(failed))
-        if not np.any(W[i] > 0):
+        if not np.any(gaussian_weights(D[i], h) > 0):
             raise DegenerateWeightsError(
                 f"local fit at {label} {i}: all observation weights are zero")
         raise SingularFitError(
@@ -258,13 +313,10 @@ def _solve_rows(design, W, label):
 
 def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
               ) -> LocalFit:
-    """Fit one weighted least-squares system per training location.
-
-    Uses the batched solver that scores search candidates. Near-singular
-    locations (condition estimate of X'WX above 1e12) take ridge =
-    1e-8 * trace(X'WX) / p and are flagged in `regularized`; a location
-    without weight, or one the ridge cannot solve, raises and is named.
-    """
+    """Fit one weighted least-squares system per training location, as
+    fit_cwr's final fit does (_solve_rows): near-singular locations take
+    the ridge and are flagged in `regularized`, and a location without
+    weight, or one the ridge cannot solve, raises and is named."""
     return fit_cwr(table, spec.attribute_columns, r=spec.r,
                    bandwidth=bandwidth, k=1,
                    normalization=spec.normalization).fit
@@ -301,59 +353,24 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     return [float(h) for h in np.geomspace(lo, hi, size)]
 
 
-def _chunk_sizes(n: int, p: int, size: int) -> tuple[int, int]:
-    """(b, k): the systems of b bandwidths go to one solve, built from
-    kernel chunks of k. Each system counts 2 p^2 cells, its normal
-    matrix and its Cholesky factor, so while one kernel and one
-    bandwidth fit (n^2 + 2 n p^2 <= _CHUNK_CELLS), k n^2 + 2 b n p^2
-    does too. At n = 160 and p = 3 that is b = 20, k = 2; at p = 3
-    from n = 345, b = k = 1."""
-    b = max(1, min(size, (_CHUNK_CELLS - n * n) // (2 * n * p * p)))
-    k = max(1, min(b, (_CHUNK_CELLS - 2 * b * n * p * p) // (n * n)))
-    return b, k
-
-
 def _grid_scores(design, D, grid, scoring):
     """RMSE per bandwidth candidate over blended training distances,
     and per candidate how many of its local systems took the ridge and
-    how many failed: three lists.
-
-    "loo" zeroes each observation's own weight before its fit;
-    "insample" keeps it (self weight is exactly 1 at zero distance).
-    Candidates where any location fails to fit score infinity.
-
-    The normal equations of b candidates are stacked and solved by one
-    solve_wls_batched call; they are built k kernels at a time, as
-    (k, n, n) stacks, each kernel's products written into its rows of
-    the stack (b and k from _chunk_sizes). No system's numbers depend
-    on its batch, so the scores equal one-at-a-time scoring's.
+    how many failed: three lists. "loo" zeroes each observation's own
+    weight before its fit; "insample" keeps it. Candidates where any
+    location fails to fit score infinity. One solve_wls_batched call
+    solves every candidate's systems, each as it would alone.
     """
     X, y = design.X, design.y
     n, p = X.shape
-    b, k = _chunk_sizes(n, p, len(grid))
-    scores, n_regularized, n_failed = [], [], []
-    for start in range(0, len(grid), b):
-        hs = grid[start:start + b]
-        N, c = np.empty((len(hs) * n, p, p)), np.empty((len(hs) * n, p))
-        for i in range(0, len(hs), k):
-            W = gaussian_weights(D, np.reshape(hs[i:i + k], (-1, 1, 1)))
-            if scoring == "loo":
-                W.reshape(len(W), n * n)[:, ::n + 1] = 0.0
-            rows = slice(i * n, (i + len(W)) * n)
-            normal_equations(design, W, out=(N[rows], c[rows]))
-            # Free these kernels before the next chunk is built.
-            del W
-        betas, regularized, failed = solve_wls_batched(N, c)
-        # Free this stack before the next one is allocated.
-        del N, c
-        failed = failed.reshape(-1, n)
-        pred = np.einsum("ij,kij->ki", X, betas.reshape(-1, n, p))
-        rmse = np.sqrt(np.mean((y - pred) ** 2, axis=1))
-        rmse[failed.any(axis=1)] = np.inf
-        scores += rmse.tolist()
-        n_regularized += regularized.reshape(-1, n).sum(axis=1).tolist()
-        n_failed += failed.sum(axis=1).tolist()
-    return scores, n_regularized, n_failed
+    betas, regularized, failed = solve_wls_batched(
+        *_local_systems(design, D, grid, loo=scoring == "loo"))
+    failed = failed.reshape(-1, n)
+    pred = np.einsum("ij,kij->ki", X, betas.reshape(-1, n, p))
+    rmse = np.sqrt(np.mean((y - pred) ** 2, axis=1))
+    rmse[failed.any(axis=1)] = np.inf
+    return (rmse.tolist(), regularized.reshape(-1, n).sum(axis=1).tolist(),
+            failed.sum(axis=1).tolist())
 
 
 def _validate_grid(grid, name):
@@ -586,8 +603,7 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     if mode == "knn-coef":
         beta_bar = fit.coefficients[_nearest(D, k)].mean(axis=1)
         return np.einsum("ij,ij->i", Xq, beta_bar)
-    W = gaussian_weights(D, fit.bandwidth)
-    betas, _ = _solve_rows(training.design, W, "query")
+    betas, _ = _solve_rows(training.design, D, fit.bandwidth, "query")
     return np.einsum("ij,ij->i", Xq, betas)
 
 
@@ -780,9 +796,9 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
                     selected=bandwidths[0], selected_score=res.score,
                     n_regularized=res.n_regularized, n_failed=res.n_failed)
         spec, h = specs[best], bandwidths[best]
-        W = gaussian_weights(blend_distances(geo, attr, spec), h)
-        coefficients, regularized = _solve_rows(training.design, W,
-                                                "training location")
+        coefficients, regularized = _solve_rows(
+            training.design, blend_distances(geo, attr, spec), h,
+            "training location")
     if spec.r == 1.0:
         # A pure geographic model keeps no attribute side.
         training.transform, training.attrs, attr_scale = None, None, 1.0

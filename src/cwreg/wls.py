@@ -4,31 +4,18 @@ A single fit goes through a rank-revealing decomposition of the
 square-root-weighted design rather than the normal equations and
 refuses a numerically singular system. The batched solver trades that
 robustness for throughput where thousands of small systems are solved
-at once: the local fits and the search candidates. Building the
-systems and solving them are two steps. normal_equations assembles
-them with matrix products (GEMM), one pair per weight matrix, and can
-write them into rows of a larger stack, so a search fills one stack
-from several kernel chunks. solve_wls_batched then solves the whole
-stack in one call: the extreme eigenvalues of the symmetric X'WX
-estimate each condition, a small ridge solves the ones above
-CONDITION_LIMIT, and the rows even that cannot solve are flagged as
-failed.
-
-Each batch is factored once, N = LL' by batched Cholesky, and that
-factor both screens and solves. Its triangular inverse bounds each
-condition number, cond(N) <= ||N||_F ||L^-1||_F^2, at most p^1.5 above
-the truth. A row whose bound is at most half of CONDITION_LIMIT is well
-conditioned by both measures and is solved as L^-T (L^-1 c); only the
-other rows are handed to eigvalsh, so the flags are those eigvalsh
-alone gives, and only the rows it flags are solved by LU.
+at once, the local fits and the search candidates. Matrix products
+(GEMM) build the systems: normal_equations, or local._local_systems
+block by block. solve_wls_batched solves a whole stack in one call:
+one batched Cholesky factor screens each condition number and solves
+the well-conditioned rows, eigvalsh judges the rest, and a small
+ridge solves those above CONDITION_LIMIT.
 
 The module keeps no state, so threads may call it at once; how many
 threads OpenBLAS uses is the caller's choice (see local._search_helper).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -134,36 +121,22 @@ class BatchedDesign:
             self.xy = X * y[:, None]
 
 
-def normal_equations(design: BatchedDesign, W, out=None):
+def normal_equations(design: BatchedDesign, W):
     """Normal matrices N_i = X'W_iX and right-hand sides c_i = X'W_iy,
-    one per row of W.
-
-    W is (m, n), one row of weights per system, or a stack (k, r, n)
-    whose k * r rows come in order. Each weight matrix gets its own two
+    one per row of W, (m, n) or a stack (k, r, n) of k * r rows in
+    order: (N (m, p, p), c (m, p)). Each weight matrix gets its own two
     GEMMs, W @ vec(x x') and W @ (x y), so a stack gives the numbers of
-    k calls (one tall GEMM can round differently). `out`, a pair of
-    C-contiguous arrays (m, p, p) and (m, p), receives the products in
-    place of new arrays; a caller stacks many calls' systems this way.
-    Overflow is left to solve_wls_batched, which flags such rows failed.
-
-    Returns (N (m, p, p), c (m, p)).
+    k calls (one tall GEMM can round differently); the local fits build
+    theirs the same way per row block and kernel tile, in place
+    (local._local_systems). Overflow is left to solve_wls_batched.
     """
     W = np.atleast_2d(np.asarray(W, dtype=float))
     n, p = design.X.shape
     if W.shape[-1] != n:
         raise DimensionError(f"X has {n} rows but W is {W.shape}")
-    lead = W.shape[:-1]
-    if out is None:
-        m = math.prod(lead)
-        out = np.empty((m, p, p)), np.empty((m, p))
-    N, c = out
-    if not (N.flags.c_contiguous and c.flags.c_contiguous):
-        # A reshaped copy would take the products and leave out unset.
-        raise ParameterError("normal_equations writes only C-contiguous out")
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(W, design.outer, out=N.reshape(*lead, p * p))
-        np.matmul(W, design.xy, out=c.reshape(*lead, p))
-    return N, c
+        N, c = W @ design.outer, W @ design.xy
+    return N.reshape(-1, p, p), c.reshape(-1, p)
 
 
 def solve_wls_batched(N, c):
@@ -174,13 +147,14 @@ def solve_wls_batched(N, c):
     normal_equations returns them: the ridges and identities below are
     written into N in place, and c's failed rows are zeroed.
 
-    One batched Cholesky factor N = LL' screens and solves. A row whose
-    bound ||N||_F ||L^-1||_F^2 >= cond(N) is above CONDITION_LIMIT / 2
-    (the 2 absorbs rounding) or not finite is judged by eigvalsh, as is
-    every row of a batch Cholesky refuses: lambda_max / lambda_min,
-    infinite when lambda_min <= 0 or NaN, above CONDITION_LIMIT flags
-    it. Rows it clears are solved as beta = L^-T (L^-1 c), factored
-    anew if their batch was refused. Flagged rows get ridge =
+    One batched Cholesky factor N = LL' screens and solves; a refused
+    batch is retried in halves until each refused row stands alone. A
+    row whose bound ||N||_F ||L^-1||_F^2 >= cond(N) (at most p^1.5
+    above it) is above CONDITION_LIMIT / 2 or not finite, refused rows
+    included, is judged by eigvalsh: lambda_max / lambda_min, infinite
+    when lambda_min <= 0 or NaN, above CONDITION_LIMIT flags it. So the
+    flags are eigvalsh's alone. Rows it clears are solved as beta =
+    L^-T (L^-1 c), by LU if refused. Flagged rows get ridge =
     RIDGE_SCALE * trace / p added in place to their diagonal, are solved
     by LU and flagged in `regularized`; rows whose ridge is not finite
     and positive, or that remain unsolvable, become the identity in
@@ -196,15 +170,12 @@ def solve_wls_batched(N, c):
     m, p = c.shape
     inv = _inverse_factor(N)
     bad = _ill_conditioned(N, inv)
-    if inv is None or bad.any():
-        # Keep, or factor anew, only the rows eigvalsh clears.
-        inv = _inverse_factor(N[~bad]) if inv is None else inv[~bad]
-    # Should Cholesky refuse a row eigvalsh clears, all rows go to LU.
-    lu = bad | (inv is None)
-    betas = np.zeros((m, p))
-    if not lu.all():
-        z = np.einsum("mij,mj->mi", inv, c[~lu])
-        betas[~lu] = np.einsum("mji,mj->mi", inv, z)
+    # A refused row has a NaN factor: LU solves it if eigvalsh clears it.
+    lu = bad | np.isnan(inv[:, 0, 0])
+    # Every row, so that inv is not copied; LU rows are redone below.
+    with np.errstate(all="ignore"):
+        betas = np.einsum("mji,mj->mi", inv, np.einsum("mij,mj->mi", inv, c))
+    betas[lu] = 0.0
     failed = np.zeros(m, dtype=bool)
     if lu.any():
         traces = np.einsum("ikk->i", N)
@@ -229,13 +200,16 @@ def solve_wls_batched(N, c):
 
 
 def _inverse_factor(N):
-    """L^-1 of each N = LL', None when Cholesky refuses a matrix of the
-    batch; built in place by forward substitution, row i of L^-1 over
-    row i of L, so it holds one (m, p, p) array besides N."""
+    """L^-1 of each N = LL', built in place by forward substitution, row
+    i of L^-1 over row i of L; NaN where Cholesky refuses N, a refused
+    batch retried in halves until each refused matrix stands alone."""
     try:
         L = np.linalg.cholesky(N)
     except np.linalg.LinAlgError:
-        return None
+        if len(N) == 1:
+            return np.full_like(N, np.nan)
+        return np.concatenate([_inverse_factor(half)
+                               for half in np.array_split(N, 2)])
     with np.errstate(all="ignore"):
         for i in range(N.shape[-1]):
             d = L[:, i, i]
@@ -267,9 +241,7 @@ def _eigvalsh_rule(N):
 
 def _ill_conditioned(N, inv):
     """_eigvalsh_rule(N), with eigvalsh run only on the rows the bound
-    from inv, each L^-1, cannot clear; on all rows when inv is None."""
-    if inv is None:
-        return _eigvalsh_rule(N)
+    from inv, each L^-1, cannot clear (a refused row's NaN bound)."""
     bad = ~(_condition_bound(N, inv) <= CONDITION_LIMIT / 2)
     if bad.any():
         bad[bad] = _eigvalsh_rule(N[bad])

@@ -339,6 +339,19 @@ class TestStandardize:
             covariate_names=["x1"],
         )
 
+    @pytest.mark.parametrize("std", [0.0, -2.0, np.nan, np.inf])
+    def test_constructed_stds_must_be_finite_and_positive(self, std):
+        # Direct construction meets the rule a loaded transform does: a
+        # zero std divided by zero in apply, and -2.0 mapped 1.0 to -0.5.
+        for stds in ([std], np.array([std])):
+            with pytest.raises(ParameterError):
+                StandardizationTransform(columns=["x1"],
+                                         means=np.array([0.0]), stds=stds)
+        with pytest.raises(ParameterError):
+            StandardizationTransform.from_dict(
+                {"columns": ["x1", "x2"], "means": [0.0, 0.0],
+                 "stds": [1.0, std if np.isfinite(std) else -1.0]})
+
     def test_reference_example(self):
         # (1, 2, 3) standardizes to (-1, 0, 1): mean 2, n-1 denominator.
         table = self.make_table([1.0, 2.0, 3.0])

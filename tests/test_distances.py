@@ -10,6 +10,7 @@ from cwreg.distances import (
     DistanceSpec,
     attribute_distances,
     blend_distances,
+    _gaussian,
     gaussian_weights,
     geographic_distances,
     training_scale,
@@ -165,11 +166,32 @@ class TestGaussianWeights:
         np.testing.assert_array_equal(w, (d == 0).astype(float))
 
     def test_bit_identical_to_reference_expression(self):
+        # exp(s * -d^2) with s = 1 / h^2 computed as (1 / h)^2, within a
+        # few ulps of the exponent of exp(-(d / h)^2).
         rng = np.random.default_rng(13)
         for h in (1e-3, 0.37, 1.0, 250.0):
             d = np.abs(rng.normal(size=(17, 23))) * rng.choice([1e-2, 1, 1e3])
             w = gaussian_weights(d, h)
-            assert w.tobytes() == np.exp(-((d / h) ** 2)).tobytes()
+            s = np.square(1.0 / np.float64(h))
+            assert w.tobytes() == np.exp(np.square(d) * -s).tobytes()
+            x = (d / h) ** 2
+            eps = np.finfo(float).eps
+            np.testing.assert_allclose(w, np.exp(-x), rtol=0,
+                                       atol=4 * eps * (1 + x).max())
+
+    def test_kernel_edge_rule(self):
+        # The one kernel helper: weight 1 at d = 0 and 0 at every d > 0
+        # for h = 1e-300, whose 1 / h^2 overflows and is clamped; weight
+        # 1 wherever s d^2 underflows. All of it silently.
+        d = np.array([0.0, 1e-150, 1e-10, 0.5, 3.0, 1e300])
+        with np.errstate(over="ignore"):
+            squared = np.square(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = _gaussian(squared, np.float64(1e-300))
+            huge = _gaussian(squared[:-1], np.float64(1e300))
+        np.testing.assert_array_equal(tiny, (d == 0).astype(float))
+        np.testing.assert_array_equal(huge, np.ones(5))
 
     def test_input_left_unchanged(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])

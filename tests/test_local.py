@@ -334,22 +334,25 @@ class TestSearchMemory:
         assert peak < 1.5
 
     def test_grid_scores_chunk_fits_its_budget(self):
-        # n = 80 and p = 8 stack 7 kernels per chunk. Sized by the
-        # kernels alone, all 20 would fit the budget, and the normal
-        # matrices would take the peak above 2 MiB.
-        n = 80
+        # One r's 20 candidates at n = 300, p = 3 need a system stack
+        # (N, c and, while solving, the Cholesky factor) of 20 n (2 p^2
+        # + p) cells; everything else, the row block's squared
+        # distances and one tile of kernels, fits the _BLOCK_CELLS
+        # budget. Twenty whole kernels would take 14 MiB.
+        n, p, k = self.N, 3, 20
         rng = np.random.default_rng(48)
-        X = design_matrix(rng.normal(size=(n, 7)))
+        X = design_matrix(rng.normal(size=(n, p - 1)))
         y = rng.normal(size=n)
-        D = self._distances()[:n, :n]
-        grid = bandwidth_grid(D)
+        D = self._distances()
+        grid = bandwidth_grid(D, size=k)
         tracemalloc.start()
         try:
             cwreg.local._grid_scores(BatchedDesign(X, y), D, grid, "loo")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2 ** 20
+        systems = 8 * k * n * (2 * p * p + p)
+        assert peak < systems + 8 * cwreg.local._BLOCK_CELLS
 
     def test_bandwidth_grid_copies_distances_once(self):
         D = self._distances()
@@ -406,14 +409,24 @@ class TestSearchMemory:
 
 
 def grid_scores_one_at_a_time(X, y, D, grid, scoring):
-    """_grid_scores with one kernel and one batched solve per candidate."""
+    """_grid_scores with one kernel and one batched solve per candidate:
+    each kernel is exp(s * -d^2), s = (1 / h)^2 clamped to the largest
+    float, and its normal equations are built on the pipeline's row
+    blocks."""
+    n = len(y)
+    edges = cwreg.local._row_blocks(n, n, 1)[0]
+    design = BatchedDesign(X, y)
     scores, n_regularized, n_failed = [], [], []
     for h in grid:
-        W = gaussian_weights(D, h)
+        with np.errstate(over="ignore"):
+            s = min(np.square(1.0 / np.float64(h)), np.finfo(float).max)
+            W = np.exp(np.square(D) * -s)
         if scoring == "loo":
             np.fill_diagonal(W, 0.0)
+        blocks = [normal_equations(design, W[a:b])
+                  for a, b in zip(edges, edges[1:])]
         betas, regularized, failed = solve_wls_batched(
-            *normal_equations(BatchedDesign(X, y), W))
+            *(np.concatenate(parts) for parts in zip(*blocks)))
         n_regularized.append(int(regularized.sum()))
         n_failed.append(int(failed.sum()))
         if np.any(failed):
@@ -424,36 +437,37 @@ def grid_scores_one_at_a_time(X, y, D, grid, scoring):
     return scores, n_regularized, n_failed
 
 
-class TestGridScores:
-    """Chunks of stacked kernels score exactly as one kernel at a time."""
+def grid_problem(n, q, seed):
+    """Design, response and max-scaled distances of n random points."""
+    rng = np.random.default_rng(seed)
+    X = design_matrix(rng.normal(size=(n, q)))
+    y = X[:, 1] + rng.normal(size=n)
+    coords = rng.uniform(0, 10, size=(n, 2))
+    D = brute_force_distance_matrix(coords, coords)
+    D /= D.max()
+    return X, y, D
 
-    # With q covariates and up to 21 candidates: n = 30 solves them all
-    # at once from one kernel chunk, n = 100 at once from chunks of 9
-    # kernels; n = 300 solves 7 at a time and n = 80 with q = 7 twelve
-    # at a time, one kernel a chunk; n = 370 solves one at a time.
+
+class TestGridScores:
+    """The row-block pipeline scores exactly as one candidate at a time."""
+
+    # With q covariates and up to 21 candidates: n = 30, 100 and 80
+    # (q = 7) take one row block, n = 300 blocks of 152 and 148 rows
+    # and n = 370 of 128, 128 and 114; a kernel tile holds 12 to 21
+    # bandwidths at n <= 100 and one from n = 300.
     @pytest.mark.parametrize("n, q", [(30, 2), (100, 2), (370, 2),
                                       (300, 2), (80, 7)],
                              ids=["30", "100", "370", "300", "80x7"])
     @pytest.mark.parametrize("size", [1, 7, 20])
     @pytest.mark.parametrize("scoring", ["loo", "insample"])
     def test_equal_to_one_candidate_at_a_time(self, n, q, size, scoring):
-        rng = np.random.default_rng(n + size)
-        X = design_matrix(rng.normal(size=(n, q)))
-        y = X[:, 1] + rng.normal(size=n)
-        coords = rng.uniform(0, 10, size=(n, 2))
-        D = brute_force_distance_matrix(coords, coords)
-        D /= D.max()
+        X, y, D = grid_problem(n, q, n + size)
         grid = bandwidth_grid(D, size=size)
         if size > 1:
             # No weight but a self weight survives 1e-300: under "loo"
-            # every location fails, and the candidate scores inf.
+            # every location fails, and the candidate scores inf. Its
+            # systems share one solve with every other candidate's.
             grid.insert(size // 2, 1e-300)
-            # Unless one solve takes one candidate, clean ones share
-            # the solve of the 1e-300 candidate: under "loo" Cholesky
-            # refuses that whole stack, and eigvalsh judges all of it.
-            b = cwreg.local._chunk_sizes(n, q + 1, len(grid))[0]
-            first = size // 2 // b * b
-            assert b == 1 or len(grid[first:first + b]) > 1
         result = cwreg.local._grid_scores(BatchedDesign(X, y), D, grid,
                                           scoring)
         assert result == grid_scores_one_at_a_time(X, y, D, grid, scoring)
@@ -462,6 +476,24 @@ class TestGridScores:
             assert scores[size // 2] == np.inf
             assert n_failed[size // 2] == n
             assert np.all(np.isfinite(np.delete(scores, size // 2)))
+
+    @pytest.mark.parametrize("n", [65, 129, 200])
+    def test_block_size_leaves_scores_unchanged(self, monkeypatch, n):
+        # Blocks of 8 rows and of up to 64 give the same bits. n = 65
+        # and 129 are j 8 + 1: in blocks of 8 their last row joins the
+        # block before it, so no product has a single row.
+        X, y, D = grid_problem(n, 2, n)
+        grid = bandwidth_grid(D, size=20)
+        results, blocks = [], []
+        for limit in (8, 64):
+            monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", 2 * limit * n)
+            edges = cwreg.local._row_blocks(n, n, len(grid))[0]
+            assert min(np.diff(edges)) >= 2
+            blocks.append(edges[1])
+            results.append(cwreg.local._grid_scores(
+                BatchedDesign(X, y), D, grid, "loo"))
+        assert blocks[0] == 8 and blocks[1] > 8
+        assert results[0] == results[1]
 
     def test_default_search_solves_chunks(self, monkeypatch):
         # At n = 160 and p = 3 each r's 20 bandwidths share one solve,
@@ -480,23 +512,39 @@ class TestGridScores:
         assert len(calls) == 101 + 1
         assert sum(systems) == (101 * 20 + 1) * 160
 
-    def test_chunk_sizes_fit_the_budget(self):
-        # k kernels and the systems of b bandwidths share the budget,
-        # 2 p^2 cells a system, whenever one kernel and one bandwidth
-        # fit; b and k are the largest that do, and never below 1.
-        budget = cwreg.local._CHUNK_CELLS
-        for n in range(2, 420, 7):
-            for p in range(1, 12):
-                for size in (1, 2, 7, 21, 500):
-                    b, k = cwreg.local._chunk_sizes(n, p, size)
-                    assert 1 <= k <= b <= size
-                    if n * n + 2 * n * p * p > budget:
-                        continue
-                    assert k * n * n + 2 * b * n * p * p <= budget
-                    assert b == size or (
-                        n * n + 2 * (b + 1) * n * p * p > budget)
-                    assert k == b or (
-                        (k + 1) * n * n + 2 * b * n * p * p > budget)
+    def test_row_blocks_fit_the_budget(self, monkeypatch):
+        # The fewest blocks of at most max(8, budget // 2n) rows, rounded
+        # down to a multiple of 8, each the same multiple of 8 rows but
+        # the last, which never holds a single row unless m = 1. A
+        # block's squared distances plus a tile of t kernels fit the
+        # budget; the tiles are as few as fit and as even as can be. At
+        # n = 160 one block and 5 tiles of 4, at n = 80 two tiles of 10
+        # (19 would fit), at n = 1000 blocks of 64 and tiles of 1.
+        assert cwreg.local._row_blocks(160, 160, 20) == ([0, 160], 160, 4)
+        assert cwreg.local._row_blocks(80, 80, 20) == ([0, 80], 80, 10)
+        assert cwreg.local._row_blocks(1000, 1000, 20)[1:] == (64, 1)
+        for budget in (2 ** 10, 2 ** 14, cwreg.local._BLOCK_CELLS):
+            monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", budget)
+            for n in range(2, 420, 7):
+                most = max(8, budget // (2 * n) // 8 * 8)
+                for m in (1, 2, 9, n - 1, n, n + 1, 3 * n + 1):
+                    for size in (1, 2, 7, 21):
+                        edges, B, t = cwreg.local._row_blocks(m, n, size)
+                        rows = np.diff(edges)
+                        assert edges[0] == 0 and edges[-1] == m
+                        assert len(rows) == -(-m // most) or (
+                            m % most == 1 and len(rows) == m // most)
+                        assert min(rows) >= min(m, 2)
+                        assert np.all(rows[:-1] == rows[0])
+                        assert len(rows) == 1 or rows[0] % 8 == 0
+                        assert B == max(rows) <= most + 1
+                        assert 1 <= t <= size
+                        if 2 * B * n > budget:
+                            continue
+                        fits = min(size, budget // (B * n) - 1)
+                        assert (1 + t) * B * n <= budget
+                        assert -(-size // t) == -(-size // fits)
+                        assert t == 1 or -(-size // (t - 1)) > -(-size // t)
 
 
 class TestSelectBandwidth:

@@ -27,7 +27,8 @@ from cwreg.wls import (
     solve_wls,
 )
 
-from conftest import brute_force_wls, random_table
+from conftest import (brute_force_distance_matrix, brute_force_wls,
+                      random_table)
 
 
 def solve_wls_batched(X, y, W):
@@ -270,29 +271,6 @@ class TestSolveWlsBatched:
 class TestNormalEquations:
     """normal_equations builds, solve_wls_batched consumes."""
 
-    def test_out_rows_equal_new_arrays(self):
-        # Two (2, 5, n) stacks written into the halves of one (20, p, p)
-        # stack give the bits of one call on all 20 rows.
-        rng = np.random.default_rng(13)
-        X = design_matrix(rng.normal(size=(15, 3)))
-        design = BatchedDesign(X, rng.normal(size=15))
-        W = rng.uniform(0.0, 2.0, size=(4, 5, 15))
-        N, c = np.empty((20, 4, 4)), np.empty((20, 4))
-        normal_equations(design, W[:2], out=(N[:10], c[:10]))
-        normal_equations(design, W[2:], out=(N[10:], c[10:]))
-        expected = normal_equations(design, W)
-        assert N.tobytes() == expected[0].tobytes()
-        assert c.tobytes() == expected[1].tobytes()
-        np.testing.assert_allclose(
-            N, np.einsum("mi,ij,ik->mjk", W.reshape(20, 15), X, X))
-
-    def test_strided_out_rejected(self):
-        design = BatchedDesign(design_matrix(np.arange(6.0)[:, None]),
-                               np.arange(6.0))
-        N, c = np.empty((4, 2, 2)), np.empty((4, 2))
-        with pytest.raises(ParameterError):
-            normal_equations(design, np.ones((2, 6)), out=(N[::2], c[::2]))
-
     def test_solver_checks_shapes_and_consumes_n(self):
         N = np.tile(np.diag([1.0, 1e-13]), (3, 1, 1))
         c = np.ones((3, 2))
@@ -392,9 +370,46 @@ class TestConditionScreen:
             assert np.all(bound <= conds * p ** 1.5 * (1 + 1e-6))
 
     def test_refused_cholesky_gives_no_bound(self):
+        # Cholesky refuses row 5 alone: its factor, and so its bound,
+        # is NaN, and every other row keeps its own.
         N = np.tile(np.eye(3), (8, 1, 1))
         N[5] = 0.0
-        assert wls._inverse_factor(N) is None
+        inv = wls._inverse_factor(N)
+        assert np.isnan(inv[5]).all()
+        np.testing.assert_array_equal(inv[np.arange(8) != 5],
+                                      np.tile(np.eye(3), (7, 1, 1)))
+        bound = wls._condition_bound(N, inv)
+        assert np.isnan(bound[5]) and np.all(bound[np.arange(8) != 5] < 10)
+
+    def test_refused_rows_alone_go_to_eigvalsh(self, monkeypatch):
+        # n = 160, p = 3 with a 1e-300 bandwidth in the grid: under
+        # leave-one-out that candidate's 160 systems have no weight, and
+        # Cholesky refuses each of them. Retried in halves, the stack
+        # sends those 160 rows to eigvalsh, not all 3,360 of it; flags,
+        # coefficients and scores are those of one call per candidate.
+        table = random_table(n=160, p=2, seed=49)
+        design = BatchedDesign(design_matrix(table.covariates), table.y)
+        D = brute_force_distance_matrix(table.coords, table.coords)
+        D /= D.max()
+        grid = cwreg_local.bandwidth_grid(D)
+        grid.insert(10, 1e-300)
+        checked, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting_eigvalsh(a):
+            checked.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        N, c = cwreg_local._local_systems(design, D, grid, loo=True)
+        betas, regularized, failed = wls.solve_wls_batched(N.copy(), c.copy())
+        assert sum(checked) <= 160
+        assert failed.reshape(21, 160)[10].all()
+        assert failed.sum() == 160
+        for j in range(21):
+            rows = slice(j * 160, (j + 1) * 160)
+            one = wls.solve_wls_batched(N[rows].copy(), c[rows].copy())
+            for got, part in zip((betas, regularized, failed), one):
+                assert got[rows].tobytes() == part.tobytes()
 
     def test_default_search_sends_few_systems_to_eigvalsh(self, monkeypatch):
         # n = 160, p = 3: every solve but the final fit stacks one r's 20
@@ -459,9 +474,9 @@ class TestFactorSolve:
     @pytest.mark.parametrize("rows", [1, 30, 70])
     def test_stacked_call_equals_part_by_part_calls(self, rows):
         # A (4, rows, n) stack against one call per part. Part 1 holds a
-        # zero-weight row, so Cholesky refuses the stacked batch and
-        # eigvalsh judges all of it; parts 2 and 3 hold a row just below
-        # and just above the 1e12 limit, which only eigvalsh can judge.
+        # zero-weight row, so Cholesky refuses the stacked batch, which
+        # is retried in halves; parts 2 and 3 hold a row just below and
+        # just above the 1e12 limit, which only eigvalsh can judge.
         # Every row's numbers are the same wherever it is solved.
         p = 4
         rng = np.random.default_rng(21)
