@@ -68,6 +68,37 @@ def _numbers(value, what, shape=(), kind=numbers.Real):
                          f"got {value!r:.60}")
 
 
+def _finite_array(value, what, shape):
+    """`value` as a float array of `shape`, every cell finite: the rule
+    of every numeric array a caller hands in. A None in `shape` takes
+    any size. For a 1-d shape the value is raveled; for a 2-d shape a
+    1-d value fills shape[0] rows, or one row where that is None. Bools
+    read as 0 and 1, and a float64 array is not copied. A wrong shape
+    raises DimensionError; strings, ragged lists and non-finite cells
+    raise ParameterError."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind not in "biuf":
+            raise TypeError
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be an array of numbers, "
+                             f"got {value!r:.60}") from None
+    array = array.astype(float, copy=False)
+    if len(shape) == 1:
+        array = array.ravel()
+    elif array.ndim < 2:
+        with suppress(ValueError):
+            array = array.reshape(shape[0] or 1, -1)
+    if array.ndim != len(shape) or any(
+            s not in (None, a) for s, a in zip(shape, array.shape)):
+        dims = ", ".join("any" if s is None else str(s) for s in shape)
+        raise DimensionError(f"{what} must have shape ({dims}), "
+                             f"got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ParameterError(f"{what} contains non-finite values")
+    return array
+
+
 def _names(value, what) -> list[str]:
     """`value`, a list of strings, as a new list."""
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
@@ -145,27 +176,14 @@ class ObservationTable:
 
     def __post_init__(self):
         self.ids = [str(i) for i in self.ids]
-        self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        self.covariates = np.asarray(self.covariates, dtype=float)
-        if self.covariates.ndim == 1:
-            self.covariates = self.covariates.reshape(len(self.y), -1)
         self.covariate_names = list(self.covariate_names)
         self.dummy_names = list(self.dummy_names)
         n = len(self.ids)
         if n < 1:
             raise DimensionError("a table needs at least one record")
-        if self.coords.shape != (n, 2):
-            raise DimensionError(
-                f"coords must have shape ({n}, 2), got {self.coords.shape}"
-            )
-        if self.y.shape[0] != n:
-            raise DimensionError(f"y must have {n} entries, got {self.y.shape[0]}")
-        if self.covariates.shape != (n, len(self.covariate_names)):
-            raise DimensionError(
-                f"covariates must have shape ({n}, {len(self.covariate_names)}), "
-                f"got {self.covariates.shape}"
-            )
+        for key, shape in (("coords", (n, 2)), ("y", (n,)),
+                           ("covariates", (n, len(self.covariate_names)))):
+            setattr(self, key, _finite_array(getattr(self, key), key, shape))
         if len(set(self.ids)) != n:
             raise ParameterError("record ids must be unique")
         if len(set(self.covariate_names)) != len(self.covariate_names):
@@ -173,10 +191,6 @@ class ObservationTable:
         unknown = set(self.dummy_names) - set(self.covariate_names)
         if unknown:
             raise ParameterError(f"dummy_names not among covariates: {sorted(unknown)}")
-        for name, arr in (("coords", self.coords), ("y", self.y),
-                          ("covariates", self.covariates)):
-            if not np.all(np.isfinite(arr)):
-                raise ParameterError(f"{name} contains non-finite values")
 
     @property
     def n(self) -> int:
@@ -542,19 +556,15 @@ class StandardizationTransform:
     excluded: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.stds) & (np.asarray(self.stds) > 0)):
-            raise ParameterError("standardization stds must be finite and > 0")
+        self.means, self.stds = (
+            _finite_array(value, f"standardization {key}", (len(self.columns),))
+            for key, value in (("means", self.means), ("stds", self.stds)))
+        if not np.all(self.stds > 0):
+            raise ParameterError("standardization stds must be > 0")
 
     def apply(self, matrix) -> np.ndarray:
-        M = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if M.shape[1] != len(self.columns):
-            raise DimensionError(
-                f"expected {len(self.columns)} columns, got {M.shape[1]}"
-            )
-        if not np.all(np.isfinite(M)):
-            raise ParameterError("cannot standardize non-finite values")
-        if M.shape[1] == 0:
-            return M.copy()
+        M = _finite_array(matrix, "standardized columns",
+                          (None, len(self.columns)))
         return (M - self.means) / self.stds
 
     def apply_table(self, table: ObservationTable) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .data import _finite_array, _finite_number
 from .errors import DimensionError, ParameterError
 
 NORMALIZATION_MODES = ("max-scale", "none")
@@ -47,10 +48,11 @@ class DistanceSpec:
     normalization: str = "max-scale"
 
     def __post_init__(self):
+        if not (_finite_number(self.r) and 0.0 <= self.r <= 1.0):
+            raise ParameterError(
+                f"blend ratio r must be a number in [0, 1], got {self.r!r}")
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "attribute_columns", tuple(self.attribute_columns))
-        if not 0.0 <= self.r <= 1.0:
-            raise ParameterError(f"blend ratio r must be in [0, 1], got {self.r}")
         if self.normalization not in NORMALIZATION_MODES:
             raise ParameterError(
                 f"unknown normalization {self.normalization!r}, "
@@ -60,28 +62,14 @@ class DistanceSpec:
             raise ParameterError("attribute_columns must be non-empty when r < 1")
 
 
-def _check_matrix(a, name, n_cols=None, n_rows=None):
-    arr = np.atleast_2d(np.asarray(a, dtype=float))
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-d array, got ndim={arr.ndim}")
-    if n_rows is not None and arr.shape[0] != n_rows:
-        raise DimensionError(f"{name} must have {n_rows} rows, got {arr.shape[0]}")
-    if n_cols is not None and arr.shape[1] != n_cols:
-        raise DimensionError(f"{name} must have {n_cols} columns, got {arr.shape[1]}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} contains non-finite values")
-    return arr
-
-
 def geographic_distances(coords_a, coords_b) -> np.ndarray:
     """Pairwise Euclidean distances between two coordinate sets.
 
     Both arguments are (n, 2) arrays of projected easting/northing in
     meters. Returns an (n_a, n_b) matrix.
     """
-    a = _check_matrix(coords_a, "coords_a", n_cols=2)
-    b = _check_matrix(coords_b, "coords_b", n_cols=2)
-    return cdist(a, b)
+    return cdist(_finite_array(coords_a, "coords_a", (None, 2)),
+                 _finite_array(coords_b, "coords_b", (None, 2)))
 
 
 def attribute_distances(attrs_a, attrs_b) -> np.ndarray:
@@ -90,12 +78,8 @@ def attribute_distances(attrs_a, attrs_b) -> np.ndarray:
     Standardization is the caller's job (see data.standardize); this
     function only checks that the two sides agree on dimensionality.
     """
-    a = _check_matrix(attrs_a, "attrs_a")
-    b = _check_matrix(attrs_b, "attrs_b")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"attribute dimensionality mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
+    a = _finite_array(attrs_a, "attrs_a", (None, None))
+    b = _finite_array(attrs_b, "attrs_b", (None, a.shape[1]))
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
     return cdist(a, b)

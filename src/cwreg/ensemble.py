@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _names, _numbers, _write_rows
+from .data import _finite_array, _finite_number, _names, _numbers, _write_rows
 from .errors import DimensionError, ParameterError
 
 
@@ -47,7 +47,7 @@ class TreeNode:
         return self.feature is None
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _finite_array(X, "X", (None, None))
         out = np.empty(X.shape[0])
         self._fill(X, np.arange(X.shape[0]), out)
         return out
@@ -154,16 +154,12 @@ def _check_boosting(shrinkage, max_depth, min_leaf) -> None:
 def _tree_inputs(X, y, shrinkage, max_depth, min_leaf):
     """Checked settings, (X, y) as float arrays, and X's stable presort."""
     _check_boosting(shrinkage, max_depth, min_leaf)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise DimensionError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    if y.shape[0] < 2 * min_leaf:
+    X = _finite_array(X, "X", (None, None))
+    y = _finite_array(y, "y", (len(X),))
+    if len(y) < 2 * min_leaf:
         raise ParameterError(
-            f"need at least 2 * min_leaf = {2 * min_leaf} rows, got {y.shape[0]}"
+            f"need at least 2 * min_leaf = {2 * min_leaf} rows, got {len(y)}"
         )
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ParameterError("X and y must be finite")
     return X, y, np.argsort(X, axis=0, kind="stable")
 
 
@@ -195,11 +191,7 @@ class BoostedEnsemble:
         _check_boosting(self.shrinkage, self.max_depth, self.min_leaf)
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise DimensionError(
-                f"expected {self.n_features} features, got {X.shape[1]}"
-            )
+        X = _finite_array(X, "X", (None, self.n_features))
         out = np.full(X.shape[0], self.f0)
         for tree in self.trees:
             out += self.shrinkage * tree.predict(X)
@@ -247,14 +239,13 @@ def fit_lsboost(X, y, n_trees: int = 100, shrinkage: float = 0.1,
     and presorted once; every stage's tree grows from that order, as
     fit_tree on the residuals would.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if n_trees < 1:
-        raise ParameterError(f"n_trees must be >= 1, got {n_trees}")
+    if not (_finite_number(n_trees, numbers.Integral) and n_trees >= 1):
+        raise ParameterError(f"n_trees must be an integer >= 1, got {n_trees!r}")
+    X, y, order = _tree_inputs(X, y, shrinkage, max_depth, min_leaf)
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise DimensionError(
             f"{len(feature_names)} feature names for {X.shape[1]} features"
         )
-    X, y, order = _tree_inputs(X, y, shrinkage, max_depth, min_leaf)
     rows = np.ones(y.shape[0], dtype=bool)
     f0 = float(y.mean())
     current = np.full(y.shape[0], f0)
@@ -325,8 +316,9 @@ def predictor_importance(ensemble: BoostedEnsemble) -> ImportanceReport:
 
 def select_factors(report: ImportanceReport, top_k: int) -> list[str]:
     """Names of the top_k predictors by importance rank."""
-    if not 1 <= top_k <= len(report.names):
+    if not (_finite_number(top_k, numbers.Integral)
+            and 1 <= top_k <= len(report.names)):
         raise ParameterError(
-            f"top_k must be in [1, {len(report.names)}], got {top_k}"
+            f"top_k must be an integer in [1, {len(report.names)}], got {top_k!r}"
         )
     return report.ranked_names()[:top_k]

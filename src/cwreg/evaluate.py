@@ -20,6 +20,7 @@ import numpy as np
 from .data import (
     ObservationTable,
     SplitSpec,
+    _finite_array,
     _finite_number,
     _write_rows,
     load_csv,
@@ -45,12 +46,8 @@ MODEL_NAMES = ("ols", "gwr", "cwr", "lsboost")
 
 def rmse(actual, predicted) -> float:
     """Root mean squared error."""
-    a = np.asarray(actual, dtype=float).ravel()
-    p = np.asarray(predicted, dtype=float).ravel()
-    if a.shape[0] != p.shape[0]:
-        raise DimensionError(
-            f"actual has {a.shape[0]} entries but predicted has {p.shape[0]}"
-        )
+    a = _finite_array(actual, "actual", (None,))
+    p = _finite_array(predicted, "predicted", (len(a),))
     if a.shape[0] == 0:
         raise DimensionError("rmse needs at least one record")
     return float(np.sqrt(np.mean((a - p) ** 2)))
@@ -94,17 +91,14 @@ class ComparisonConfig:
     def __post_init__(self):
         try:
             object.__setattr__(self, "models", tuple(self.models))
-            if self.r_grid is not None:
-                object.__setattr__(self, "r_grid",
-                                   tuple(float(r) for r in self.r_grid))
             if self.attribute_columns is not None:
                 object.__setattr__(self, "attribute_columns",
                                    tuple(self.attribute_columns))
         except (TypeError, ValueError) as err:
             raise ParameterError(f"malformed config: {err}") from err
-        if self.r_grid is not None and not np.all(np.isfinite(self.r_grid)):
-            raise ParameterError(
-                f"config r_grid must be finite, got {list(self.r_grid)}")
+        if self.r_grid is not None:
+            object.__setattr__(self, "r_grid", tuple(
+                _finite_array(self.r_grid, "config r_grid", (None,)).tolist()))
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ParameterError(

@@ -50,10 +50,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import (ObservationTable, StandardizationTransform,
-                   _finite_number, _names, _numbers, standardize)
+                   _finite_array, _finite_number, _names, _numbers, standardize)
 from .distances import (
     DistanceSpec,
-    _check_matrix,
     _gaussian,
     _kernel_inputs,
     attribute_distances,
@@ -331,8 +330,8 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     training distances are, so only its upper triangle is read; the grid
     equals np.percentile's over the whole off-diagonal.
     """
-    if size < 1:
-        raise ParameterError(f"grid size must be >= 1, got {size}")
+    if not (_finite_number(size, numbers.Integral) and size >= 1):
+        raise ParameterError(f"grid size must be an integer >= 1, got {size!r}")
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     off = D[~np.tri(n, dtype=bool)]
@@ -374,12 +373,12 @@ def _grid_scores(design, D, grid, scoring):
 
 
 def _validate_grid(grid, name):
-    values = [float(g) for g in grid]
+    values = list(grid)
     if not values:
         raise ParameterError(f"{name} must be non-empty")
-    if any(not np.isfinite(g) or g <= 0 for g in values):
-        raise ParameterError(f"{name} must be positive, got {values}")
-    return values
+    if not all(_finite_number(g) and g > 0 for g in values):
+        raise ParameterError(f"{name} must be positive numbers, got {values}")
+    return [float(g) for g in values]
 
 
 def _first_finite_min(scores) -> int | None:
@@ -517,22 +516,25 @@ def select_rate(table: ObservationTable, attribute_columns,
     Returns (DistanceSpec with the winning r, HyperSearchTrace).
     """
     model = fit_cwr(table, attribute_columns, r="search",
-                    bandwidth="cv" if h_strategy == "joint"
-                    else float(h_strategy),
+                    bandwidth="cv" if h_strategy == "joint" else h_strategy,
                     k=1, scoring=scoring, normalization=normalization,
                     r_grid=r_grid, bandwidth_grid_size=bandwidth_grid_size)
     return model.fit.spec, model.traces["rate"]
 
 
+def _query(coords, covariates, names):
+    """The query rule every model type shares: (coords, covariates) as
+    float arrays of m x 2 and m x len(names), every cell finite."""
+    coords = _finite_array(coords, "query coordinates", (None, 2))
+    return coords, _finite_array(covariates, "query covariates",
+                                 (len(coords), len(names)))
+
+
 def _query_blended(fit: LocalFit, training: _TrainingSide, coords,
                    covariates):
-    """Blended query-to-training distances under the fit's scales."""
-    table = training.table
-    coords = _check_matrix(coords, "query coordinates", n_cols=2)
-    covariates = _check_matrix(covariates, "query covariates",
-                               n_cols=len(table.covariate_names),
-                               n_rows=coords.shape[0])
-    geo = cdist(coords, table.coords) / fit.geo_scale
+    """Blended query-to-training distances under the fit's scales, for
+    a query that passed _query."""
+    geo = cdist(coords, training.table.coords) / fit.geo_scale
     if fit.spec.r == 1.0:
         return geo
     # blend_distances' three roundings, written into geo.
@@ -598,8 +600,9 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     """
     _check_prediction(mode, k, table.n)
     training = _TrainingSide.of(table, fit.transform, training)
+    coords, covariates = _query(coords, covariates, table.covariate_names)
     D = _query_blended(fit, training, coords, covariates)
-    Xq = design_matrix(np.atleast_2d(np.asarray(covariates, dtype=float)))
+    Xq = design_matrix(covariates)
     if mode == "knn-coef":
         beta_bar = fit.coefficients[_nearest(D, k)].mean(axis=1)
         return np.einsum("ij,ij->i", Xq, beta_bar)
@@ -629,7 +632,14 @@ class FittedCwr:
                                             repr=False, compare=False)
 
     def __post_init__(self):
-        _check_prediction(self.mode, self.k, self.table.n)
+        n, p = self.table.n, len(self.table.covariate_names) + 1
+        _check_prediction(self.mode, self.k, n)
+        self.fit.coefficients = _finite_array(self.fit.coefficients,
+                                              "coefficients", (n, p))
+        flags = _finite_array(self.fit.regularized, "regularized flags", (n,))
+        if not np.all((flags == 0) | (flags == 1)):
+            raise ParameterError("model regularized flags must be 0 or 1")
+        self.fit.regularized = flags.astype(bool)
         h = self.fit.bandwidth
         for trace in self.traces.values():
             rate = trace.parameter == "rate"
@@ -680,8 +690,6 @@ class FittedCwr:
         table = ObservationTable.from_dict(doc["training"])
         n, p = table.n, len(table.covariate_names) + 1
         flags = _numbers(doc["regularized"], "regularized", (n,), numbers.Integral)
-        if not np.all(np.isin(flags, (0, 1))):
-            raise ParameterError("model regularized flags must be 0 or 1")
         transform = (None if doc["standardization"] is None else
                      StandardizationTransform.from_dict(doc["standardization"]))
         unknown = (set(transform.columns if transform else ())
@@ -697,7 +705,7 @@ class FittedCwr:
                                          "spec.attribute_columns"),
                 normalization=doc["spec"]["normalization"],
             ),
-            transform=transform, regularized=flags.astype(bool),
+            transform=transform, regularized=flags,
             **{key: _numbers(doc[key], f"model {key}")
                for key in ("bandwidth", "geo_scale", "attr_scale")},
         )
@@ -741,15 +749,17 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
         if bw_grid is not None:
             raise ParameterError('bw_grid needs bandwidth="cv"')
         bw_grid = _validate_grid([bandwidth], "bandwidth")
-    rates = (sorted(float(c) for c in
-                    (DEFAULT_R_GRID if r_grid is None else r_grid))
-             if search_r else [r])
-    if not rates:
-        raise ParameterError("r grid must be non-empty")
     if attribute_columns is None:
         attribute_columns = train.default_attribute_columns()
-    specs = [DistanceSpec(r=c, attribute_columns=tuple(attribute_columns),
-                          normalization=normalization) for c in rates]
+    candidates = ((DEFAULT_R_GRID if r_grid is None else r_grid)
+                  if search_r else [r])
+    # DistanceSpec owns r's rule, so each candidate is checked there.
+    specs = sorted((DistanceSpec(r=c, attribute_columns=tuple(attribute_columns),
+                                 normalization=normalization)
+                    for c in candidates), key=lambda spec: spec.r)
+    if not specs:
+        raise ParameterError("r grid must be non-empty")
+    rates = [spec.r for spec in specs]
     p = len(train.covariate_names) + 1
     if train.n < p + 1:
         raise ParameterError(

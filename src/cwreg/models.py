@@ -16,7 +16,7 @@ import numpy as np
 from .data import _names, _numbers, read_json, write_json
 from .ensemble import BoostedEnsemble
 from .errors import ParameterError
-from .local import FittedCwr
+from .local import FittedCwr, _query
 from .wls import design_matrix, predict as linear_predict
 
 MODEL_FORMAT = "cwreg-model"
@@ -32,6 +32,7 @@ class OlsModel:
     name: str = "ols"
 
     def predict(self, coords, covariates) -> np.ndarray:
+        _, covariates = _query(coords, covariates, self.covariate_names)
         return linear_predict(design_matrix(covariates), self.coefficients)
 
     def predict_table(self, table) -> np.ndarray:
@@ -62,6 +63,7 @@ class LsboostModel:
     name: str = "lsboost"
 
     def predict(self, coords, covariates) -> np.ndarray:
+        _, covariates = _query(coords, covariates, self.covariate_names)
         return self.ensemble.predict(covariates)
 
     def predict_table(self, table) -> np.ndarray:

@@ -5,8 +5,9 @@ square-root-weighted design rather than the normal equations and
 refuses a numerically singular system. The batched solver trades that
 robustness for throughput where thousands of small systems are solved
 at once, the local fits and the search candidates. Matrix products
-(GEMM) build the systems: normal_equations, or local._local_systems
-block by block. solve_wls_batched solves a whole stack in one call:
+(GEMM) build the systems, W @ BatchedDesign.outer and W @
+BatchedDesign.xy per weight row (local._local_systems builds them block
+by block). solve_wls_batched solves a whole stack in one call:
 one batched Cholesky factor screens each condition number and solves
 the well-conditioned rows, eigvalsh judges the rest, and a small
 ridge solves those above CONDITION_LIMIT.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import _finite_array
 from .errors import (
     DegenerateWeightsError,
     DimensionError,
@@ -35,24 +37,15 @@ RIDGE_SCALE = 1e-8
 
 def design_matrix(covariates) -> np.ndarray:
     """Covariate matrix with an intercept column of ones prepended."""
-    X = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if X.ndim != 2:
-        raise DimensionError("covariates must form a 2-d matrix")
+    X = _finite_array(covariates, "covariates", (None, None))
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 
 def _validate_system(X, y, w):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise DimensionError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    if w.shape[0] != y.shape[0]:
-        raise DimensionError(f"y has {y.shape[0]} entries but w has {w.shape[0]}")
-    if X.shape[0] == 0:
+    X = _finite_array(X, "X", (None, None))
+    y, w = (_finite_array(v, key, (len(X),)) for key, v in (("y", y), ("w", w)))
+    if X.size == 0:
         raise DimensionError("empty system")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
-        raise ParameterError("X, y and w must be finite")
     if np.any(w < 0):
         raise ParameterError("weights must be nonnegative")
     if not np.any(w > 0):
@@ -88,19 +81,14 @@ def solve_wls(X, y, w) -> np.ndarray:
 
 def fit_ols(X, y) -> np.ndarray:
     """Ordinary least squares: unit weights, no ridge."""
-    y_arr = np.asarray(y, dtype=float).ravel()
-    return solve_wls(X, y_arr, np.ones(y_arr.shape[0]))
+    y = _finite_array(y, "y", (None,))
+    return solve_wls(X, y, np.ones(len(y)))
 
 
 def predict(X, beta) -> np.ndarray:
     """Linear predictions X @ beta with a dimension check."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    beta = np.asarray(beta, dtype=float).ravel()
-    if X.shape[1] != beta.shape[0]:
-        raise DimensionError(
-            f"design has {X.shape[1]} columns but beta has {beta.shape[0]} entries"
-        )
-    return X @ beta
+    beta = _finite_array(beta, "beta", (None,))
+    return _finite_array(X, "design", (None, len(beta))) @ beta
 
 
 class BatchedDesign:
@@ -109,42 +97,21 @@ class BatchedDesign:
     and x * y per row, built once for every batched solve."""
 
     def __init__(self, X, y):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
+        X = _finite_array(X, "X", (None, None))
+        self.X, self.y = X, _finite_array(y, "y", (len(X),))
         n, p = X.shape
-        if y.shape != (n,):
-            raise DimensionError(f"X has {n} rows but y has {y.size}")
-        self.X, self.y = X, y
         # Overflow here is left to the solver, which flags such rows failed.
         with np.errstate(over="ignore", invalid="ignore"):
             self.outer = (X[:, :, None] * X[:, None, :]).reshape(n, p * p)
-            self.xy = X * y[:, None]
-
-
-def normal_equations(design: BatchedDesign, W):
-    """Normal matrices N_i = X'W_iX and right-hand sides c_i = X'W_iy,
-    one per row of W, (m, n) or a stack (k, r, n) of k * r rows in
-    order: (N (m, p, p), c (m, p)). Each weight matrix gets its own two
-    GEMMs, W @ vec(x x') and W @ (x y), so a stack gives the numbers of
-    k calls (one tall GEMM can round differently); the local fits build
-    theirs the same way per row block and kernel tile, in place
-    (local._local_systems). Overflow is left to solve_wls_batched.
-    """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    n, p = design.X.shape
-    if W.shape[-1] != n:
-        raise DimensionError(f"X has {n} rows but W is {W.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        N, c = W @ design.outer, W @ design.xy
-    return N.reshape(-1, p, p), c.reshape(-1, p)
+            self.xy = X * self.y[:, None]
 
 
 def solve_wls_batched(N, c):
     """Solve the normal equations N_i beta = c_i of a batch of weighted
-    systems, as normal_equations builds them.
+    systems: N (m, p, p) and c (m, p).
 
     N and c are consumed when they are C-contiguous float64 arrays, as
-    normal_equations returns them: the ridges and identities below are
+    matrix products return them: the ridges and identities below are
     written into N in place, and c's failed rows are zeroed.
 
     One batched Cholesky factor N = LL' screens and solves; a refused

@@ -1,11 +1,14 @@
 """Tables, CSV ingestion, splitting, standardization, generators."""
 
 import dataclasses
+import functools
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwreg.data import (
     ATTR_DEFAULTS,
@@ -25,13 +28,18 @@ from cwreg.data import (
     write_csv,
     write_records,
 )
+from cwreg.distances import attribute_distances, geographic_distances
+from cwreg.ensemble import fit_lsboost
 from cwreg.errors import (
+    CwregError,
     DimensionError,
     IngestionError,
     ParameterError,
     SchemaError,
 )
+from cwreg.evaluate import ComparisonConfig, fit_model
 from cwreg.local import fit_cwr
+from cwreg.wls import design_matrix, solve_wls
 
 from conftest import random_table
 
@@ -69,6 +77,24 @@ class TestObservationTable:
             ObservationTable(ids=["a", "b"], coords=[[0.0, 0.0], [1.0, 1.0]],
                              y=[1.0, np.nan], covariates=[[1.0], [2.0]],
                              covariate_names=["x1"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("coords", [["0.0", "0.0"], ["1.0", "1.0"]]),
+        ("y", [1.0, "two"]),
+        ("covariates", [[1.0], ["x"]]),
+        ("coords", [[0.0, 0.0], [1.0]]),
+        ("covariates", [[1.0], [2.0, 3.0]]),
+        ("y", [1.0, None]),
+    ], ids=["string-coords", "string-y", "string-covariate", "ragged-coords",
+            "ragged-covariates", "none-y"])
+    def test_unreadable_arrays_rejected(self, key, value):
+        # Strings and ragged rows are not numbers: ParameterError, which
+        # the CLI and run_comparison catch, never a bare ValueError.
+        good = {"ids": ["a", "b"], "coords": [[0.0, 0.0], [1.0, 1.0]],
+                "y": [1.0, 2.0], "covariates": [[1.0], [2.0]],
+                "covariate_names": ["x1"]}
+        with pytest.raises(ParameterError):
+            ObservationTable(**{**good, key: value})
 
     def test_covariate_matrix_reorders_columns(self, small_table):
         M = small_table.covariate_matrix(["x2", "x1"])
@@ -352,6 +378,36 @@ class TestStandardize:
                 {"columns": ["x1", "x2"], "means": [0.0, 0.0],
                  "stds": [1.0, std if np.isfinite(std) else -1.0]})
 
+    @pytest.mark.parametrize("columns, means, stds, error", [
+        (["a"], [np.nan], [1.0], ParameterError),
+        (["a"], [-np.inf], [1.0], ParameterError),
+        (["a"], ["0.5"], [1.0], ParameterError),
+        (["a", "b"], [1.0], [1.0], DimensionError),
+        (["a", "b"], [1.0, 0.0], [1.0], DimensionError),
+        (["a"], [[1.0, 0.0]], [1.0], DimensionError),
+    ], ids=["nan-mean", "inf-mean", "string-mean", "one-mean-one-std",
+            "one-std", "two-means"])
+    def test_constructed_means_and_stds_one_finite_per_column(
+            self, columns, means, stds, error):
+        # One finite mean and std per column, or apply would return NaN
+        # or broadcast one mean and std over two columns.
+        with pytest.raises(error):
+            StandardizationTransform(columns=columns, means=means, stds=stds)
+
+    @pytest.mark.parametrize("matrix, error", [
+        ([[np.nan]], ParameterError),
+        ([[1.0], [np.inf]], ParameterError),
+        ([["1.0"]], ParameterError),
+        ([[1.0], [2.0, 3.0]], ParameterError),
+        ([[1.0, 3.0]], DimensionError),
+        ([[[1.0]]], DimensionError),
+    ], ids=["nan", "inf", "string", "ragged", "two-columns", "3d"])
+    def test_apply_checks_its_matrix(self, matrix, error):
+        transform = StandardizationTransform(columns=["a"], means=[0.0],
+                                             stds=[2.0])
+        with pytest.raises(error):
+            transform.apply(matrix)
+
     def test_reference_example(self):
         # (1, 2, 3) standardizes to (-1, 0, 1): mean 2, n-1 denominator.
         table = self.make_table([1.0, 2.0, 3.0])
@@ -566,3 +622,89 @@ class TestHedonicGenerator:
         table, report = load_csv(path, schema)
         assert report.accepted_rows == 15
         assert report.rejections == []
+
+
+@functools.cache
+def array_entry_points():
+    """name -> (valid arguments, call): every entry point that takes a
+    caller's numeric arrays, with valid arguments for each."""
+    table = random_table(n=12, p=2, seed=90)
+    query = {"coords": table.coords[:4], "covariates": table.covariates[:4]}
+    points = {
+        "ObservationTable": (
+            {"coords": table.coords, "y": table.y,
+             "covariates": table.covariates},
+            lambda **a: ObservationTable(ids=table.ids,
+                                         covariate_names=["x1", "x2"], **a)),
+        "solve_wls": ({"X": design_matrix(table.covariates), "y": table.y,
+                       "w": np.ones(12)}, solve_wls),
+        "fit_lsboost": ({"X": table.covariates, "y": table.y},
+                        lambda **a: fit_lsboost(n_trees=2, min_leaf=2, **a)),
+        "geographic_distances": (
+            {"coords_a": query["coords"], "coords_b": table.coords},
+            geographic_distances),
+        "attribute_distances": (
+            {"attrs_a": query["covariates"], "attrs_b": table.covariates},
+            attribute_distances),
+        "StandardizationTransform.apply": (
+            {"matrix": table.covariates},
+            standardize(table, ["x1", "x2"]).apply),
+    }
+    config = ComparisonConfig(boost_trees=2, bandwidth_grid_size=3,
+                              r_grid=(0.5,))
+    for name in ("ols", "lsboost", "gwr", "cwr"):
+        model = fit_model(name, table, config)[0]
+        points[f"{name}.predict"] = (query, model.predict)
+    local_fit = dataclasses.replace(model, mode="local-fit")
+    points["cwr.predict local-fit"] = (query, local_fit.predict)
+    return points
+
+
+MUTATIONS = ("nan", "inf", "drop-row", "drop-column", "string", "ragged")
+
+
+@st.composite
+def mutated_calls(draw):
+    """(entry point, its arguments with one array mutated, mutation)."""
+    name = draw(st.sampled_from(sorted(array_entry_points())))
+    args, call = array_entry_points()[name]
+    key = draw(st.sampled_from(sorted(args)))
+    kind = draw(st.sampled_from(MUTATIONS))
+    a = np.array(args[key], dtype=float)
+    cell = tuple(draw(st.integers(0, size - 1)) for size in a.shape)
+    if kind in ("nan", "inf"):
+        a[cell] = np.nan if kind == "nan" else draw(
+            st.sampled_from([np.inf, -np.inf]))
+        value = a if draw(st.booleans()) else a.tolist()
+    elif kind.startswith("drop"):
+        axis = a.ndim - 1 if kind == "drop-column" else 0
+        value = np.delete(a, cell[axis], axis=axis)
+    else:
+        value = row = a.tolist()
+        for i in cell[:-1]:
+            row = row[i]
+        if kind == "string":
+            row[cell[-1]] = draw(st.sampled_from(["1.5", "x", "", "nan"]))
+        elif a.ndim == 1:
+            row[cell[-1]] = [row[cell[-1]], 1.0]
+        else:
+            row.append(1.0)
+    return name, {**args, key: value}, kind
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(mutated_calls())
+def test_mutated_arrays_end_in_a_cwreg_error(case):
+    # Every entry point taking a caller's array meets the one array
+    # rule: a NaN or inf, a string or a ragged row raises a CwregError;
+    # a dropped row or column raises one or gives a finite result. No
+    # other exception, and no NaN or inf out.
+    name, args, kind = case
+    call = array_entry_points()[name][1]
+    try:
+        result = call(**args)
+    except CwregError:
+        return
+    assert kind.startswith("drop"), (name, kind)
+    if isinstance(result, np.ndarray):
+        assert np.all(np.isfinite(result)), (name, kind)

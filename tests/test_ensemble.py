@@ -513,3 +513,13 @@ class TestSelectFactors:
             select_factors(report, 0)
         with pytest.raises(ParameterError):
             select_factors(report, 4)
+
+    @pytest.mark.parametrize("count", [True, 2.5, 2.0, "2"])
+    def test_counts_are_integers(self, count):
+        # Counts are integers, not bools: True would select one name.
+        report = self.make_report()
+        with pytest.raises(ParameterError):
+            select_factors(report, count)
+        X = np.arange(20.0).reshape(-1, 1)
+        with pytest.raises(ParameterError):
+            fit_lsboost(X, np.arange(20.0), n_trees=count)

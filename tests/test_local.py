@@ -20,7 +20,7 @@ from cwreg.data import ObservationTable, StandardizationTransform, standardize
 from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
 from cwreg.errors import (DegenerateWeightsError, DimensionError,
                           ParameterError, SearchFailureError)
-from cwreg.evaluate import rmse
+from cwreg.evaluate import ComparisonConfig, fit_model, rmse
 from cwreg.models import load_model, save_model
 from cwreg.local import (
     FittedCwr,
@@ -32,7 +32,7 @@ from cwreg.local import (
     select_rate,
 )
 from cwreg.wls import (BatchedDesign, design_matrix, fit_ols,
-                        normal_equations, solve_wls_batched)
+                        solve_wls_batched)
 
 from conftest import brute_force_distance_matrix, brute_force_wls, random_table
 
@@ -423,10 +423,11 @@ def grid_scores_one_at_a_time(X, y, D, grid, scoring):
             W = np.exp(np.square(D) * -s)
         if scoring == "loo":
             np.fill_diagonal(W, 0.0)
-        blocks = [normal_equations(design, W[a:b])
+        blocks = [(W[a:b] @ design.outer, W[a:b] @ design.xy)
                   for a, b in zip(edges, edges[1:])]
+        N, c = (np.concatenate(parts) for parts in zip(*blocks))
         betas, regularized, failed = solve_wls_batched(
-            *(np.concatenate(parts) for parts in zip(*blocks)))
+            N.reshape(-1, X.shape[1], X.shape[1]), c)
         n_regularized.append(int(regularized.sum()))
         n_failed.append(int(failed.sum()))
         if np.any(failed):
@@ -615,6 +616,22 @@ class TestSelectBandwidth:
         with pytest.raises(ParameterError):
             fit_cwr(table, r=1.0, bw_grid=[1.0, -2.0])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"r": True}, {"r": "0.5"}, {"r": 0.5, "bandwidth": True},
+        {"r_grid": [False, True]}, {"r_grid": [0.5, "1"]},
+        {"r": 0.5, "bw_grid": [True]}, {"r": 0.5, "bw_grid": [0.5, "1"]},
+        {"r": 0.5, "bandwidth_grid_size": 2.5},
+        {"r": 0.5, "bandwidth_grid_size": True},
+    ], ids=["bool-r", "string-r", "bool-bandwidth", "bool-r-grid",
+            "string-r-grid", "bool-bw-grid", "string-bw-grid",
+            "fractional-grid-size", "bool-grid-size"])
+    def test_numbers_refuse_bools_and_fractions(self, kwargs):
+        # A bool is not a number and a grid size is an integer: read as
+        # numbers, r=True would fit a GWR and bandwidth=True h = 1.0.
+        table = random_table(n=10, p=1, seed=47)
+        with pytest.raises(ParameterError):
+            fit_cwr(table, ["x1"], **kwargs)
+
     def test_unknown_scoring_rejected(self):
         table = random_table(n=10, p=1, seed=48)
         with pytest.raises(ParameterError):
@@ -800,14 +817,29 @@ class TestPredictAt:
         ([[0.0, 0.0]], [[[1.0, 1.0]]], DimensionError),
         ([[np.nan, 0.0]], [[1.0, 1.0]], ParameterError),
         ([[0.0, 0.0]], [[1.0, np.inf]], ParameterError),
+        ([[0.0, 0.0]], [[np.nan, 1.0]], ParameterError),
+        ([[0.0, 0.0]], [[1.0]], DimensionError),
+        ([[0.0, 0.0]], [[1.0, 1.0, 1.0]], DimensionError),
+        ([[0.0, 0.0]], [["1.0", 1.0]], ParameterError),
+        ([["east", 0.0]], [[1.0, 1.0]], ParameterError),
+        ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0]], ParameterError),
     ], ids=["three-coordinates", "row-counts-differ", "3d-coords",
-            "3d-covariates", "nan-coordinate", "inf-covariate"])
+            "3d-covariates", "nan-coordinate", "inf-covariate",
+            "nan-covariate", "one-column-short", "one-column-over",
+            "string-covariate", "string-coordinate", "ragged-covariates"])
     def test_query_arrays_checked(self, r, coords, covariates, error):
+        # Every model type refuses a malformed query with the same error:
+        # the local model (a GWR at r = 1) in both prediction modes, OLS
+        # and boosted trees.
         table = random_table(n=10, p=2, seed=56)
         model = fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.5)
-        for mode in cwreg.local.PREDICT_MODES:
+        models = [dataclasses.replace(model, mode=mode)
+                  for mode in cwreg.local.PREDICT_MODES]
+        models += [fit_model(name, table, ComparisonConfig(boost_trees=3))[0]
+                   for name in ("ols", "lsboost")]
+        for each in models:
             with pytest.raises(error):
-                predict_at(model.fit, table, coords, covariates, mode=mode)
+                each.predict(coords, covariates)
 
 
 def full_sort(D, k):
@@ -1168,6 +1200,29 @@ class TestFitCwr:
         with pytest.raises(ParameterError):
             corrupt(doc)
             FittedCwr.from_dict(doc)
+
+    @pytest.mark.parametrize("key, edit, error", [
+        ("coefficients", lambda a: np.where(a == a[3, 1], np.nan, a),
+         ParameterError),
+        ("coefficients", lambda a: np.where(a == a[0, 0], -np.inf, a),
+         ParameterError),
+        ("coefficients", lambda a: a[:5], DimensionError),
+        ("coefficients", lambda a: a[:, :2], DimensionError),
+        ("regularized", lambda a: a[1:], DimensionError),
+        ("regularized", lambda a: np.full(a.shape, 2), ParameterError),
+        ("regularized", lambda a: a.astype(str), ParameterError),
+    ], ids=["nan-coefficient", "inf-coefficient", "five-rows",
+            "two-columns", "short-flags", "flags-not-0-or-1", "string-flags"])
+    def test_constructed_model_matches_its_table(self, key, edit, error):
+        # A model built directly holds one finite coefficient row of p
+        # and one 0/1 flag per training row, or a NaN coefficient would
+        # predict NaN and five rows for 20 would index out of range.
+        table = random_table(n=20, p=2, seed=67)
+        fit = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=0.8).fit
+        fit = dataclasses.replace(fit, **{key: edit(getattr(fit, key))})
+        with pytest.raises(error):
+            FittedCwr(fit=fit, table=table).predict([[1.0, 1.0]],
+                                                    [[0.0, 0.0]])
 
     @pytest.mark.parametrize("key, index, value", [
         ("candidates", 0, True),

@@ -22,7 +22,6 @@ from cwreg.wls import (
     BatchedDesign,
     design_matrix,
     fit_ols,
-    normal_equations,
     predict,
     solve_wls,
 )
@@ -32,8 +31,15 @@ from conftest import (brute_force_distance_matrix, brute_force_wls,
 
 
 def solve_wls_batched(X, y, W):
-    """The batched solver on the normal equations of X, y and W."""
-    return wls.solve_wls_batched(*normal_equations(BatchedDesign(X, y), W))
+    """The batched solver on the normal equations of X, y and each row
+    of W: N_i = X'W_iX and c_i = X'W_iy, two GEMMs on BatchedDesign's
+    operands."""
+    design = BatchedDesign(X, y)
+    W = np.atleast_2d(W)
+    p = design.X.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        N, c = W @ design.outer, W @ design.xy
+    return wls.solve_wls_batched(N.reshape(-1, p, p), c.reshape(-1, p))
 
 
 def random_system(rng, n=None, p=None, weight_floor=0.05):
@@ -269,7 +275,8 @@ class TestSolveWlsBatched:
 
 
 class TestNormalEquations:
-    """normal_equations builds, solve_wls_batched consumes."""
+    """Matrix products build the normal equations, solve_wls_batched
+    consumes them."""
 
     def test_solver_checks_shapes_and_consumes_n(self):
         N = np.tile(np.diag([1.0, 1e-13]), (3, 1, 1))
