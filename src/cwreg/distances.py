@@ -26,6 +26,10 @@ from .errors import DimensionError, ParameterError
 
 NORMALIZATION_MODES = ("max-scale", "none")
 
+# Float64 cells (1 MiB) one block of distance rows may hold: half for the
+# blend's second term; a block's d^2 and kernels, or a chunk's systems.
+_BLOCK_CELLS = 2 ** 17
+
 
 @dataclass(frozen=True)
 class DistanceSpec:
@@ -85,8 +89,11 @@ def attribute_distances(attrs_a, attrs_b) -> np.ndarray:
     return cdist(a, b)
 
 
-def blend_distances(geographic, attribute, spec: DistanceSpec) -> np.ndarray:
-    """Convex blend r * geographic + (1 - r) * attribute.
+def blend_distances(geographic, attribute, spec: DistanceSpec,
+                    out=None) -> np.ndarray:
+    """Convex blend r * geographic + (1 - r) * attribute, into `out` if
+    given: r * geographic, then the second term added a block of rows
+    at a time, so no second whole matrix is held.
 
     The endpoints are exact: r = 1 returns the geographic matrix and
     r = 0 the attribute matrix, bit for bit. Without an attribute side
@@ -103,11 +110,13 @@ def blend_distances(geographic, attribute, spec: DistanceSpec) -> np.ndarray:
         raise DimensionError(
             f"distance matrices differ in shape: {geo.shape} vs {attr.shape}"
         )
-    if spec.r == 1.0:
-        return geo.copy()
-    if spec.r == 0.0:
-        return attr.copy()
-    return spec.r * geo + (1.0 - spec.r) * attr
+    if spec.r in (0.0, 1.0):
+        return np.multiply(geo if spec.r else attr, 1.0, out=out)
+    out = np.multiply(geo, spec.r, out=out)
+    rows = max(1, _BLOCK_CELLS // 2 // max(1, out[:1].size))
+    for a in range(0, len(out), rows):
+        out[a:a + rows] += (1.0 - spec.r) * attr[a:a + rows]
+    return out
 
 
 def gaussian_weights(distances, bandwidth) -> np.ndarray:
@@ -121,13 +130,13 @@ def gaussian_weights(distances, bandwidth) -> np.ndarray:
 
 
 def _kernel_inputs(distances, bandwidth):
-    """(h, d) as float arrays: h finite and > 0, d >= 0, or raise."""
+    """(h, d) as float arrays, h finite and > 0 and d >= 0, or raise."""
     h = np.asarray(bandwidth, dtype=float)
     if not (np.isfinite(h) & (h > 0)).all():
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
     d = np.asarray(distances, dtype=float)
-    if (d < 0).any():
-        raise ParameterError("distances must be nonnegative")
+    if not (d >= 0).all():
+        raise ParameterError("distances must be nonnegative numbers")
     return h, d
 
 

@@ -22,6 +22,7 @@ from .data import (
     SplitSpec,
     _finite_array,
     _finite_number,
+    _numbers,
     _write_rows,
     load_csv,
     load_schema,
@@ -94,11 +95,11 @@ class ComparisonConfig:
             if self.attribute_columns is not None:
                 object.__setattr__(self, "attribute_columns",
                                    tuple(self.attribute_columns))
+            if self.r_grid is not None:  # numbers, not bools, as r takes
+                object.__setattr__(self, "r_grid", tuple(_numbers(list(
+                    self.r_grid), "config r_grid", (len(self.r_grid),)).tolist()))
         except (TypeError, ValueError) as err:
             raise ParameterError(f"malformed config: {err}") from err
-        if self.r_grid is not None:
-            object.__setattr__(self, "r_grid", tuple(
-                _finite_array(self.r_grid, "config r_grid", (None,)).tolist()))
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ParameterError(

@@ -10,11 +10,12 @@ geographically weighted regression (GWR). Both hyperparameters are
 chosen by grid search: h against a leave-one-out cross-validation RMSE
 (each observation's own weight is zeroed for its fit), and r over an
 ascending grid with the bandwidth re-selected per candidate. Ties go
-to the first bandwidth candidate and to the larger r. The r candidates
-do not depend on one another: where numpy's OpenBLAS can be held at
-one thread, a pool of two threads scores them, and every number is the
-one a single thread computes. The pool and the hold last one search
-(_search_helper): both end before fit_cwr does.
+to the first bandwidth candidate and to the larger r. Consecutive r
+candidates are scored in chunks, one batched solve a chunk, and the
+chunks do not depend on one another: where numpy's OpenBLAS can be
+held at one thread, a pool of two threads scores them, and every
+number is the one a single thread computes, one r at a time. The pool
+and the hold last one search (_search_helper).
 
 One pipeline (_local_systems) builds every local system, so a model's
 coefficients come from the kernel that scored it. Per block of rows it
@@ -25,11 +26,8 @@ kernels into a buffer that, with the block, holds 2^17 float64 cells
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
 ("knn-coef", the default with K = 3) or solves a fresh weighted fit
-centered on the query ("local-fit"). The K nearest are found by partial
-selection, O(n) per query, and ordered by (distance, training-row
-index), exactly as a full stable sort would order them. The training
-half of the distances (standardized training attributes, the training
-design matrix) is built once: fit_cwr builds it for its search and
+centered on the query ("local-fit"); see predict_at. The training half
+of the distances is built once: fit_cwr builds it for its search and
 hands it to the model it returns; a loaded model builds it on its
 first prediction.
 """
@@ -43,7 +41,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -51,31 +49,18 @@ from scipy.spatial.distance import cdist
 
 from .data import (ObservationTable, StandardizationTransform,
                    _finite_array, _finite_number, _names, _numbers, standardize)
-from .distances import (
-    DistanceSpec,
-    _gaussian,
-    _kernel_inputs,
-    attribute_distances,
-    blend_distances,
-    gaussian_weights,
-    geographic_distances,
-    training_scale,
-)
-from .errors import (
-    DegenerateWeightsError,
-    ParameterError,
-    SearchFailureError,
-    SingularFitError,
-)
+from .distances import (_BLOCK_CELLS, DistanceSpec, _gaussian,
+                        _kernel_inputs, attribute_distances, blend_distances,
+                        gaussian_weights, geographic_distances,
+                        training_scale)
+from .errors import (DegenerateWeightsError, ParameterError,
+                     SearchFailureError, SingularFitError)
 from .wls import BatchedDesign, design_matrix, solve_wls_batched
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
 
 BANDWIDTH_GRID_SIZE = 20
-
-# Float64 cells (1 MiB) of a row block's d^2 and a tile of its kernels.
-_BLOCK_CELLS = 2 ** 17
 
 SCORING_MODES = ("loo", "insample")
 
@@ -173,8 +158,7 @@ class HyperSearchTrace:
             bandwidths=listed("bandwidths", np.nan),
             selected_bandwidth=number("selected_bandwidth", None),
             n_regularized=listed("n_regularized", None, numbers.Integral),
-            n_failed=listed("n_failed", None, numbers.Integral),
-        )
+            n_failed=listed("n_failed", None, numbers.Integral))
 
 
 @dataclass
@@ -264,31 +248,37 @@ def _row_blocks(m: int, n: int, size: int):
     return edges, B, -(-size // -(-size // fits))
 
 
-def _local_systems(design, D, bandwidths, loo=False):
+def _local_systems(design, D, bandwidths, loo=False, out=None,
+                   scratch=False):
     """Normal equations (N, c) of one Gaussian-weighted system per
-    bandwidth j and row i of D, in row j m + i for D's m rows. Inputs
-    are checked once; per row block d^2 is built once, and per tile of
-    bandwidths the kernels go to one buffer, "loo" zeroes each row's
-    own weight, and each kernel's two GEMMs fill the block's systems.
+    bandwidth j and row i of D, in row j m + i for D's m rows, into
+    `out` (C-contiguous (k m, p, p) and (k m, p)) if given. Inputs are
+    checked once; per row block d^2 is built once, over D's rows if D is
+    `scratch`; per tile of bandwidths the kernels go to one buffer,
+    "loo" zeroes each row's own weight, and two GEMMs fill the systems.
     """
     h, D = _kernel_inputs(D, bandwidths)
     (m, n), k, p = D.shape, len(h), design.X.shape[1]
-    N, c = np.empty((k, m, p * p)), np.empty((k, m, p))
+    if out is None:
+        out = np.empty((k * m, p, p)), np.empty((k * m, p))
+    N, c = out[0].reshape(k, m, p * p), out[1].reshape(k, m, p)
     edges, B, t = _row_blocks(m, n, k)
-    buffer = np.empty(((1 + t) * B, n))
+    at = 0 if scratch else B  # the buffer's first row of kernels
+    buffer = np.empty((at + t * B, n))
     # Overflow is left to the solver, which flags such rows failed.
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(edges, edges[1:]):
-            squared = np.square(D[a:b], out=buffer[:b - a])
+            squared = np.square(D[a:b], out=D[a:b] if scratch else
+                                buffer[:b - a])
             for j in range(0, k, t):
                 hs = h[j:j + t, None, None]
-                tile = buffer[B:B + len(hs) * (b - a)]
+                tile = buffer[at:at + len(hs) * (b - a)]
                 W = _gaussian(squared, hs, out=tile.reshape(-1, b - a, n))
                 if loo:
                     W[:, np.arange(b - a), np.arange(a, b)] = 0.0
                 np.matmul(W, design.outer, out=N[j:j + t, a:b])
                 np.matmul(W, design.xy, out=c[j:j + t, a:b])
-    return N.reshape(k * m, p, p), c.reshape(k * m, p)
+    return out
 
 
 def _solve_rows(design, D, h, label):
@@ -321,6 +311,16 @@ def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
                    normalization=spec.normalization).fit
 
 
+# Masks of the entries above the diagonal of n x n, shared: read only.
+_upper_triangle = lru_cache(maxsize=2)(lambda n: ~np.tri(n, dtype=bool))
+
+
+def _grid_size(size) -> int:
+    if not (_finite_number(size, numbers.Integral) and size >= 1):
+        raise ParameterError(f"grid size must be an integer >= 1, got {size!r}")
+    return size
+
+
 def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     """Log-spaced bandwidth candidates for a blended distance matrix.
 
@@ -330,43 +330,40 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     training distances are, so only its upper triangle is read; the grid
     equals np.percentile's over the whole off-diagonal.
     """
-    if not (_finite_number(size, numbers.Integral) and size >= 1):
-        raise ParameterError(f"grid size must be an integer >= 1, got {size!r}")
+    size = _grid_size(size)
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    off = D[~np.tri(n, dtype=bool)]
+    off = D[_upper_triangle(n)]
     hi = float(np.max(off, initial=0.0))
     if hi <= 0:
         return [1.0]
     # np.percentile's linear interpolation between the off-diagonal's
-    # order statistics; its k-th smallest is `off`'s (k // 2)-th.
+    # order statistics, written as numpy's _lerp writes it; its k-th
+    # smallest is `off`'s (k // 2)-th.
     index = (n * (n - 1) - 1) * 0.01
-    below = int(np.floor(index))
+    below = int(index)
+    t = index - below
     kth = [below // 2, (below + 1) // 2]
     off.partition(kth)  # `off` is already a copy
-    lo = float(np.quantile(off[kth], index - below))
+    a, b = off[kth].tolist()
+    lo = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
     if lo <= 0:
         lo = float(np.min(off, where=off > 0, initial=np.inf))
     if lo >= hi:
         return [hi]
-    return [float(h) for h in np.geomspace(lo, hi, size)]
+    return np.geomspace(lo, hi, size).tolist()
 
 
-def _grid_scores(design, D, grid, scoring):
-    """RMSE per bandwidth candidate over blended training distances,
-    and per candidate how many of its local systems took the ridge and
-    how many failed: three lists. "loo" zeroes each observation's own
-    weight before its fit; "insample" keeps it. Candidates where any
-    location fails to fit score infinity. One solve_wls_batched call
-    solves every candidate's systems, each as it would alone.
-    """
-    X, y = design.X, design.y
-    n, p = X.shape
-    betas, regularized, failed = solve_wls_batched(
-        *_local_systems(design, D, grid, loo=scoring == "loo"))
+def _score_systems(design, N, c):
+    """Three lists over the candidates, n rows of the local systems (N,
+    c) each: RMSE (infinite where any location fails to fit), and how
+    many systems took the ridge and how many failed. One
+    solve_wls_batched call solves them all, each as it would alone."""
+    n, p = design.X.shape
+    betas, regularized, failed = solve_wls_batched(N, c)
     failed = failed.reshape(-1, n)
-    pred = np.einsum("ij,kij->ki", X, betas.reshape(-1, n, p))
-    rmse = np.sqrt(np.mean((y - pred) ** 2, axis=1))
+    pred = np.einsum("ij,kij->ki", design.X, betas.reshape(-1, n, p))
+    rmse = np.sqrt(np.mean((design.y - pred) ** 2, axis=1))
     rmse[failed.any(axis=1)] = np.inf
     return (rmse.tolist(), regularized.reshape(-1, n).sum(axis=1).tolist(),
             failed.sum(axis=1).tolist())
@@ -388,9 +385,8 @@ def _first_finite_min(scores) -> int | None:
 
 
 class _Scored(NamedTuple):
-    """One r candidate's search: its score, the index of its chosen
-    bandwidth in `grid` (None when none fitted), and _grid_scores'
-    leave-one-out lists over the grid."""
+    """One r candidate's search: its score, its chosen bandwidth's index
+    in `grid` (None if none fitted), and _score_systems' lists on it."""
 
     score: float
     best: int | None
@@ -404,24 +400,54 @@ class _Scored(NamedTuple):
         return missing if self.best is None else values[self.best]
 
 
-def _score_rate(geo, attr, spec, design, bw_grid, size, scoring) -> _Scored:
-    """Blend one r, take `bw_grid` or its blend's bandwidth_grid of
-    `size`, and choose h by leave-one-out. The r scores that h's
-    leave-one-out RMSE, or under "insample" its training RMSE. The
-    blend lives only as long as the call."""
-    D = blend_distances(geo, attr, spec)
-    grid = bandwidth_grid(D, size=size) if bw_grid is None else bw_grid
-    # Bandwidths are always chosen by leave-one-out: judged in-sample,
-    # a smaller h always looks better.
-    h_scores, n_regularized, n_failed = _grid_scores(design, D, grid, "loo")
-    best = _first_finite_min(h_scores)
-    if best is None:
-        score = np.inf
-    elif scoring == "loo":
-        score = h_scores[best]
-    else:
-        score = _grid_scores(design, D, [grid[best]], "insample")[0][0]
-    return _Scored(score, best, grid, h_scores, n_regularized, n_failed)
+def _rates_per_chunk(n: int, p: int, g: int) -> int:
+    """How many consecutive r one chunk scores: as many as keep its g n
+    systems per r, p^2 + p cells each, within _BLOCK_CELLS; at least 1."""
+    return max(1, _BLOCK_CELLS // (g * n * (p * p + p)))
+
+
+def _score_chunk(geo, attr, specs, design, bw_grid, size, scoring):
+    """The _Scored of each of `specs`, consecutive r candidates. Each r
+    in turn is blended into one buffer and writes its leave-one-out
+    systems at `bw_grid`, or its blend's bandwidth_grid of `size` (the
+    grid length), into its rows of one stack, scored by one
+    _score_systems call. h is chosen by leave-one-out (judged
+    in-sample, a smaller h always looks better); under "insample" the r
+    then scores its training RMSE at h, from one more stack."""
+    n, p = design.X.shape
+    rows = len(specs) * size * n
+    N, c = np.empty((rows, p, p)), np.empty((rows, p))
+    buffer = None if attr is None else np.empty_like(geo)
+
+    def scores(grids, loo):
+        # Each r's systems at grids[i], a None grid made from its blend.
+        end = 0
+        for i, spec in enumerate(specs):
+            D = blend_distances(geo, attr, spec, out=buffer)
+            if grids[i] is None:
+                grids[i] = bandwidth_grid(D, size)
+            rows = slice(end, end + len(grids[i]) * n)
+            if grids[i]:
+                _local_systems(design, D, grids[i], loo, scratch=D is buffer,
+                               out=(N[rows], c[rows]))
+            end = rows.stop
+        return _score_systems(design, N[:end], c[:end])
+
+    grids = [bw_grid] * len(specs)
+    lists, results, at = scores(grids, True), [], 0
+    for grid in grids:
+        h_scores, n_regularized, n_failed = (x[at:at + len(grid)]
+                                             for x in lists)
+        at += len(grid)
+        best = _first_finite_min(h_scores)
+        results.append(_Scored(np.inf if best is None else h_scores[best],
+                               best, grid, h_scores, n_regularized, n_failed))
+    if scoring == "insample":
+        training = iter(scores([res.at_best([[h] for h in res.grid], [])
+                                for res in results], False)[0])
+        results = [res if res.best is None else
+                   res._replace(score=next(training)) for res in results]
+    return results
 
 
 @cache
@@ -457,17 +483,16 @@ _hold = {"depth": 0, "threads": 1, "lock": threading.Lock()}
 
 
 @contextmanager
-def _search_helper(n_candidates: int):
-    """Yield the map for a search of `n_candidates` r candidates: a
-    two-thread pool's map, holding numpy's OpenBLAS at one thread for
+def _search_helper(n_chunks: int):
+    """Yield the map for a search of `n_chunks` chunks of r candidates:
+    a two-thread pool's map, holding numpy's OpenBLAS at one thread for
     every thread of the process while the block runs; or the builtin
-    map, holding nothing, for a single candidate, where _blas_threads
-    finds no entry point, or where the process may run on one CPU only.
-    Both keep the input order and raise the first failing candidate's
-    exception. Concurrent searches share one hold: the last to leave
-    restores the count the first found. The pool's threads are joined
-    before the hold ends."""
-    blas = None if n_candidates < 2 else _blas_threads()
+    map, holding nothing, for a single chunk, where _blas_threads finds
+    no entry point, or on one usable CPU. Both keep the input order and
+    raise the first failing chunk's exception. Concurrent searches share
+    one hold: the last to leave restores the count the first found. The
+    pool's threads are joined before the hold ends."""
+    blas = None if n_chunks < 2 else _blas_threads()
     if blas is None or _usable_cpus() < 2:
         yield map
         return
@@ -504,17 +529,12 @@ def select_rate(table: ObservationTable, attribute_columns,
                 h_strategy="joint", r_grid=None, scoring: str = "loo",
                 normalization: str = "max-scale",
                 bandwidth_grid_size: int = BANDWIDTH_GRID_SIZE):
-    """Grid-search the blend ratio r, re-selecting h per candidate.
-
-    `h_strategy` is "joint" (bandwidth grid rebuilt and searched for
-    every r, leave-one-out criterion) or a fixed positive bandwidth
-    used everywhere. Under scoring="insample" the bandwidth is still
-    chosen by leave-one-out but each r is judged by its raw training
-    RMSE at the selected bandwidth. Candidates are evaluated in
-    ascending order and exact score ties go to the larger r.
-
-    Returns (DistanceSpec with the winning r, HyperSearchTrace).
-    """
+    """Grid-search the blend ratio r as fit_cwr does, re-selecting h per
+    candidate: (DistanceSpec with the winning r, HyperSearchTrace).
+    `h_strategy` is "joint" (each r's bandwidth grid rebuilt and searched
+    by leave-one-out) or a fixed positive bandwidth used everywhere.
+    Under scoring="insample" each r is judged by its training RMSE at
+    its bandwidth. Exact score ties go to the larger r."""
     model = fit_cwr(table, attribute_columns, r="search",
                     bandwidth="cv" if h_strategy == "joint" else h_strategy,
                     k=1, scoring=scoring, normalization=normalization,
@@ -576,8 +596,7 @@ def _check_prediction(mode, k, n: int) -> None:
     `k` an integer, not a bool, in [1, n] for n training rows."""
     if mode not in PREDICT_MODES:
         raise ParameterError(
-            f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}"
-        )
+            f"unknown prediction mode {mode!r}, expected one of {PREDICT_MODES}")
     if not (_finite_number(k, numbers.Integral) and 1 <= k <= n):
         raise ParameterError(f"k must be an integer in [1, {n}], got {k!r}")
 
@@ -668,11 +687,9 @@ class FittedCwr:
             "k": self.k,
             "mode": self.mode,
             "bandwidth": self.fit.bandwidth,
-            "spec": {
-                "r": self.fit.spec.r,
-                "attribute_columns": list(self.fit.spec.attribute_columns),
-                "normalization": self.fit.spec.normalization,
-            },
+            "spec": {"r": self.fit.spec.r,
+                     "attribute_columns": list(self.fit.spec.attribute_columns),
+                     "normalization": self.fit.spec.normalization},
             "geo_scale": self.fit.geo_scale,
             "attr_scale": self.fit.attr_scale,
             "standardization": (None if self.fit.transform is None
@@ -707,8 +724,7 @@ class FittedCwr:
             ),
             transform=transform, regularized=flags,
             **{key: _numbers(doc[key], f"model {key}")
-               for key in ("bandwidth", "geo_scale", "attr_scale")},
-        )
+               for key in ("bandwidth", "geo_scale", "attr_scale")})
         return cls(fit=fit, table=table, k=doc["k"], mode=doc["mode"],
                    traces={key: HyperSearchTrace.from_dict(t)
                            for key, t in doc.get("traces", {}).items()},
@@ -733,16 +749,13 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     _check_prediction(mode, k, train.n)
     if scoring not in SCORING_MODES:
         raise ParameterError(
-            f"unknown scoring {scoring!r}, expected one of {SCORING_MODES}"
-        )
+            f"unknown scoring {scoring!r}, expected one of {SCORING_MODES}")
     if isinstance(r, str) and r != "search":
         raise ParameterError(f'r must be a number or "search", got {r!r}')
     if isinstance(bandwidth, str) and bandwidth != "cv":
         raise ParameterError(
-            f'bandwidth must be a number or "cv", got {bandwidth!r}'
-        )
-    search_r = isinstance(r, str)
-    cv = isinstance(bandwidth, str)
+            f'bandwidth must be a number or "cv", got {bandwidth!r}')
+    search_r, cv = isinstance(r, str), isinstance(bandwidth, str)
     if cv and bw_grid is not None:
         bw_grid = _validate_grid(bw_grid, "bandwidth grid")
     elif not cv:
@@ -763,22 +776,25 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
     p = len(train.covariate_names) + 1
     if train.n < p + 1:
         raise ParameterError(
-            f"need at least {p + 1} records to fit {p} coefficients locally"
-        )
+            f"need at least {p + 1} records to fit {p} coefficients locally")
     # Attributes are standardized only when some candidate blends them.
     training = _TrainingSide(train, None if specs[0].r == 1.0 else
                              standardize(train, list(attribute_columns)))
     geo, geo_scale, attr, attr_scale = training.distances(normalization)
-    score = partial(_score_rate, geo, attr, design=training.design,
-                    bw_grid=bw_grid, size=bandwidth_grid_size,
+    size = len(bw_grid) if bw_grid else _grid_size(bandwidth_grid_size)
+    score = partial(_score_chunk, geo, attr, design=training.design,
+                    bw_grid=bw_grid, size=size,
                     scoring=scoring if search_r else "loo")
+    step = _rates_per_chunk(train.n, p, size)
+    chunks = [specs[i:i + step] for i in range(0, len(specs), step)]
     traces: dict[str, HyperSearchTrace] = {}
     best, bandwidths = 0, bw_grid
-    # Several candidates are scored on two threads where BLAS holds at
-    # one thread, and the final fit runs under the same hold.
-    with _search_helper(len(specs)) as map_rates:
+    # Several chunks are scored on two threads where BLAS holds at one
+    # thread, and the final fit runs under the same hold.
+    with _search_helper(len(chunks)) as map_chunks:
         if search_r or cv:
-            results = list(map_rates(score, specs))
+            results = [res for chunk in map_chunks(score, chunks)
+                       for res in chunk]
             scores = [res.score for res in results]
             bandwidths = [res.at_best(res.grid, np.nan) for res in results]
             # Exact score ties go to the larger r, so search from the top.

@@ -21,12 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import _finite_array
-from .errors import (
-    DegenerateWeightsError,
-    DimensionError,
-    ParameterError,
-    SingularFitError,
-)
+from .errors import (DegenerateWeightsError, DimensionError, ParameterError,
+                     SingularFitError)
 
 # Condition estimate of X'WX above which an unregularized solve is refused.
 CONDITION_LIMIT = 1e12
@@ -68,14 +64,12 @@ def solve_wls(X, y, w) -> np.ndarray:
     # cond(X'WX) is the squared singular-value ratio of sqrt(W) X.
     if rank < p or sv[-1] == 0:
         raise SingularFitError(
-            f"weighted design is rank deficient (rank {rank} of {p})"
-        )
+            f"weighted design is rank deficient (rank {rank} of {p})")
     cond = (sv[0] / sv[-1]) ** 2
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularFitError(
             f"weighted normal matrix is numerically singular "
-            f"(condition estimate {cond:.3e})"
-        )
+            f"(condition estimate {cond:.3e})")
     return beta
 
 
@@ -108,25 +102,22 @@ class BatchedDesign:
 
 def solve_wls_batched(N, c):
     """Solve the normal equations N_i beta = c_i of a batch of weighted
-    systems: N (m, p, p) and c (m, p).
+    systems: N (m, p, p) and c (m, p). N is consumed when it is a
+    C-contiguous float64 array, as matrix products return it: the
+    ridges below are written into it in place.
 
-    N and c are consumed when they are C-contiguous float64 arrays, as
-    matrix products return them: the ridges and identities below are
-    written into N in place, and c's failed rows are zeroed.
-
-    One batched Cholesky factor N = LL' screens and solves; a refused
-    batch is retried in halves until each refused row stands alone. A
-    row whose bound ||N||_F ||L^-1||_F^2 >= cond(N) (at most p^1.5
-    above it) is above CONDITION_LIMIT / 2 or not finite, refused rows
-    included, is judged by eigvalsh: lambda_max / lambda_min, infinite
-    when lambda_min <= 0 or NaN, above CONDITION_LIMIT flags it. So the
-    flags are eigvalsh's alone. Rows it clears are solved as beta =
-    L^-T (L^-1 c), by LU if refused. Flagged rows get ridge =
-    RIDGE_SCALE * trace / p added in place to their diagonal, are solved
-    by LU and flagged in `regularized`; rows whose ridge is not finite
-    and positive, or that remain unsolvable, become the identity in
-    place, are flagged in `failed` and their coefficients zeroed. No
-    row's numbers depend on the rest of its batch.
+    One batched Cholesky factor N = LL' screens and solves, each row
+    alone: a row it refuses has a NaN factor. A row whose bound
+    ||N||_F ||L^-1||_F^2 >= cond(N) (at most p^1.5 above it) is above
+    CONDITION_LIMIT / 2 or not finite, refused rows included, is judged
+    by eigvalsh: lambda_max / lambda_min, infinite when lambda_min <= 0
+    or NaN, above CONDITION_LIMIT flags it. So the flags are eigvalsh's
+    alone. Rows it clears are solved as beta = L^-T (L^-1 c), by LU if
+    refused. Flagged rows get ridge = RIDGE_SCALE * trace / p added to
+    their diagonal, are solved by LU and flagged in `regularized`; rows
+    whose ridge is not finite and positive, or that LU cannot solve,
+    are flagged in `failed` and their coefficients zeroed. No row's
+    numbers depend on the rest of its batch.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
@@ -142,7 +133,6 @@ def solve_wls_batched(N, c):
     # Every row, so that inv is not copied; LU rows are redone below.
     with np.errstate(all="ignore"):
         betas = np.einsum("mji,mj->mi", inv, np.einsum("mij,mj->mi", inv, c))
-    betas[lu] = 0.0
     failed = np.zeros(m, dtype=bool)
     if lu.any():
         traces = np.einsum("ikk->i", N)
@@ -150,17 +140,10 @@ def solve_wls_batched(N, c):
         # A NaN or infinite ridge (an overflowing trace) fails too.
         failed |= bad & ~((ridges > 0) & (ridges < np.inf))
         N.reshape(m, p * p)[:, :: p + 1] += ridges[:, None]
-        N[failed] = np.eye(p)
-        c[failed] = 0.0
-        rows = np.flatnonzero(lu)
-        try:
-            betas[rows] = np.linalg.solve(N[rows], c[rows, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            for i in rows[~failed[rows]]:
-                try:
-                    betas[i] = np.linalg.solve(N[i], c[i])
-                except np.linalg.LinAlgError:
-                    failed[i] = True
+        # np.linalg.solve's gufunc, silenced: NaN where LU fails a row.
+        with np.errstate(all="ignore"):
+            betas[lu] = np.linalg._umath_linalg.solve(N[lu],
+                                                      c[lu, :, None])[..., 0]
     failed |= ~np.all(np.isfinite(betas), axis=1)
     betas[failed] = 0.0
     return betas, bad & ~failed, failed
@@ -168,16 +151,11 @@ def solve_wls_batched(N, c):
 
 def _inverse_factor(N):
     """L^-1 of each N = LL', built in place by forward substitution, row
-    i of L^-1 over row i of L; NaN where Cholesky refuses N, a refused
-    batch retried in halves until each refused matrix stands alone."""
-    try:
-        L = np.linalg.cholesky(N)
-    except np.linalg.LinAlgError:
-        if len(N) == 1:
-            return np.full_like(N, np.nan)
-        return np.concatenate([_inverse_factor(half)
-                               for half in np.array_split(N, 2)])
+    i of L^-1 over row i of L. The gufunc np.linalg.cholesky wraps,
+    silenced, factors each N alone: a NaN lower triangle where it
+    refuses N, np.linalg.cholesky's bits elsewhere."""
     with np.errstate(all="ignore"):
+        L = np.linalg._umath_linalg.cholesky_lo(N)
         for i in range(N.shape[-1]):
             d = L[:, i, i]
             # Rows above i already hold L^-1's, which is lower
@@ -196,20 +174,16 @@ def _condition_bound(N, inv):
                 * np.einsum("mij,mij->m", inv, inv))
 
 
-def _eigvalsh_rule(N):
-    """Rows of N whose eigvalsh condition estimate, lambda_max /
-    lambda_min, is not finite or exceeds CONDITION_LIMIT."""
-    eig = np.linalg.eigvalsh(N)
-    lo, hi = eig[:, 0], eig[:, -1]
-    with np.errstate(all="ignore"):
-        conds = np.where(lo > 0, hi / lo, np.inf)
-    return ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
-
-
 def _ill_conditioned(N, inv):
-    """_eigvalsh_rule(N), with eigvalsh run only on the rows the bound
-    from inv, each L^-1, cannot clear (a refused row's NaN bound)."""
+    """Rows of N whose eigvalsh condition estimate, lambda_max /
+    lambda_min, is not finite or exceeds CONDITION_LIMIT. eigvalsh runs
+    only on the rows the bound from inv, each L^-1, cannot clear (a
+    refused row's NaN bound)."""
     bad = ~(_condition_bound(N, inv) <= CONDITION_LIMIT / 2)
     if bad.any():
-        bad[bad] = _eigvalsh_rule(N[bad])
+        eig = np.linalg.eigvalsh(N[bad])
+        lo, hi = eig[:, 0], eig[:, -1]
+        with np.errstate(all="ignore"):
+            conds = np.where(lo > 0, hi / lo, np.inf)
+        bad[bad] = ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
     return bad

@@ -222,6 +222,12 @@ class TestGaussianWeights:
         with pytest.raises(ParameterError):
             gaussian_weights(np.array([-0.5]), 1.0)
 
+    def test_nan_distances_rejected(self):
+        # One scan refuses every distance that is not >= 0, NaN too.
+        for d in ([np.nan, 1.0], np.array([[0.0, 1.0], [1.0, np.nan]])):
+            with pytest.raises(ParameterError):
+                gaussian_weights(d, 1.0)
+
 
 class TestTrainingScale:
     def test_max_entry(self):

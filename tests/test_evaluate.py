@@ -100,6 +100,16 @@ class TestComparisonConfig:
         with pytest.raises(ParameterError):
             ComparisonConfig(**kwargs)
 
+    @pytest.mark.parametrize("r_grid", [(True, False), [0.5, True],
+                                        (0.5, "1"), [[0.5]]])
+    def test_r_grid_holds_numbers_not_bools(self, r_grid):
+        # Each candidate is checked as DistanceSpec checks r, so a bool
+        # is refused, not read as 0.0 or 1.0.
+        with pytest.raises(ParameterError):
+            ComparisonConfig(r_grid=r_grid)
+        assert ComparisonConfig(r_grid=(0, np.float64(0.5), 1)).r_grid == (
+            0.0, 0.5, 1.0)
+
     def test_numeric_fields_accept_numbers_of_their_kind(self):
         config = ComparisonConfig(seed=np.int64(3), train_fraction=1,
                                   boost_shrinkage=np.float32(0.5), r=1,

@@ -301,6 +301,13 @@ class TestBandwidthGrid:
             bandwidth_grid(np.ones((3, 3)), size=0)
 
 
+def grid_scores(design, D, grid, scoring):
+    """The three lists of _score_systems for one blend's bandwidths:
+    leave-one-out under "loo", in-sample under "insample"."""
+    return cwreg.local._score_systems(design, *cwreg.local._local_systems(
+        design, D, grid, loo=scoring == "loo"))
+
+
 class TestSearchMemory:
     """The r/h search holds one blend and one kernel at a time."""
 
@@ -330,7 +337,7 @@ class TestSearchMemory:
         grid = bandwidth_grid(D, size=4)
         design = BatchedDesign(X, y)
         peak = self._peak_matrices(
-            lambda: cwreg.local._grid_scores(design, D, grid, "loo"))
+            lambda: grid_scores(design, D, grid, "loo"))
         assert peak < 1.5
 
     def test_grid_scores_chunk_fits_its_budget(self):
@@ -347,7 +354,7 @@ class TestSearchMemory:
         grid = bandwidth_grid(D, size=k)
         tracemalloc.start()
         try:
-            cwreg.local._grid_scores(BatchedDesign(X, y), D, grid, "loo")
+            grid_scores(BatchedDesign(X, y), D, grid, "loo")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,21 +393,25 @@ class TestSearchMemory:
         assert (distances[2] is None) == (r == 1.0)
 
     def test_search_peak_is_the_training_distances(self, serial):
-        # A blend needs four n x n arrays (the scaled geographic and
-        # attribute matrices and its two weighted terms); no other step
-        # of the search may need more. This is the search on one thread.
+        # The scaled geographic and attribute matrices, a blend and the
+        # kernel pipeline's buffer (one array at n = 300) peak near 4.2
+        # n x n arrays; no step of the search may need more than 4.5.
+        # This is the search on one thread: the three r share a chunk.
         table = random_table(n=self.N, p=2, seed=47)
         peak = self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
                             bandwidth_grid_size=3))
         assert peak < 4.5
 
-    def test_two_worker_search_peak(self, two_workers):
+    def test_two_worker_search_peak(self, two_workers, monkeypatch):
         # Each worker holds its own blend, so two workers hold the
         # training distances (2 n x n arrays) and up to twice what one
         # worker needs beyond them: 2.19 arrays, measured on one thread
         # (4.19 above). Both at their peak at once is 6.38; measured
-        # peaks at n = 300 were 5.4 to 6.32.
+        # peaks at n = 300 were 5.0 to 5.6. One r a chunk, as the default
+        # 20-bandwidth grid gives at n = 300: unpatched, these three
+        # candidates would share one chunk, and one worker.
+        rates_per_chunk(monkeypatch, 1)
         table = random_table(n=self.N, p=2, seed=47)
         peak = self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
@@ -469,8 +480,7 @@ class TestGridScores:
             # every location fails, and the candidate scores inf. Its
             # systems share one solve with every other candidate's.
             grid.insert(size // 2, 1e-300)
-        result = cwreg.local._grid_scores(BatchedDesign(X, y), D, grid,
-                                          scoring)
+        result = grid_scores(BatchedDesign(X, y), D, grid, scoring)
         assert result == grid_scores_one_at_a_time(X, y, D, grid, scoring)
         scores, _, n_failed = result
         if size > 1 and scoring == "loo":
@@ -491,14 +501,15 @@ class TestGridScores:
             edges = cwreg.local._row_blocks(n, n, len(grid))[0]
             assert min(np.diff(edges)) >= 2
             blocks.append(edges[1])
-            results.append(cwreg.local._grid_scores(
+            results.append(grid_scores(
                 BatchedDesign(X, y), D, grid, "loo"))
         assert blocks[0] == 8 and blocks[1] > 8
         assert results[0] == results[1]
 
     def test_default_search_solves_chunks(self, monkeypatch):
-        # At n = 160 and p = 3 each r's 20 bandwidths share one solve,
-        # plus one for the final fit.
+        # At n = 160 and p = 3 a chunk holds 3 r: 3 x 20 x 160 systems
+        # of 12 cells fit 2^17. The 60 bandwidths of each chunk share
+        # one solve, 34 in all, plus one for the final fit.
         calls, systems = [], []
 
         def counting(N, c):
@@ -510,8 +521,10 @@ class TestGridScores:
         monkeypatch.setattr(cwreg.local, "solve_wls_batched", counting)
         table = random_table(n=160, p=2, seed=49)
         fit_cwr(table, ["x1", "x2"])
-        assert len(calls) == 101 + 1
-        assert sum(systems) == (101 * 20 + 1) * 160
+        assert cwreg.local._rates_per_chunk(160, 3, 20) == 3
+        assert len(calls) == 34 + 1
+        # Two threads may finish the chunks in either order.
+        assert sorted(systems) == [160, 2 * 20 * 160] + [3 * 20 * 160] * 33
 
     def test_row_blocks_fit_the_budget(self, monkeypatch):
         # The fewest blocks of at most max(8, budget // 2n) rows, rounded
@@ -1436,10 +1449,10 @@ class TestInvariances:
 
 
 def share_with_helper(score):
-    """A stand-in for cwreg.local._score_rate whose first call on each
+    """A stand-in for cwreg.local._score_chunk whose first call on each
     thread waits, at a two-party barrier, for the other thread's first,
-    so both search threads score some candidates; the barrier breaks
-    after 60 s. `score(*args, **kwargs)` does the scoring."""
+    so both search threads score some chunks; the barrier breaks after
+    60 s. `score(*args, **kwargs)` does the scoring."""
     both_started = threading.Barrier(2, timeout=60)
     started = set()
 
@@ -1452,17 +1465,25 @@ def share_with_helper(score):
     return scoring
 
 
+def rates_per_chunk(monkeypatch, size):
+    """Every chunk of the search holds `size` r candidates (the last
+    what is left), whatever n, p and the grid size."""
+    monkeypatch.setattr(cwreg.local, "_rates_per_chunk", lambda n, p, g: size)
+
+
 def raise_in_reverse(rates):
-    """A `score` for share_with_helper under which the candidates at
-    `rates` raise, the larger r first, and the others are scored.
-    Returns it with the exception each of `rates` raises."""
-    real = cwreg.local._score_rate
+    """A `score` for share_with_helper, over chunks of one r, under
+    which the candidates at `rates` raise, the larger r first, and the
+    others are scored. Returns it with the exception each of `rates`
+    raises."""
+    real = cwreg.local._score_chunk
     errors = {r: RuntimeError(f"scoring failed at r = {r}") for r in rates}
     raised = {r: threading.Event() for r in rates}
 
-    def score(geo, attr, spec, **kwargs):
+    def score(geo, attr, specs, **kwargs):
+        (spec,) = specs
         if spec.r not in errors:
-            return real(geo, attr, spec, **kwargs)
+            return real(geo, attr, specs, **kwargs)
         for r in rates:
             if r > spec.r:
                 assert raised[r].wait(60), f"r = {r} did not raise"
@@ -1490,10 +1511,20 @@ def refuse(*args):
 RATES = [i / 10 for i in range(11)]
 
 
+def chunked_search(monkeypatch, size, threads, table, *args, **kwargs):
+    """fit_cwr with `size` r candidates a chunk, on the calling thread
+    (threads=1) or, where the two_workers fixture allows, on the pool."""
+    with monkeypatch.context() as m:
+        rates_per_chunk(m, size)
+        if threads == 1:
+            m.setattr(cwreg.local, "_blas_threads", lambda: None)
+        return fit_cwr(table, *args, **kwargs)
+
+
 class TestTwoWorkers:
-    """The r candidates are scored by a pool of two threads while
-    OpenBLAS is held at one thread; every number is the one the calling
-    thread alone computes."""
+    """The r candidates are scored in chunks by a pool of two threads
+    while OpenBLAS is held at one thread; every number is the one the
+    calling thread alone computes, one r at a time."""
 
     @pytest.mark.parametrize("table, kwargs", [
         (random_table(n=60, p=2, seed=70), dict(bandwidth_grid_size=6)),
@@ -1508,40 +1539,81 @@ class TestTwoWorkers:
     ], ids=["loo", "insample", "tie", "bw_grid", "underflow"])
     def test_equal_to_one_thread(self, two_workers, monkeypatch, table,
                                  kwargs):
+        # Chunks of 1 and 2 r and one chunk of all, on one thread and on
+        # two, against one r a chunk on one thread.
         kwargs = {"r_grid": RATES, **kwargs}
         columns = table.covariate_names
-        with monkeypatch.context() as m:
-            m.setattr(cwreg.local, "_blas_threads", lambda: None)
-            alone = fit_cwr(table, columns, **kwargs)
-        shared = fit_cwr(table, columns, **kwargs)
-        assert searches_match(shared, alone)
+        alone = chunked_search(monkeypatch, 1, 1, table, columns, **kwargs)
+        for size in (1, 2, len(RATES)):
+            for threads in (1, 2):
+                assert searches_match(chunked_search(
+                    monkeypatch, size, threads, table, columns, **kwargs),
+                    alone), (size, threads)
+        # Unpatched, these small searches take one chunk.
+        assert searches_match(fit_cwr(table, columns, **kwargs), alone)
         if table.n == 5:
-            assert shared.fit.spec.r == 1.0  # ties go to the larger r
+            assert alone.fit.spec.r == 1.0  # ties go to the larger r
+
+    @pytest.mark.parametrize("coords, normalization, grid_at_one", [
+        # One site: no geographic distance, so at r = 1 the grid is [1.0].
+        (np.zeros((24, 2)), "max-scale", [1.0]),
+        # Two sites: every positive distance is the largest, 5 sqrt 2,
+        # so at r = 1 the grid is that distance alone.
+        (np.repeat([[0.0, 0.0], [5.0, 5.0]], 12, axis=0), "none",
+         [5.0 * np.sqrt(2.0)]),
+    ], ids=["one-site", "two-sites"])
+    def test_degenerate_grid_shares_a_chunk(self, two_workers, monkeypatch,
+                                            coords, normalization,
+                                            grid_at_one):
+        # r = 1 takes a one-bandwidth grid and every other r 20, also
+        # where they share a chunk's stack.
+        rng = np.random.default_rng(78)
+        table = ObservationTable(
+            ids=[f"d{i}" for i in range(24)], coords=coords,
+            y=rng.normal(size=24), covariates=rng.normal(size=(24, 2)),
+            covariate_names=["x1", "x2"])
+        kwargs = dict(r_grid=RATES, normalization=normalization)
+        alone = chunked_search(monkeypatch, 1, 1, table, ["x1", "x2"],
+                               **kwargs)
+        for r, grid in ((1.0, grid_at_one), (0.9, None)):
+            trace = fit_cwr(table, ["x1", "x2"], r=r,
+                            normalization=normalization).traces["bandwidth"]
+            assert len(trace.candidates) == len(grid or [0] * 20)
+            assert grid is None or trace.candidates == grid
+        assert alone.traces["rate"].bandwidths[-1] == grid_at_one[0]
+        for size in (2, 3, len(RATES)):
+            for threads in (1, 2):
+                assert searches_match(chunked_search(
+                    monkeypatch, size, threads, table, ["x1", "x2"],
+                    **kwargs), alone), (size, threads)
 
     def test_search_failure_equal_to_one_thread(self, two_workers,
                                                 monkeypatch):
         table = random_table(n=20, p=1, seed=46)
-        errors = []
-        for lookup in (lambda: None, cwreg.local._blas_threads):
-            monkeypatch.setattr(cwreg.local, "_blas_threads", lookup)
-            with pytest.raises(SearchFailureError) as info:
-                fit_cwr(table, ["x1"], r_grid=RATES, bw_grid=[1e-300])
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        errors = set()
+        for size in (1, 2, len(RATES)):
+            for threads in (1, 2):
+                with pytest.raises(SearchFailureError) as info:
+                    chunked_search(monkeypatch, size, threads, table, ["x1"],
+                                   r_grid=RATES, bw_grid=[1e-300])
+                errors.add(str(info.value))
+        assert errors == {"no blend-ratio candidate produced a valid fit"}
 
     def test_two_threads_share_the_candidates(self, two_workers,
                                               monkeypatch):
-        workers, blas_threads = set(), []
-        real = cwreg.local._score_rate
+        workers, blas_threads, chunks = set(), [], []
+        real = cwreg.local._score_chunk
 
-        def score(*args, **kwargs):
+        def score(geo, attr, specs, **kwargs):
             workers.add(threading.current_thread())
             blas_threads.append(two_workers())
-            return real(*args, **kwargs)
+            chunks.append([spec.r for spec in specs])
+            return real(geo, attr, specs, **kwargs)
 
         table = random_table(n=40, p=2, seed=72)
         alone = fit_cwr(table, ["x1", "x2"], r=1.0, bandwidth_grid_size=4)
-        monkeypatch.setattr(cwreg.local, "_score_rate",
+        rates_per_chunk(monkeypatch, 2)
+        monkeypatch.setattr(cwreg.local, "_score_chunk",
                             share_with_helper(score))
         model = fit_cwr(table, ["x1", "x2"], r_grid=RATES,
                         bandwidth_grid_size=4)
@@ -1549,6 +1621,7 @@ class TestTwoWorkers:
         assert threading.current_thread() not in workers
         assert set(blas_threads) == {1}
         assert two_workers() == 2
+        assert sorted(chunks) == [RATES[i:i + 2] for i in range(0, 11, 2)]
         at_one = model.traces["rate"].candidates.index(1.0)
         assert (model.traces["rate"].scores[at_one]
                 == alone.traces["bandwidth"].selected_score)
@@ -1563,7 +1636,8 @@ class TestTwoWorkers:
             [0.0] if raiser == "helper" else [0.0, 0.1])
         table = random_table(n=30, p=1, seed=73)
         with monkeypatch.context() as m:
-            m.setattr(cwreg.local, "_score_rate", share_with_helper(score))
+            rates_per_chunk(m, 1)
+            m.setattr(cwreg.local, "_score_chunk", share_with_helper(score))
             with pytest.raises(RuntimeError) as info:
                 fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
         assert info.value is errors[0.0]
@@ -1572,8 +1646,10 @@ class TestTwoWorkers:
         # The next search has a pool of its own.
         fit_cwr(table, ["x1"], r_grid=RATES, bandwidth_grid_size=4)
 
-    def test_two_user_threads_search_at_once(self, two_workers):
+    def test_two_user_threads_search_at_once(self, two_workers,
+                                             monkeypatch):
         table = random_table(n=60, p=2, seed=74)
+        rates_per_chunk(monkeypatch, 2)
 
         def search():
             return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
@@ -1602,8 +1678,10 @@ class TestTwoWorkers:
         assert cwreg.local._hold["depth"] == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_gets_its_own_helper(self, two_workers):
+    def test_forked_child_gets_its_own_helper(self, two_workers,
+                                              monkeypatch):
         table = random_table(n=40, p=2, seed=75)
+        rates_per_chunk(monkeypatch, 2)
 
         def search():
             return fit_cwr(table, ["x1", "x2"], r_grid=RATES,
@@ -1647,7 +1725,8 @@ class TestTwoWorkers:
                                            raiser):
         score, _ = raise_in_reverse({None: [], "helper": [0.0],
                                      "both": [0.0, 0.1]}[raiser])
-        monkeypatch.setattr(cwreg.local, "_score_rate",
+        rates_per_chunk(monkeypatch, 1)
+        monkeypatch.setattr(cwreg.local, "_score_chunk",
                             share_with_helper(score))
         try:
             fit_cwr(random_table(n=30, p=1, seed=73), ["x1"], r_grid=RATES,
@@ -1660,8 +1739,10 @@ class TestTwoWorkers:
                     if thread.name.startswith("cwreg-search")]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_child_forked_during_a_search_is_not_held(self, two_workers):
+    def test_child_forked_during_a_search_is_not_held(self, two_workers,
+                                                      monkeypatch):
         table = random_table(n=40, p=2, seed=75)
+        rates_per_chunk(monkeypatch, 2)
 
         def search():
             return fit_cwr(table, ["x1", "x2"], r_grid=RATES,

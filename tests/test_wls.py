@@ -388,10 +388,39 @@ class TestConditionScreen:
         bound = wls._condition_bound(N, inv)
         assert np.isnan(bound[5]) and np.all(bound[np.arange(8) != 5] < 10)
 
+    @pytest.mark.parametrize("refused", [[0], [4], [8], [0, 4, 8],
+                                         [0, 1, 7, 8]])
+    def test_cholesky_refuses_row_by_row(self, refused):
+        # The gufunc np.linalg.cholesky wraps, silenced, gives a NaN
+        # lower triangle for exactly the matrices it refuses (zero,
+        # indefinite or NaN) and np.linalg.cholesky's bits for the rest;
+        # _inverse_factor's rows follow, each as when factored alone.
+        rng = np.random.default_rng(22)
+        A = rng.normal(size=(9, 4, 4))
+        N = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        bad = [np.zeros((4, 4)), -np.eye(4), np.full((4, 4), np.nan),
+               np.diag([1.0, 1.0, -1e-3, 1.0])]
+        for i, row in enumerate(refused):
+            N[row] = bad[i % len(bad)]
+        kept = np.setdiff1d(np.arange(9), refused)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                L = np.linalg._umath_linalg.cholesky_lo(N)
+            inv = wls._inverse_factor(N)
+        lower = np.tril_indices(4)
+        assert np.isnan(L[refused][:, lower[0], lower[1]]).all()
+        assert np.isnan(inv[refused][:, lower[0], lower[1]]).all()
+        assert not np.isnan(L[kept]).any() and not np.isnan(inv[kept]).any()
+        assert L[kept].tobytes() == np.linalg.cholesky(N[kept]).tobytes()
+        for i in kept:
+            assert (inv[i].tobytes()
+                    == wls._inverse_factor(N[i:i + 1])[0].tobytes())
+
     def test_refused_rows_alone_go_to_eigvalsh(self, monkeypatch):
         # n = 160, p = 3 with a 1e-300 bandwidth in the grid: under
         # leave-one-out that candidate's 160 systems have no weight, and
-        # Cholesky refuses each of them. Retried in halves, the stack
+        # Cholesky refuses each of them. Factored row by row, the stack
         # sends those 160 rows to eigvalsh, not all 3,360 of it; flags,
         # coefficients and scores are those of one call per candidate.
         table = random_table(n=160, p=2, seed=49)
@@ -419,8 +448,9 @@ class TestConditionScreen:
                 assert got[rows].tobytes() == part.tobytes()
 
     def test_default_search_sends_few_systems_to_eigvalsh(self, monkeypatch):
-        # n = 160, p = 3: every solve but the final fit stacks one r's 20
-        # bandwidths (3,200 systems), and the final fit has 160.
+        # n = 160, p = 3: every solve but the final fit stacks a chunk
+        # of r, 20 bandwidths each (3,200 systems an r), and the final
+        # fit has 160.
         systems, checked = [], []
         eigvalsh, solve = np.linalg.eigvalsh, cwreg_local.solve_wls_batched
 
@@ -481,8 +511,8 @@ class TestFactorSolve:
     @pytest.mark.parametrize("rows", [1, 30, 70])
     def test_stacked_call_equals_part_by_part_calls(self, rows):
         # A (4, rows, n) stack against one call per part. Part 1 holds a
-        # zero-weight row, so Cholesky refuses the stacked batch, which
-        # is retried in halves; parts 2 and 3 hold a row just below and
+        # zero-weight row, which Cholesky refuses, that row alone; parts
+        # 2 and 3 hold a row just below and
         # just above the 1e12 limit, which only eigvalsh can judge.
         # Every row's numbers are the same wherever it is solved.
         p = 4
