@@ -563,8 +563,11 @@ class StandardizationTransform:
             raise ParameterError("standardization stds must be > 0")
 
     def apply(self, matrix) -> np.ndarray:
-        M = _finite_array(matrix, "standardized columns",
-                          (None, len(self.columns)))
+        return self._apply(_finite_array(matrix, "standardized columns",
+                                         (None, len(self.columns))))
+
+    def _apply(self, M) -> np.ndarray:
+        """apply, to a float matrix of these columns already checked."""
         return (M - self.means) / self.stds
 
     def apply_table(self, table: ObservationTable) -> np.ndarray:

@@ -26,8 +26,8 @@ from .errors import DimensionError, ParameterError
 
 NORMALIZATION_MODES = ("max-scale", "none")
 
-# Float64 cells (1 MiB) one block of distance rows may hold: half for the
-# blend's second term; a block's d^2 and kernels, or a chunk's systems.
+# Float64 cells (1 MiB) that a block of distance rows with its blend's
+# second term, a block's d^2 and kernels, or a chunk's systems may hold.
 _BLOCK_CELLS = 2 ** 17
 
 
@@ -92,8 +92,8 @@ def attribute_distances(attrs_a, attrs_b) -> np.ndarray:
 def blend_distances(geographic, attribute, spec: DistanceSpec,
                     out=None) -> np.ndarray:
     """Convex blend r * geographic + (1 - r) * attribute, into `out` if
-    given: r * geographic, then the second term added a block of rows
-    at a time, so no second whole matrix is held.
+    given, by _blend_rows a block of rows at a time, so no second whole
+    matrix is held.
 
     The endpoints are exact: r = 1 returns the geographic matrix and
     r = 0 the attribute matrix, bit for bit. Without an attribute side
@@ -110,12 +110,23 @@ def blend_distances(geographic, attribute, spec: DistanceSpec,
         raise DimensionError(
             f"distance matrices differ in shape: {geo.shape} vs {attr.shape}"
         )
-    if spec.r in (0.0, 1.0):
-        return np.multiply(geo if spec.r else attr, 1.0, out=out)
-    out = np.multiply(geo, spec.r, out=out)
+    out = np.empty(geo.shape) if out is None else out
     rows = max(1, _BLOCK_CELLS // 2 // max(1, out[:1].size))
     for a in range(0, len(out), rows):
-        out[a:a + rows] += (1.0 - spec.r) * attr[a:a + rows]
+        part = slice(a, a + rows)
+        out[part] = _blend_rows(geo[part], attr[part], spec.r, out[part])
+    return out
+
+
+def _blend_rows(geo, attr, r, out, term=None):
+    """r * geo + (1 - r) * attr of equal-shape rows, the one blend rule:
+    at r = 1 or 0 geo or attr itself, else written into `out`, its
+    second term first into `term` if given (else a new array). Nothing
+    is checked."""
+    if r in (0.0, 1.0):
+        return geo if r else attr
+    np.multiply(geo, r, out=out)
+    out += np.multiply(attr, 1.0 - r, out=term)
     return out
 
 
@@ -134,10 +145,15 @@ def _kernel_inputs(distances, bandwidth):
     h = np.asarray(bandwidth, dtype=float)
     if not (np.isfinite(h) & (h > 0)).all():
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    return h, _nonnegative(distances)
+
+
+def _nonnegative(distances):
+    """`distances` as a float array, every entry >= 0 (not NaN), or raise."""
     d = np.asarray(distances, dtype=float)
     if not (d >= 0).all():
         raise ParameterError("distances must be nonnegative numbers")
-    return h, d
+    return d
 
 
 def _gaussian(squared, h, out=None):

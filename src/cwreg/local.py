@@ -18,10 +18,14 @@ number is the one a single thread computes, one r at a time. The pool
 and the hold last one search (_search_helper).
 
 One pipeline (_local_systems) builds every local system, so a model's
-coefficients come from the kernel that scored it. Per block of rows it
-squares the distances once; per tile of bandwidths it writes the
-kernels into a buffer that, with the block, holds 2^17 float64 cells
-(_BLOCK_CELLS, 1 MiB), and their products into the block's systems.
+coefficients come from the kernel that scored it. It reads the blended
+distances a block of rows at a time (_Rows) into a buffer that, with
+the block, holds 2^17 float64 cells (_BLOCK_CELLS, 1 MiB): there it
+squares them, then writes the kernels of each tile of bandwidths, and
+their products into the block's systems. Only the two scaled training
+matrices, geographic and attribute, are n x n: each r's blend, its
+bandwidth grid (_grid), its final fit and every prediction are derived
+from them, or from a query's rows, one block at a time.
 
 Prediction at a query point either averages the stored coefficient
 vectors of the K nearest training points under the blended distance
@@ -41,21 +45,20 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
-from typing import NamedTuple
+from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import (ObservationTable, StandardizationTransform,
                    _finite_array, _finite_number, _names, _numbers, standardize)
-from .distances import (_BLOCK_CELLS, DistanceSpec, _gaussian,
-                        _kernel_inputs, attribute_distances, blend_distances,
-                        gaussian_weights, geographic_distances,
-                        training_scale)
+from .distances import (_BLOCK_CELLS, DistanceSpec, _blend_rows, _gaussian,
+                        _kernel_inputs, _nonnegative, attribute_distances,
+                        gaussian_weights, geographic_distances, training_scale)
 from .errors import (DegenerateWeightsError, ParameterError,
                      SearchFailureError, SingularFitError)
-from .wls import BatchedDesign, design_matrix, solve_wls_batched
+from .wls import BatchedDesign, _design, design_matrix, solve_wls_batched
 
 #: Default blend-ratio grid: 0 to 1 in steps of 0.01, ascending.
 DEFAULT_R_GRID = tuple(round(i / 100, 2) for i in range(101))
@@ -231,7 +234,8 @@ def _row_blocks(m: int, n: int, size: int):
     """(edges, B, t): blocks of rows edges[i]:edges[i + 1] of an m x n
     distance matrix, the most rows a block holds, and the bandwidths of
     a kernel tile: the fewest tiles of `size` bandwidths, as even as
-    can be, with (1 + t) B n <= _BLOCK_CELLS. Blocks are as few as a
+    can be, with (1 + t) B n <= _BLOCK_CELLS, the pipeline's buffer of
+    a block's distances and one tile. Blocks are as few as a
     limit of max(8, _BLOCK_CELLS // 2n) rows, rounded down to a
     multiple of 8, allows, and equal multiples of 8 rows but the last;
     a single row left over joins the block before. BLAS rounds rows by
@@ -248,31 +252,57 @@ def _row_blocks(m: int, n: int, size: int):
     return edges, B, -(-size // -(-size // fits))
 
 
-def _local_systems(design, D, bandwidths, loo=False, out=None,
-                   scratch=False):
+class _Rows(NamedTuple):
+    """An m x n distance matrix read a block of rows at a time:
+    read(a, b, buffer) returns rows a:b, computed into the buffer's
+    first b - a rows where they are not stored (its next b - a rows
+    take a blend's second term). A row gets the same bits whether it is
+    read alone or in any block."""
+
+    m: int
+    read: Callable
+
+
+def _array_rows(D) -> _Rows:
+    return _Rows(len(D), lambda a, b, buffer: D[a:b])
+
+
+def _training_rows(geo, attr, r) -> _Rows:
+    """The training blend at r of the scaled (geo, attr), or geo alone
+    where there is no attribute side (r = 1)."""
+    if attr is None:
+        return _array_rows(geo)
+    return _Rows(len(geo), lambda a, b, buffer: _blend_rows(
+        geo[a:b], attr[a:b], r, buffer[:b - a], buffer[b - a:2 * (b - a)]))
+
+
+def _local_systems(design, rows: _Rows, bandwidths, loo=False, out=None,
+                   buffer=None):
     """Normal equations (N, c) of one Gaussian-weighted system per
-    bandwidth j and row i of D, in row j m + i for D's m rows, into
-    `out` (C-contiguous (k m, p, p) and (k m, p)) if given. Inputs are
-    checked once; per row block d^2 is built once, over D's rows if D is
-    `scratch`; per tile of bandwidths the kernels go to one buffer,
-    "loo" zeroes each row's own weight, and two GEMMs fill the systems.
+    bandwidth j and row i of the m x n distances `rows`, in row j m + i,
+    into `out` (C-contiguous (k m, p, p) and (k m, p)) if given. Per row
+    block the distances are read into the first B rows of `buffer` (of
+    (1 + t) B rows or more, see _row_blocks; a new one if None),
+    checked and squared in place; per tile of bandwidths the kernels go
+    to its next rows, "loo" zeroes each row's own weight, and two GEMMs
+    fill the systems.
     """
-    h, D = _kernel_inputs(D, bandwidths)
-    (m, n), k, p = D.shape, len(h), design.X.shape[1]
+    h = _kernel_inputs((), bandwidths)[0]  # the bandwidths alone
+    (m, n), k, p = (rows.m, design.X.shape[0]), len(h), design.X.shape[1]
     if out is None:
         out = np.empty((k * m, p, p)), np.empty((k * m, p))
     N, c = out[0].reshape(k, m, p * p), out[1].reshape(k, m, p)
     edges, B, t = _row_blocks(m, n, k)
-    at = 0 if scratch else B  # the buffer's first row of kernels
-    buffer = np.empty((at + t * B, n))
+    if buffer is None:
+        buffer = np.empty(((1 + t) * B, n))
     # Overflow is left to the solver, which flags such rows failed.
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(edges, edges[1:]):
-            squared = np.square(D[a:b], out=D[a:b] if scratch else
-                                buffer[:b - a])
+            d = _nonnegative(rows.read(a, b, buffer))
+            squared = np.square(d, out=buffer[:b - a])
             for j in range(0, k, t):
                 hs = h[j:j + t, None, None]
-                tile = buffer[at:at + len(hs) * (b - a)]
+                tile = buffer[B:B + len(hs) * (b - a)]
                 W = _gaussian(squared, hs, out=tile.reshape(-1, b - a, n))
                 if loo:
                     W[:, np.arange(b - a), np.arange(a, b)] = 0.0
@@ -281,18 +311,19 @@ def _local_systems(design, D, bandwidths, loo=False, out=None,
     return out
 
 
-def _solve_rows(design, D, h, label):
-    """(betas, regularized) of the local system of each row of D at h.
+def _solve_rows(design, rows: _Rows, h, label):
+    """(betas, regularized) of the local system of each row of `rows` at h.
 
     The batched solver's flags are final: the first row it could not
     solve raises, DegenerateWeightsError when its weights are all zero
     and SingularFitError otherwise, naming the location either way.
     """
     betas, regularized, failed = solve_wls_batched(
-        *_local_systems(design, D, [h]))
+        *_local_systems(design, rows, [h]))
     if failed.any():
         i = int(np.argmax(failed))
-        if not np.any(gaussian_weights(D[i], h) > 0):
+        d = rows.read(i, i + 1, np.empty((2, design.X.shape[0])))
+        if not np.any(gaussian_weights(d, h) > 0):
             raise DegenerateWeightsError(
                 f"local fit at {label} {i}: all observation weights are zero")
         raise SingularFitError(
@@ -311,10 +342,6 @@ def fit_local(table: ObservationTable, spec: DistanceSpec, bandwidth: float
                    normalization=spec.normalization).fit
 
 
-# Masks of the entries above the diagonal of n x n, shared: read only.
-_upper_triangle = lru_cache(maxsize=2)(lambda n: ~np.tri(n, dtype=bool))
-
-
 def _grid_size(size) -> int:
     if not (_finite_number(size, numbers.Integral) and size >= 1):
         raise ParameterError(f"grid size must be an integer >= 1, got {size!r}")
@@ -330,25 +357,58 @@ def bandwidth_grid(D, size: int = BANDWIDTH_GRID_SIZE) -> list[float]:
     training distances are, so only its upper triangle is read; the grid
     equals np.percentile's over the whole off-diagonal.
     """
-    size = _grid_size(size)
-    D = np.asarray(D, dtype=float)
-    n = D.shape[0]
-    off = D[_upper_triangle(n)]
-    hi = float(np.max(off, initial=0.0))
-    if hi <= 0:
+    return _grid(_array_rows(np.asarray(D, dtype=float)), size)
+
+
+def _grid(rows: _Rows, size, buffer=None) -> list[float]:
+    """bandwidth_grid of the n x n distances `rows`, read on the row
+    blocks of _row_blocks into `buffer` (2 B rows or more; None where
+    the rows are stored). Per block of the upper triangle it keeps the
+    running maximum and the smallest entries the two order statistics
+    need; where those are all zero, also the smallest positive entry of
+    the rest."""
+    size, n = _grid_size(size), rows.m
+    if n < 2:
         return [1.0]
     # np.percentile's linear interpolation between the off-diagonal's
     # order statistics, written as numpy's _lerp writes it; its k-th
-    # smallest is `off`'s (k // 2)-th.
+    # smallest is the upper triangle's (k // 2)-th.
     index = (n * (n - 1) - 1) * 0.01
     below = int(index)
     t = index - below
     kth = [below // 2, (below + 1) // 2]
-    off.partition(kth)  # `off` is already a copy
-    a, b = off[kth].tolist()
+    keep = kth[1] + 1
+
+    def positive_min(x):
+        return float(np.min(x, where=x > 0, initial=np.inf))
+
+    edges = _row_blocks(n, n, 1)[0]
+    # The narrowest integers compare fastest, into each block's mask.
+    cols = np.arange(n, dtype=np.min_scalar_type(n))
+    hi, low, kept, top = 0.0, np.inf, np.empty(0), np.inf
+    for a, b in zip(edges, edges[1:]):
+        upper = rows.read(a, b, buffer)[
+            cols > np.arange(a, b, dtype=cols.dtype)[:, None]]
+        hi = max(hi, float(upper.max(initial=0.0)))
+        if top <= 0:  # an entry above `top` may be the smallest positive
+            low = min(low, positive_min(upper))
+        kept = (np.concatenate([kept, upper[upper <= top]]) if len(kept)
+                else upper)
+        del upper  # before the next block's entries are gathered
+        if len(kept) > keep and b < n:
+            kept.partition(keep - 1)
+            if kept[keep - 1] <= 0:
+                low = min(low, positive_min(kept[keep:]))
+            kept, top = kept[:keep].copy(), kept[keep - 1]
+    if hi <= 0:
+        return [1.0]
+    # One kth partitions faster than two; the other is the max below it.
+    kept.partition(kth[1])
+    b = float(kept[kth[1]])
+    a = float(kept[:kth[1]].max()) if kth[0] < kth[1] else b
     lo = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
     if lo <= 0:
-        lo = float(np.min(off, where=off > 0, initial=np.inf))
+        lo = min(low, positive_min(kept))
     if lo >= hi:
         return [hi]
     return np.geomspace(lo, hi, size).tolist()
@@ -408,29 +468,33 @@ def _rates_per_chunk(n: int, p: int, g: int) -> int:
 
 def _score_chunk(geo, attr, specs, design, bw_grid, size, scoring):
     """The _Scored of each of `specs`, consecutive r candidates. Each r
-    in turn is blended into one buffer and writes its leave-one-out
-    systems at `bw_grid`, or its blend's bandwidth_grid of `size` (the
-    grid length), into its rows of one stack, scored by one
+    in turn is read a block of rows at a time through one pipeline
+    buffer, once for its bandwidth_grid of `size` (the grid length)
+    unless `bw_grid` is given, and once for its leave-one-out systems
+    on that grid, written into its rows of one stack, scored by one
     _score_systems call. h is chosen by leave-one-out (judged
     in-sample, a smaller h always looks better); under "insample" the r
     then scores its training RMSE at h, from one more stack."""
     n, p = design.X.shape
     rows = len(specs) * size * n
     N, c = np.empty((rows, p, p)), np.empty((rows, p))
-    buffer = None if attr is None else np.empty_like(geo)
+    _, B, t = _row_blocks(n, n, size)
 
     def scores(grids, loo):
         # Each r's systems at grids[i], a None grid made from its blend.
-        end = 0
+        # A grid holds 1 or `size` bandwidths, so its tiles fit the
+        # buffer, which is freed before the solve.
+        end, buffer = 0, np.empty(((1 + t) * B, n))
         for i, spec in enumerate(specs):
-            D = blend_distances(geo, attr, spec, out=buffer)
+            D = _training_rows(geo, attr, spec.r)
             if grids[i] is None:
-                grids[i] = bandwidth_grid(D, size)
+                grids[i] = _grid(D, size, buffer)
             rows = slice(end, end + len(grids[i]) * n)
             if grids[i]:
-                _local_systems(design, D, grids[i], loo, scratch=D is buffer,
-                               out=(N[rows], c[rows]))
+                _local_systems(design, D, grids[i], loo,
+                               out=(N[rows], c[rows]), buffer=buffer)
             end = rows.stop
+        del buffer
         return _score_systems(design, N[:end], c[:end])
 
     grids = [bw_grid] * len(specs)
@@ -557,14 +621,9 @@ def _query_blended(fit: LocalFit, training: _TrainingSide, coords,
     geo = cdist(coords, training.table.coords) / fit.geo_scale
     if fit.spec.r == 1.0:
         return geo
-    # blend_distances' three roundings, written into geo.
-    np.multiply(geo, fit.spec.r, out=geo)
-    if training.attrs is not None:
-        q_std = fit.transform.apply(covariates[:, training.attr_index])
-        attr = cdist(q_std, training.attrs) / fit.attr_scale
-        np.multiply(attr, 1 - fit.spec.r, out=attr)
-        np.add(geo, attr, out=geo)
-    return geo
+    z = fit.transform._apply(covariates[:, training.attr_index])
+    attr = cdist(z, training.attrs) / fit.attr_scale
+    return _blend_rows(geo, attr, fit.spec.r, geo, attr)
 
 
 def _nearest(D, k: int) -> np.ndarray:
@@ -620,12 +679,21 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     _check_prediction(mode, k, table.n)
     training = _TrainingSide.of(table, fit.transform, training)
     coords, covariates = _query(coords, covariates, table.covariate_names)
-    D = _query_blended(fit, training, coords, covariates)
-    Xq = design_matrix(covariates)
+    m, Xq = len(coords), _design(covariates)
+
+    def blended(a, b, buffer=None):  # query rows a:b, a _Rows reader
+        return _query_blended(fit, training, coords[a:b], covariates[a:b])
+
     if mode == "knn-coef":
-        beta_bar = fit.coefficients[_nearest(D, k)].mean(axis=1)
+        # A row's neighbours do not depend on its block: any blocks do.
+        near = np.empty((m, k), dtype=np.intp)
+        step = max(1, _BLOCK_CELLS // (2 * table.n))
+        for a in range(0, m, step):
+            near[a:a + step] = _nearest(blended(a, a + step), k)
+        beta_bar = fit.coefficients[near].mean(axis=1)
         return np.einsum("ij,ij->i", Xq, beta_bar)
-    betas, _ = _solve_rows(training.design, D, fit.bandwidth, "query")
+    betas, _ = _solve_rows(training.design, _Rows(m, blended), fit.bandwidth,
+                           "query")
     return np.einsum("ij,ij->i", Xq, betas)
 
 
@@ -823,7 +891,7 @@ def fit_cwr(train: ObservationTable, attribute_columns=None, r="search",
                     n_regularized=res.n_regularized, n_failed=res.n_failed)
         spec, h = specs[best], bandwidths[best]
         coefficients, regularized = _solve_rows(
-            training.design, blend_distances(geo, attr, spec), h,
+            training.design, _training_rows(geo, attr, spec.r), h,
             "training location")
     if spec.r == 1.0:
         # A pure geographic model keeps no attribute side.

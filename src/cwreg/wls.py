@@ -33,7 +33,11 @@ RIDGE_SCALE = 1e-8
 
 def design_matrix(covariates) -> np.ndarray:
     """Covariate matrix with an intercept column of ones prepended."""
-    X = _finite_array(covariates, "covariates", (None, None))
+    return _design(_finite_array(covariates, "covariates", (None, None)))
+
+
+def _design(X) -> np.ndarray:
+    """design_matrix of a float matrix already checked."""
     return np.hstack([np.ones((X.shape[0], 1)), X])
 
 

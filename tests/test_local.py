@@ -242,22 +242,87 @@ class TestBandwidthGrid:
     # n = 2 and 3 take both order statistics from one upper entry;
     # decimals=0 rounds points onto few sites, so from n = 57 the 1st
     # percentile at r = 0 and r = 1 is zero and the grid falls back to
-    # the smallest positive distance.
-    @pytest.mark.parametrize("n", [2, 3, 11, 57, 160, 300])
+    # the smallest positive distance. Up to n = 160 one row block holds
+    # every row; n = 300 takes two and n = 1001 sixteen. The grid of the
+    # training rows, blended a block at a time into a pipeline buffer,
+    # is bandwidth_grid's of the whole blend.
+    @pytest.mark.parametrize("n", [2, 3, 9, 11, 57, 160, 300, 1001])
     @pytest.mark.parametrize("decimals", [0, 1, 8])
     def test_upper_triangle_equals_full_off_diagonal(self, n, decimals):
         rng = np.random.default_rng(n * 10 + decimals)
         coords = np.round(rng.uniform(0, 4, size=(n, 2)), decimals)
         attrs = np.round(rng.normal(size=(n, 3)), decimals)
         geo, attr = cdist(coords, coords), cdist(attrs, attrs)
+        geo, attr = geo / max(geo.max(), 1.0), attr / max(attr.max(), 1.0)
+        _, B, _ = cwreg.local._row_blocks(n, n, 1)
+        buffer = np.empty((2 * B, n))
         for r in (0.0, 0.37, 1.0):
-            D = blend_distances(geo / max(geo.max(), 1.0),
-                                attr / max(attr.max(), 1.0),
+            D = blend_distances(geo, attr,
                                 DistanceSpec(r=r, attribute_columns=("a",)))
             assert np.array_equal(D, D.T)
+            rows = cwreg.local._training_rows(geo, attr, r)
             for size in (1, 20):
-                assert (bandwidth_grid(D, size=size)
-                        == full_off_diagonal_grid(D, size))
+                grid = bandwidth_grid(D, size=size)
+                assert grid == full_off_diagonal_grid(D, size)
+                assert cwreg.local._grid(rows, size, buffer) == grid
+
+    @pytest.mark.parametrize("n", [9, 57, 300])
+    @pytest.mark.parametrize("decimals", [0, 1, 8])
+    def test_blocks_of_eight_rows(self, monkeypatch, n, decimals):
+        # Blocks of 8 rows split the smallest entries over many blocks:
+        # the two order statistics, the entries kept and those dropped.
+        monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", 16 * n)
+        assert cwreg.local._row_blocks(n, n, 1)[1] <= 9
+        rng = np.random.default_rng(n + decimals)
+        coords = np.round(rng.uniform(0, 4, size=(n, 2)), decimals)
+        D = cdist(coords, coords)
+        assert bandwidth_grid(D) == full_off_diagonal_grid(D)
+
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_order_statistics_in_other_blocks(self, monkeypatch, n):
+        # Upper-triangle values 1, 2, ... in a random order, with the
+        # two order statistics placed in the first and the last block
+        # of 8 rows, and the value just above them in a middle one.
+        monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", 16 * n)
+        edges = cwreg.local._row_blocks(n, n, 1)[0]
+        rows, cols = np.triu_indices(n, 1)
+        values = np.random.default_rng(n).permutation(len(rows)) + 1.0
+        below = int((n * (n - 1) - 1) * 0.01)
+        low, high = below // 2, (below + 1) // 2
+        assert low < high
+        for rank, row in ((low, 0), (high, edges[-2]),
+                          (high + 1, edges[len(edges) // 2])):
+            at = np.flatnonzero(rows == row)[0]
+            swap = np.flatnonzero(values == rank + 1.0)[0]
+            values[[at, swap]] = values[[swap, at]]
+        D = np.zeros((n, n))
+        D[rows, cols] = D[cols, rows] = values
+        assert bandwidth_grid(D) == full_off_diagonal_grid(D)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_zeros_crowd_out_the_smallest_positive(self, monkeypatch, where):
+        # Over 1% of the entries are zero, so both order statistics are
+        # zero and the grid starts at the smallest positive entry. The
+        # zeros sit in one band of rows, and the smallest positive entry
+        # in the first row (kept, then dropped for the zeros), in the
+        # band's block, or in the last block (after the zeros: never
+        # kept).
+        n = 300
+        monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", 16 * n)
+        rng = np.random.default_rng(7)
+        D = rng.uniform(1.0, 2.0, size=(n, n))
+        D = D + D.T
+        band = slice(100, 110)
+        D[band, band] = 0.0
+        D[band, 200:260] = D[200:260, band] = 0.0
+        row = {"first": 0, "middle": 100, "last": n - 8}[where]
+        D[row, n - 1] = D[n - 1, row] = 0.5
+        np.fill_diagonal(D, 0.0)
+        off = D[~np.eye(n, dtype=bool)]
+        assert np.percentile(off, 1.0) == 0.0
+        grid = bandwidth_grid(D, size=8)
+        assert grid[0] == 0.5
+        assert grid == full_off_diagonal_grid(D, size=8)
 
     def test_many_zero_distances_fall_back_to_smallest_positive(self):
         # More than 1% of the off-diagonal entries are zero (duplicate
@@ -290,6 +355,8 @@ class TestBandwidthGrid:
 
     def test_all_zero_distances_degenerate(self):
         assert bandwidth_grid(np.zeros((5, 5))) == [1.0]
+        assert bandwidth_grid(np.zeros((1001, 1001))) == [1.0]
+        assert bandwidth_grid(np.zeros((1, 1))) == [1.0]
 
     def test_single_distance_value(self):
         D = np.full((4, 4), 2.5)
@@ -305,11 +372,12 @@ def grid_scores(design, D, grid, scoring):
     """The three lists of _score_systems for one blend's bandwidths:
     leave-one-out under "loo", in-sample under "insample"."""
     return cwreg.local._score_systems(design, *cwreg.local._local_systems(
-        design, D, grid, loo=scoring == "loo"))
+        design, cwreg.local._array_rows(D), grid, loo=scoring == "loo"))
 
 
 class TestSearchMemory:
-    """The r/h search holds one blend and one kernel at a time."""
+    """The r/h search holds the two training distance matrices and, for
+    one r at a time, a block of its blend and one tile of kernels."""
 
     N = 300
 
@@ -365,6 +433,24 @@ class TestSearchMemory:
         D = self._distances()
         assert self._peak_matrices(lambda: bandwidth_grid(D)) < 1.5
 
+    def test_bandwidth_grid_keeps_no_matrix(self):
+        # The grid reads a block of rows at a time and caches nothing:
+        # after it returns no n x n array or mask is left, and at
+        # n = 1001, in blocks of 64 rows, it never holds a tenth of one.
+        for n in (self.N, 1001):
+            rng = np.random.default_rng(n)
+            coords = rng.uniform(size=(n, 2))
+            D = cdist(coords, coords)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                bandwidth_grid(D)
+                left, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert left - before < 0.01 * D.nbytes
+            assert n < 1001 or peak - before < 0.1 * D.nbytes
+
     def test_pure_geographic_fit_has_no_attribute_side(self):
         # At r = 1 the training side holds no standardized attributes,
         # so the fit peaks a whole n x n array below a blended one.
@@ -393,30 +479,128 @@ class TestSearchMemory:
         assert (distances[2] is None) == (r == 1.0)
 
     def test_search_peak_is_the_training_distances(self, serial):
-        # The scaled geographic and attribute matrices, a blend and the
-        # kernel pipeline's buffer (one array at n = 300) peak near 4.2
-        # n x n arrays; no step of the search may need more than 4.5.
-        # This is the search on one thread: the three r share a chunk.
+        # The scaled geographic and attribute matrices, the chunk's
+        # systems, the kernel pipeline's buffer (one array at n = 300,
+        # where a block holds half the rows) and a block's entries kept
+        # for the grid peak near 3.9 n x n arrays (a whole blend made
+        # 4.2); no step of the search may need more than 4.25. This is
+        # the search on one thread: the three r share a chunk.
         table = random_table(n=self.N, p=2, seed=47)
         peak = self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
                             bandwidth_grid_size=3))
-        assert peak < 4.5
+        assert peak < 4.25
 
     def test_two_worker_search_peak(self, two_workers, monkeypatch):
-        # Each worker holds its own blend, so two workers hold the
-        # training distances (2 n x n arrays) and up to twice what one
-        # worker needs beyond them: 2.19 arrays, measured on one thread
-        # (4.19 above). Both at their peak at once is 6.38; measured
-        # peaks at n = 300 were 5.0 to 5.6. One r a chunk, as the default
-        # 20-bandwidth grid gives at n = 300: unpatched, these three
-        # candidates would share one chunk, and one worker.
+        # Each worker holds its own pipeline buffer and systems, so two
+        # workers hold the training distances (2 n x n arrays) and up to
+        # twice what one worker needs beyond them: 1.88 arrays, measured
+        # on one thread (3.88 above). Both at their peak at once is 5.76;
+        # measured peaks at n = 300 were 3.7 to 5.2 (with a whole blend
+        # a worker, 5.6). One r a chunk, as the default 20-bandwidth
+        # grid gives at n = 300: unpatched, these three candidates would
+        # share one chunk, and one worker.
         rates_per_chunk(monkeypatch, 1)
         table = random_table(n=self.N, p=2, seed=47)
         peak = self._peak_matrices(
             lambda: fit_cwr(table, ["x1", "x2"], r_grid=[0.0, 0.5, 1.0],
                             bandwidth_grid_size=3))
-        assert peak < 6.5
+        assert peak < 6.0
+
+
+class TestStreamingMemory:
+    """Only the scaled geographic and attribute training matrices are
+    n x n: a fit reads each r's blend, grid and final fit, and a
+    prediction its query rows, a block of rows at a time."""
+
+    N = 1000
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return random_table(n=self.N, p=2, seed=91)
+
+    def _peak_matrices(self, run):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / (self.N * self.N * 8)
+
+    def test_fixed_rate_fit(self, table):
+        # The two training matrices, the systems of 3 bandwidths and a
+        # pipeline buffer of at most 1 MiB: 2.16 measured, where a blend,
+        # a triangle copy and its mask made 3.15.
+        peak = self._peak_matrices(lambda: fit_cwr(
+            table, ["x1", "x2"], r=0.5, bw_grid=[0.5, 1.0, 2.0]))
+        assert peak < 2.5
+
+    @pytest.mark.parametrize("mode", ["knn-coef", "local-fit"])
+    def test_batch_prediction(self, table, mode):
+        # A 1000-row batch needs a few blocks of query rows at a time:
+        # 0.14 (knn-coef) and 0.33 (local-fit) measured, where the whole
+        # query blend made 2.0.
+        model = fit_cwr(table, ["x1", "x2"], r=0.5, bandwidth=1.0, mode=mode)
+        rng = np.random.default_rng(92)
+        coords = rng.uniform(0, 10, size=(self.N, 2))
+        covariates = rng.normal(size=(self.N, 2))
+        model.predict(coords[:1], covariates[:1])
+        assert self._peak_matrices(
+            lambda: model.predict(coords, covariates)) < 0.5
+
+
+class TestRowSources:
+    """Rows read a block at a time are the rows of the whole matrix."""
+
+    @pytest.mark.parametrize("cells", [None, 16 * 90])
+    @pytest.mark.parametrize("r", [0.0, 0.37, 1.0, None])
+    def test_training_rows_equal_blend_distances(self, monkeypatch, r,
+                                                 cells):
+        # In blocks of 8 rows and in one block; r None has no attribute
+        # side (r = 1).
+        if cells:
+            monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", cells)
+        table = random_table(n=90, p=2, seed=93)
+        transform = None if r is None else standardize(table, ["x1", "x2"])
+        side = cwreg.local._TrainingSide(table, transform)
+        geo, _, attr, _ = side.distances("max-scale")
+        spec = DistanceSpec(r=1.0 if r is None else r,
+                            attribute_columns=("x1", "x2"))
+        D = blend_distances(geo, attr, spec)
+        rows = cwreg.local._training_rows(geo, attr, spec.r)
+        grid = bandwidth_grid(D, size=5)
+        assert cwreg.local._grid(rows, 5, np.empty((180, 90))) == grid
+        for loo in (True, False):
+            got = cwreg.local._local_systems(side.design, rows, grid, loo)
+            whole = cwreg.local._local_systems(
+                side.design, cwreg.local._array_rows(D), grid, loo)
+            for a, b in zip(got, whole):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cells", [None, 16 * 60])
+    @pytest.mark.parametrize("mode", ["knn-coef", "local-fit"])
+    @pytest.mark.parametrize("r", [0.0, 0.4, 1.0])
+    def test_query_rows_equal_whole_blend(self, monkeypatch, r, mode, cells):
+        # A batch of 100 queries, in blocks of 8 rows or in one block,
+        # predicts as the whole query blend does.
+        if cells:
+            monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", cells)
+        table = random_table(n=60, p=2, seed=94)
+        model = fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.8, mode=mode)
+        rng = np.random.default_rng(95)
+        qc, qx = rng.uniform(0, 10, size=(100, 2)), rng.normal(size=(100, 2))
+        D = cwreg.local._query_blended(model.fit, model._training, qc, qx)
+        if mode == "knn-coef":
+            beta = model.fit.coefficients[cwreg.local._nearest(D, 3)]
+            beta = beta.mean(axis=1)
+        else:
+            beta = cwreg.local._solve_rows(
+                model._training.design, cwreg.local._array_rows(D),
+                model.fit.bandwidth, "query")[0]
+        expected = np.einsum("ij,ij->i", design_matrix(qx), beta)
+        assert model.predict(qc, qx).tobytes() == expected.tobytes()
 
 
 def grid_scores_one_at_a_time(X, y, D, grid, scoring):

@@ -436,7 +436,8 @@ class TestConditionScreen:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        N, c = cwreg_local._local_systems(design, D, grid, loo=True)
+        N, c = cwreg_local._local_systems(
+            design, cwreg_local._array_rows(D), grid, loo=True)
         betas, regularized, failed = wls.solve_wls_batched(N.copy(), c.copy())
         assert sum(checked) <= 160
         assert failed.reshape(21, 160)[10].all()
