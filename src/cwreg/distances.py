@@ -22,13 +22,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .data import _finite_array, _finite_number
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 
 NORMALIZATION_MODES = ("max-scale", "none")
-
-# Float64 cells (1 MiB) that a block of distance rows with its blend's
-# second term, a block's d^2 and kernels, or a chunk's systems may hold.
-_BLOCK_CELLS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -89,35 +85,6 @@ def attribute_distances(attrs_a, attrs_b) -> np.ndarray:
     return cdist(a, b)
 
 
-def blend_distances(geographic, attribute, spec: DistanceSpec,
-                    out=None) -> np.ndarray:
-    """Convex blend r * geographic + (1 - r) * attribute, into `out` if
-    given, by _blend_rows a block of rows at a time, so no second whole
-    matrix is held.
-
-    The endpoints are exact: r = 1 returns the geographic matrix and
-    r = 0 the attribute matrix, bit for bit. Without an attribute side
-    (`attribute` None, allowed only at r = 1) the result is the
-    geographic matrix itself, which callers only read.
-    """
-    geo = np.asarray(geographic, dtype=float)
-    if attribute is None:
-        if spec.r != 1.0:
-            raise ParameterError(f"r = {spec.r} < 1 needs attribute distances")
-        return geo
-    attr = np.asarray(attribute, dtype=float)
-    if geo.shape != attr.shape:
-        raise DimensionError(
-            f"distance matrices differ in shape: {geo.shape} vs {attr.shape}"
-        )
-    out = np.empty(geo.shape) if out is None else out
-    rows = max(1, _BLOCK_CELLS // 2 // max(1, out[:1].size))
-    for a in range(0, len(out), rows):
-        part = slice(a, a + rows)
-        out[part] = _blend_rows(geo[part], attr[part], spec.r, out[part])
-    return out
-
-
 def _blend_rows(geo, attr, r, out, term=None):
     """r * geo + (1 - r) * attr of equal-shape rows, the one blend rule:
     at r = 1 or 0 geo or attr itself, else written into `out`, its
@@ -135,17 +102,17 @@ def gaussian_weights(distances, bandwidth) -> np.ndarray:
     d = h, exp(-4) at 2h, exactly 1 at d = 0 and exactly 0 where the
     exponent overflows, for any finite h > 0, h = 1e-300 too (1/h^2 is
     clamped). Bandwidths of shape (k, 1, 1) give k stacked kernels."""
-    h, d = _kernel_inputs(distances, bandwidth)
+    h = _bandwidths(bandwidth)
     with np.errstate(over="ignore"):
-        return _gaussian(np.square(d), h)
+        return _gaussian(np.square(_nonnegative(distances)), h)
 
 
-def _kernel_inputs(distances, bandwidth):
-    """(h, d) as float arrays, h finite and > 0 and d >= 0, or raise."""
+def _bandwidths(bandwidth):
+    """`bandwidth` as a float array, every entry finite and > 0, or raise."""
     h = np.asarray(bandwidth, dtype=float)
     if not (np.isfinite(h) & (h > 0)).all():
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    return h, _nonnegative(distances)
+    return h
 
 
 def _nonnegative(distances):

@@ -53,9 +53,9 @@ from scipy.spatial.distance import cdist
 
 from .data import (ObservationTable, StandardizationTransform,
                    _finite_array, _finite_number, _names, _numbers, standardize)
-from .distances import (_BLOCK_CELLS, DistanceSpec, _blend_rows, _gaussian,
-                        _kernel_inputs, _nonnegative, attribute_distances,
-                        gaussian_weights, geographic_distances, training_scale)
+from .distances import (DistanceSpec, _bandwidths, _blend_rows, _gaussian,
+                        _nonnegative, attribute_distances,
+                        geographic_distances, training_scale)
 from .errors import (DegenerateWeightsError, ParameterError,
                      SearchFailureError, SingularFitError)
 from .wls import BatchedDesign, _design, design_matrix, solve_wls_batched
@@ -70,6 +70,10 @@ SCORING_MODES = ("loo", "insample")
 PREDICT_MODES = ("knn-coef", "local-fit")
 
 _CRITERION = {"loo": "loo_rmse", "insample": "training_rmse"}
+
+# Float64 cells (1 MiB) that a block of distance rows with its blend's
+# second term, a block's d^2 and kernels, or a chunk's systems may hold.
+_BLOCK_CELLS = 2 ** 17
 
 
 @dataclass
@@ -235,12 +239,12 @@ def _row_blocks(m: int, n: int, size: int):
     distance matrix, the most rows a block holds, and the bandwidths of
     a kernel tile: the fewest tiles of `size` bandwidths, as even as
     can be, with (1 + t) B n <= _BLOCK_CELLS, the pipeline's buffer of
-    a block's distances and one tile. Blocks are as few as a
-    limit of max(8, _BLOCK_CELLS // 2n) rows, rounded down to a
-    multiple of 8, allows, and equal multiples of 8 rows but the last;
-    a single row left over joins the block before. BLAS rounds rows by
-    their place in groups of up to 8, and one-row products otherwise,
-    so such blocks give equal numbers (within one BLAS kernel regime).
+    a block's distances and one tile. Blocks are as few as a limit of
+    max(8, _BLOCK_CELLS // 2n) rows, rounded down to a multiple of 8,
+    allows, and equal multiples of 8 rows but the last; a single row
+    left over joins the block before. BLAS rounds rows by their place
+    in groups of up to 8, and one-row products otherwise, so such
+    blocks give equal numbers (within one BLAS kernel regime).
     """
     blocks = max(1, -(-m // max(8, _BLOCK_CELLS // (2 * n) // 8 * 8)))
     rows = max(8, -(-m // (8 * blocks)) * 8)
@@ -287,7 +291,7 @@ def _local_systems(design, rows: _Rows, bandwidths, loo=False, out=None,
     to its next rows, "loo" zeroes each row's own weight, and two GEMMs
     fill the systems.
     """
-    h = _kernel_inputs((), bandwidths)[0]  # the bandwidths alone
+    h = _bandwidths(bandwidths)
     (m, n), k, p = (rows.m, design.X.shape[0]), len(h), design.X.shape[1]
     if out is None:
         out = np.empty((k * m, p, p)), np.empty((k * m, p))
@@ -315,15 +319,16 @@ def _solve_rows(design, rows: _Rows, h, label):
     """(betas, regularized) of the local system of each row of `rows` at h.
 
     The batched solver's flags are final: the first row it could not
-    solve raises, DegenerateWeightsError when its weights are all zero
-    and SingularFitError otherwise, naming the location either way.
+    solve raises, naming it: DegenerateWeightsError if its weight sum
+    N[0, 0] (the intercept column is ones) is 0 before the solver adds
+    ridges into N (NaN if squares overflow), else SingularFitError.
     """
-    betas, regularized, failed = solve_wls_batched(
-        *_local_systems(design, rows, [h]))
+    N, c = _local_systems(design, rows, [h])
+    weighted = N[:, 0, 0] > 0
+    betas, regularized, failed = solve_wls_batched(N, c)
     if failed.any():
         i = int(np.argmax(failed))
-        d = rows.read(i, i + 1, np.empty((2, design.X.shape[0])))
-        if not np.any(gaussian_weights(d, h) > 0):
+        if not weighted[i]:
             raise DegenerateWeightsError(
                 f"local fit at {label} {i}: all observation weights are zero")
         raise SingularFitError(
@@ -553,9 +558,10 @@ def _search_helper(n_chunks: int):
     every thread of the process while the block runs; or the builtin
     map, holding nothing, for a single chunk, where _blas_threads finds
     no entry point, or on one usable CPU. Both keep the input order and
-    raise the first failing chunk's exception. Concurrent searches share
-    one hold: the last to leave restores the count the first found. The
-    pool's threads are joined before the hold ends."""
+    raise the first failing chunk's exception; the pool's threads start
+    in the caller's numpy error state (np.geterr). Concurrent searches
+    share one hold: the last to leave restores the count the first
+    found. The pool's threads are joined before the hold ends."""
     blas = None if n_chunks < 2 else _blas_threads()
     if blas is None or _usable_cpus() < 2:
         yield map
@@ -567,7 +573,8 @@ def _search_helper(n_chunks: int):
             set_(1)
         _hold["depth"] += 1
     try:
-        with ThreadPoolExecutor(2, thread_name_prefix="cwreg-search") as pool:
+        with ThreadPoolExecutor(2, "cwreg-search", initializer=partial(
+                np.seterr, **np.geterr())) as pool:  # the caller's state
             yield pool.map
     finally:
         with _hold["lock"]:
@@ -679,22 +686,19 @@ def predict_at(fit: LocalFit, table: ObservationTable, coords, covariates,
     _check_prediction(mode, k, table.n)
     training = _TrainingSide.of(table, fit.transform, training)
     coords, covariates = _query(coords, covariates, table.covariate_names)
-    m, Xq = len(coords), _design(covariates)
-
-    def blended(a, b, buffer=None):  # query rows a:b, a _Rows reader
-        return _query_blended(fit, training, coords[a:b], covariates[a:b])
-
+    rows = _Rows(len(coords), lambda a, b, buffer=None: _query_blended(
+        fit, training, coords[a:b], covariates[a:b]))
     if mode == "knn-coef":
         # A row's neighbours do not depend on its block: any blocks do.
-        near = np.empty((m, k), dtype=np.intp)
+        near = np.empty((rows.m, k), dtype=np.intp)
         step = max(1, _BLOCK_CELLS // (2 * table.n))
-        for a in range(0, m, step):
-            near[a:a + step] = _nearest(blended(a, a + step), k)
-        beta_bar = fit.coefficients[near].mean(axis=1)
-        return np.einsum("ij,ij->i", Xq, beta_bar)
-    betas, _ = _solve_rows(training.design, _Rows(m, blended), fit.bandwidth,
-                           "query")
-    return np.einsum("ij,ij->i", Xq, betas)
+        for a in range(0, rows.m, step):
+            near[a:a + step] = _nearest(rows.read(a, a + step), k)
+        betas = fit.coefficients[near].sum(axis=1) / k
+    else:
+        betas = _solve_rows(training.design, rows, fit.bandwidth, "query")[0]
+    # Summed row by row: a row's bits do not depend on its batch.
+    return (_design(covariates) * betas).sum(axis=1)
 
 
 @dataclass

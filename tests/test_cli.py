@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cwreg
+import cwreg.local
 from cwreg.cli import main
 from cwreg.data import _finite_number, _numbers, generate_synthetic, write_csv
 from cwreg.errors import ParameterError
@@ -310,6 +311,40 @@ class TestMap:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_search_overflow_reports_one_json_line(self, tmp_path, threads):
+        # A response of order 1e155 overflows the search's squared
+        # residuals. cli.main makes overflow an error, on the search's
+        # two threads too, so stderr holds the one JSON line and no
+        # warning. The child runs the search on one thread or on two.
+        if threads == 2 and cwreg.local._blas_threads() is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+        data, schema = make_dataset(tmp_path, n=160, sigma=2.0, seed=1)
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        price = rows[0].index("price")
+        for row in rows[1:]:
+            row[price] = repr(float(row[price]) * 1e154)
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        patch = ("_usable_cpus = lambda: 2" if threads == 2
+                 else "_blas_threads = lambda: None")
+        script = (f"import sys, cwreg.local; cwreg.local.{patch}; "
+                  "from cwreg.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(cwreg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "fit", "--data", str(data),
+             "--schema", str(schema), "--model", "cwr",
+             "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        err = json.loads(proc.stderr)
+        assert err["error"] == "FloatingPointError"
+        assert err["message"].startswith("overflow encountered")
+
     def test_missing_file_reports_json_error(self, tmp_path, capsys):
         code = run_cli(["importance", "--data", tmp_path / "nope.csv"])
         assert code == 1

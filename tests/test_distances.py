@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+import cwreg.local
 from cwreg.distances import (
     DistanceSpec,
     attribute_distances,
-    blend_distances,
+    _blend_rows,
     _gaussian,
     gaussian_weights,
     geographic_distances,
@@ -89,47 +90,44 @@ class TestDistanceSpec:
 
 
 class TestBlendDistances:
+    """_blend_rows, the one blend rule, over whole matrices."""
+
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.geo = np.abs(rng.normal(size=(10, 10)))
         self.attr = np.abs(rng.normal(size=(10, 10)))
 
+    def blend(self, r):
+        return _blend_rows(self.geo, self.attr, r, np.empty((10, 10)))
+
     def test_convex_combination(self):
         # d = r * d_geo + (1 - r) * d_attr, entrywise.
         for r in (0.0, 0.25, 0.5, 0.8, 1.0):
-            spec = DistanceSpec(r=r, attribute_columns=("x1",))
-            got = blend_distances(self.geo, self.attr, spec)
-            np.testing.assert_allclose(got, r * self.geo + (1 - r) * self.attr,
+            np.testing.assert_allclose(self.blend(r),
+                                       r * self.geo + (1 - r) * self.attr,
                                        atol=1e-15)
 
     def test_endpoints_are_exact_copies(self):
-        pure_geo = blend_distances(self.geo, self.attr, DistanceSpec(r=1.0))
-        np.testing.assert_array_equal(pure_geo, self.geo)
-        pure_attr = blend_distances(
-            self.geo, self.attr, DistanceSpec(r=0.0, attribute_columns=("x1",)))
-        np.testing.assert_array_equal(pure_attr, self.attr)
+        # At r = 1 and r = 0 the blend is that side itself.
+        assert self.blend(1.0) is self.geo
+        assert self.blend(0.0) is self.attr
 
     def test_monotone_between_endpoints(self):
         # Each blended entry lies between the two source entries.
-        spec = DistanceSpec(r=0.37, attribute_columns=("x1",))
-        got = blend_distances(self.geo, self.attr, spec)
+        got = self.blend(0.37)
         lo = np.minimum(self.geo, self.attr)
         hi = np.maximum(self.geo, self.attr)
         assert np.all(got >= lo - 1e-12)
         assert np.all(got <= hi + 1e-12)
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            blend_distances(self.geo, self.attr[:5],
-                            DistanceSpec(r=0.5, attribute_columns=("x1",)))
-
     def test_absent_attribute_side_returns_geographic_matrix(self):
-        # Without attribute distances the r = 1 blend is the geographic
-        # matrix itself, not a copy; any other r needs them.
-        assert blend_distances(self.geo, None, DistanceSpec(r=1.0)) is self.geo
-        with pytest.raises(ParameterError):
-            blend_distances(self.geo, None,
-                            DistanceSpec(r=0.5, attribute_columns=("x1",)))
+        # Without attribute distances the training rows are views of the
+        # geographic matrix, not copies, whatever the buffer.
+        rows = cwreg.local._training_rows(self.geo, None, 1.0)
+        for a, b in ((0, 10), (3, 5)):
+            got = rows.read(a, b, np.empty((2 * (b - a), 10)))
+            assert got.base is self.geo
+            np.testing.assert_array_equal(got, self.geo[a:b])
 
 
 class TestGaussianWeights:

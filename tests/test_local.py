@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import cwreg.local
-from cwreg.data import ObservationTable, StandardizationTransform, standardize
-from cwreg.distances import DistanceSpec, blend_distances, gaussian_weights
+from cwreg.data import (ObservationTable, StandardizationTransform,
+                        generate_hedonic, generate_synthetic, standardize)
+from cwreg.distances import DistanceSpec, _blend_rows, gaussian_weights
 from cwreg.errors import (DegenerateWeightsError, DimensionError,
-                          ParameterError, SearchFailureError)
+                          ParameterError, SearchFailureError,
+                          SingularFitError)
 from cwreg.evaluate import ComparisonConfig, fit_model, rmse
 from cwreg.models import load_model, save_model
 from cwreg.local import (
@@ -101,6 +104,11 @@ def loo_rmse_by_hand(table, D, bandwidth):
         beta = brute_force_wls(X, table.y, w)
         errors.append(table.y[i] - float(X[i] @ beta))
     return float(np.sqrt(np.mean(np.square(errors))))
+
+
+def huge_covariates(table):
+    """`table` with its covariates times 1e160: their squares overflow."""
+    return dataclasses.replace(table, covariates=table.covariates * 1e160)
 
 
 def collinear_table():
@@ -257,8 +265,7 @@ class TestBandwidthGrid:
         _, B, _ = cwreg.local._row_blocks(n, n, 1)
         buffer = np.empty((2 * B, n))
         for r in (0.0, 0.37, 1.0):
-            D = blend_distances(geo, attr,
-                                DistanceSpec(r=r, attribute_columns=("a",)))
+            D = _blend_rows(geo, attr, r, np.empty((n, n)))
             assert np.array_equal(D, D.T)
             rows = cwreg.local._training_rows(geo, attr, r)
             for size in (1, 20):
@@ -558,18 +565,18 @@ class TestRowSources:
     @pytest.mark.parametrize("r", [0.0, 0.37, 1.0, None])
     def test_training_rows_equal_blend_distances(self, monkeypatch, r,
                                                  cells):
-        # In blocks of 8 rows and in one block; r None has no attribute
-        # side (r = 1).
+        # In blocks of 8 rows and in one block, as the whole blend that
+        # _blend_rows writes; r None has no attribute side (r = 1).
         if cells:
             monkeypatch.setattr(cwreg.local, "_BLOCK_CELLS", cells)
         table = random_table(n=90, p=2, seed=93)
         transform = None if r is None else standardize(table, ["x1", "x2"])
         side = cwreg.local._TrainingSide(table, transform)
         geo, _, attr, _ = side.distances("max-scale")
-        spec = DistanceSpec(r=1.0 if r is None else r,
-                            attribute_columns=("x1", "x2"))
-        D = blend_distances(geo, attr, spec)
-        rows = cwreg.local._training_rows(geo, attr, spec.r)
+        r = 1.0 if r is None else r
+        D = geo if attr is None else _blend_rows(geo, attr, r,
+                                                 np.empty((90, 90)))
+        rows = cwreg.local._training_rows(geo, attr, r)
         grid = bandwidth_grid(D, size=5)
         assert cwreg.local._grid(rows, 5, np.empty((180, 90))) == grid
         for loo in (True, False):
@@ -599,7 +606,7 @@ class TestRowSources:
             beta = cwreg.local._solve_rows(
                 model._training.design, cwreg.local._array_rows(D),
                 model.fit.bandwidth, "query")[0]
-        expected = np.einsum("ij,ij->i", design_matrix(qx), beta)
+        expected = (design_matrix(qx) * beta).sum(axis=1)
         assert model.predict(qc, qx).tobytes() == expected.tobytes()
 
 
@@ -994,6 +1001,56 @@ class TestPredictAt:
             predict_at(fit, table, [table.coords[0], [1e7, 1e7]],
                        [table.covariates[0], [0.0, 0.0]], mode="local-fit")
 
+    # The solver adds a ridge into N, NaN where a zero weight meets an
+    # overflowing square, so each weight sum N[0, 0] is read before it.
+    @pytest.mark.parametrize("h", [0.01, 0.5])
+    def test_ridge_failure_names_the_training_location(self, h):
+        # x1 of order 1e160 squares to inf: every weight is positive at
+        # h = 0.5 and the trace overflows; at h = 0.01 far weights are
+        # zero and the trace is NaN. Either way the ridge cannot help.
+        message = ("local fit at training location 0 cannot be solved, "
+                   "even with the ridge")
+        with pytest.raises(SingularFitError, match=f"^{message}$"):
+            fit_local(huge_covariates(random_table(n=16, p=1, seed=57)),
+                      DistanceSpec(r=1.0), h)
+
+    @pytest.mark.parametrize("where, error, message", [
+        ("at a training point", SingularFitError,
+         "local fit at query 0 cannot be solved, even with the ridge"),
+        ("far away", DegenerateWeightsError,
+         "local fit at query 0: all observation weights are zero"),
+    ])
+    def test_local_fit_with_overflowing_squares_names_the_query(
+            self, where, error, message):
+        # The query twin of the test above, and a query 1e7 away whose
+        # weights are all zero at h = 0.01 while its trace is NaN.
+        table = random_table(n=16, p=1, seed=57)
+        fit = fit_local(table, DistanceSpec(r=1.0), 0.01)
+        query = table.coords[:1] if where == "at a training point" else [
+            [1e7, 1e7]]
+        with pytest.raises(error, match=f"^{message}$"):
+            predict_at(fit, huge_covariates(table), query, [[0.0]],
+                       mode="local-fit")
+
+    @pytest.mark.parametrize("q", [1, 6, 12])
+    def test_knn_row_alone_equals_its_batch_row(self, q):
+        # At p = 2, 7 and 13 a row predicted alone gets the bits it gets
+        # in a batch of 120.
+        if q == 1:
+            table, _ = generate_synthetic("attr", n=100, sigma=2.0, seed=3)
+            query, _ = generate_synthetic("attr", n=120, sigma=2.0, seed=4)
+        else:
+            table, _ = generate_hedonic(n=100, seed=3)
+            query, _ = generate_hedonic(n=120, seed=4)
+        names = table.covariate_names[:q]
+        model = fit_cwr(table.with_covariates(names), names,
+                        r_grid=[0.0, 0.5, 1.0])
+        coords, covariates = query.coords, query.covariate_matrix(names)
+        batch = model.predict(coords, covariates)
+        alone = [model.predict(coords[i:i + 1], covariates[i:i + 1])[0]
+                 for i in range(len(coords))]
+        assert np.array_equal(alone, batch)
+
     def test_validation(self):
         table = random_table(n=10, p=2, seed=56)
         fit = fit_local(table, DistanceSpec(r=1.0), 0.5)
@@ -1182,14 +1239,15 @@ class TestPredictionState:
     @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
     def test_query_blend_equals_blend_distances(self, monkeypatch, r, mode):
         # The blend written into the geographic query matrix is the one
-        # blend_distances builds from separate matrices, bit for bit.
+        # _blend_rows writes from separate matrices into a new one, bit
+        # for bit.
         def blend_route(fit, training, coords, covariates):
             geo = cdist(coords, training.table.coords) / fit.geo_scale
-            attr = None
-            if training.attrs is not None:
-                z = fit.transform.apply(covariates[:, training.attr_index])
-                attr = cdist(z, training.attrs) / fit.attr_scale
-            return blend_distances(geo, attr, fit.spec)
+            if training.attrs is None:
+                return geo
+            z = fit.transform.apply(covariates[:, training.attr_index])
+            attr = cdist(z, training.attrs) / fit.attr_scale
+            return _blend_rows(geo, attr, fit.spec.r, np.empty(geo.shape))
 
         table = random_table(n=40, p=2, seed=74)
         model = fit_cwr(table, ["x1", "x2"], r=r, bandwidth=0.4, mode=mode)
@@ -1782,6 +1840,23 @@ class TestTwoWorkers:
                                    r_grid=RATES, bw_grid=[1e-300])
                 errors.add(str(info.value))
         assert errors == {"no blend-ratio candidate produced a valid fit"}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_caller_error_state_reaches_the_pool(self, two_workers,
+                                                 monkeypatch, threads):
+        # A response of order 1e155 overflows the squared residuals.
+        # Under the caller's np.errstate(over="raise") that raises on
+        # the calling thread and on the pool's, and warns nowhere.
+        table, _ = generate_synthetic("attr", n=160, sigma=2.0, seed=1)
+        table = dataclasses.replace(table, y=table.y * 1e154)
+        if threads == 1:
+            monkeypatch.setattr(cwreg.local, "_blas_threads", lambda: None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="^overflow"):
+                    fit_cwr(table, ["x1"])
+        assert [str(w.message) for w in caught] == []
 
     def test_two_threads_share_the_candidates(self, two_workers,
                                               monkeypatch):
