@@ -7,10 +7,11 @@ robustness for throughput where thousands of small systems are solved
 at once, the local fits and the search candidates. Matrix products
 (GEMM) build the systems, W @ BatchedDesign.outer and W @
 BatchedDesign.xy per weight row (local._local_systems builds them block
-by block). solve_wls_batched solves a whole stack in one call:
-one batched Cholesky factor screens each condition number and solves
-the well-conditioned rows, eigvalsh judges the rest, and a small
-ridge solves those above CONDITION_LIMIT.
+by block). solve_wls_batched solves a stack in one vectorized Cholesky
+pass, each step one numpy call over all systems (cheaper per system
+than LAPACK in a stack, dearer for one alone at p = 7), which bounds
+each condition number; eigvalsh judges the rows the bound cannot
+clear, and a small ridge solves those above CONDITION_LIMIT.
 
 The module keeps no state, so threads may call it at once; how many
 threads OpenBLAS uses is the caller's choice (see local._search_helper).
@@ -110,18 +111,15 @@ def solve_wls_batched(N, c):
     C-contiguous float64 array, as matrix products return it: the
     ridges below are written into it in place.
 
-    One batched Cholesky factor N = LL' screens and solves, each row
-    alone: a row it refuses has a NaN factor. A row whose bound
-    ||N||_F ||L^-1||_F^2 >= cond(N) (at most p^1.5 above it) is above
-    CONDITION_LIMIT / 2 or not finite, refused rows included, is judged
-    by eigvalsh: lambda_max / lambda_min, infinite when lambda_min <= 0
-    or NaN, above CONDITION_LIMIT flags it. So the flags are eigvalsh's
-    alone. Rows it clears are solved as beta = L^-T (L^-1 c), by LU if
-    refused. Flagged rows get ridge = RIDGE_SCALE * trace / p added to
-    their diagonal, are solved by LU and flagged in `regularized`; rows
-    whose ridge is not finite and positive, or that LU cannot solve,
-    are flagged in `failed` and their coefficients zeroed. No row's
-    numbers depend on the rest of its batch.
+    _factor solves each row as beta = L^-T (L^-1 c), N = LL', and bounds
+    cond(N). eigvalsh judges a row whose bound is above CONDITION_LIMIT / 2
+    or not finite (a refused factor's is not): lambda_max / lambda_min,
+    infinite when lambda_min <= 0, above CONDITION_LIMIT flags it; a
+    non-finite cell flags it unjudged. So the flags are eigvalsh's alone.
+    Flagged rows, in `regularized`, get ridge = RIDGE_SCALE * trace / p
+    and are solved by LU, as are cleared rows without a finite bound;
+    rows whose ridge is not finite and positive, or that LU cannot
+    solve, are flagged in `failed` and zeroed. No row depends on its batch.
 
     Returns (betas (m, p), regularized (m,) bool, failed (m,) bool).
     """
@@ -130,14 +128,9 @@ def solve_wls_batched(N, c):
     if c.ndim != 2 or N.shape != c.shape + c.shape[-1:]:
         raise DimensionError(f"N is {N.shape} but c is {c.shape}")
     m, p = c.shape
-    inv = _inverse_factor(N)
-    bad = _ill_conditioned(N, inv)
-    # A refused row has a NaN factor: LU solves it if eigvalsh clears it.
-    lu = bad | np.isnan(inv[:, 0, 0])
-    # Every row, so that inv is not copied; LU rows are redone below.
-    with np.errstate(all="ignore"):
-        betas = np.einsum("mji,mj->mi", inv, np.einsum("mij,mj->mi", inv, c))
-    failed = np.zeros(m, dtype=bool)
+    F, bound = _factor(N, c)
+    bad, betas = _ill_conditioned(N, bound), np.negative(F[p].T, order="C")
+    lu, failed = bad | ~np.isfinite(bound), np.zeros(m, dtype=bool)
     if lu.any():
         traces = np.einsum("ikk->i", N)
         ridges = np.where(bad, RIDGE_SCALE * np.maximum(traces, 0.0) / p, 0.0)
@@ -153,41 +146,48 @@ def solve_wls_batched(N, c):
     return betas, bad & ~failed, failed
 
 
-def _inverse_factor(N):
-    """L^-1 of each N = LL', built in place by forward substitution, row
-    i of L^-1 over row i of L. The gufunc np.linalg.cholesky wraps,
-    silenced, factors each N alone: a NaN lower triangle where it
-    refuses N, np.linalg.cholesky's bits elsewhere."""
+def _factor(N, c):
+    """(F, bound) of N (m, p, p), c (m, p). F (p + 1, p, m) starts as N
+    over c', each cell an m-vector, and each step is one elementwise
+    numpy operation over all m systems, so no row's F depends on its
+    batch. Column j of L = chol(N) turns row j into row j of L^-1 and
+    updates the rows below: the trailing factor, their L^-1 and c',
+    which ends as -beta' = -(L^-T L^-1 c)'. F[:p] is L^-1, zero above
+    its diagonal; bound ||N||_F ||L^-1||_F^2, in [cond_2(N), p^1.5
+    cond_2(N)], may round by batch, which moves no flag. A pivot that
+    is not positive gives a row NaN or inf from there on, and in bound."""
+    m, p = c.shape
+    F = np.empty((p + 1, p, m))
+    F[:-1], F[-1] = N.transpose(1, 2, 0), c.T
     with np.errstate(all="ignore"):
-        L = np.linalg._umath_linalg.cholesky_lo(N)
-        for i in range(N.shape[-1]):
-            d = L[:, i, i]
-            # Rows above i already hold L^-1's, which is lower
-            # triangular, so its row i needs only their first i columns.
-            L[:, i, :i] = np.einsum("mj,mjk->mk", L[:, i, :i],
-                                    L[:, :i, :i]) / -d[:, None]
-            L[:, i, i] = 1.0 / d
-    return L
+        for j in range(p):
+            d = np.sqrt(F[j, j], out=F[j, j])
+            # Row j: L^-1's left of the diagonal, L's column j right of
+            # it. Each row below, c' too, loses its entry of L times it.
+            np.divide(F[j + 1:p, j], d, out=F[j, j + 1:])
+            z = F[p, j] / d
+            F[j + 1:, j] = 0.0
+            F[j, :j] /= d
+            np.reciprocal(d, out=d)
+            for i in range(j + 1, p):
+                F[i, :i + 1] -= F[j, i] * F[j, :i + 1]
+            F[p] -= z * F[j]
+            F[j, j + 1:] = 0.0
+        bound = np.sqrt(np.einsum("mij,mij->m", N, N))
+        bound *= np.einsum("ijm,ijm->m", F[:-1], F[:-1])
+    return F, bound
 
 
-def _condition_bound(N, inv):
-    """Upper bound ||N||_F ||L^-1||_F^2 on cond_2 of each N = LL', at
-    most p^1.5 above it; inv holds each L^-1."""
-    with np.errstate(all="ignore"):
-        return (np.sqrt(np.einsum("mij,mij->m", N, N))
-                * np.einsum("mij,mij->m", inv, inv))
-
-
-def _ill_conditioned(N, inv):
-    """Rows of N whose eigvalsh condition estimate, lambda_max /
-    lambda_min, is not finite or exceeds CONDITION_LIMIT. eigvalsh runs
-    only on the rows the bound from inv, each L^-1, cannot clear (a
-    refused row's NaN bound)."""
-    bad = ~(_condition_bound(N, inv) <= CONDITION_LIMIT / 2)
+def _ill_conditioned(N, bound):
+    """Rows of N whose eigvalsh estimate lambda_max / lambda_min is not
+    finite or above CONDITION_LIMIT, or with a non-finite cell, which
+    eigvalsh cannot judge; only rows `bound` cannot clear are judged."""
+    bad = ~(bound <= CONDITION_LIMIT / 2)
     if bad.any():
-        eig = np.linalg.eigvalsh(N[bad])
+        judged = np.flatnonzero(bad)[np.isfinite(N[bad]).all(axis=(1, 2))]
+        eig = np.linalg.eigvalsh(N[judged])
         lo, hi = eig[:, 0], eig[:, -1]
         with np.errstate(all="ignore"):
             conds = np.where(lo > 0, hi / lo, np.inf)
-        bad[bad] = ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
+        bad[judged] = ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
     return bad

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 import cwreg
 import cwreg.local
 from cwreg.cli import main
-from cwreg.data import _finite_number, _numbers, generate_synthetic, write_csv
+from cwreg.data import (ObservationTable, _finite_number, _numbers,
+                        generate_synthetic, table_schema, write_csv,
+                        write_json)
 from cwreg.errors import ParameterError
 from cwreg.models import load_model, save_model
 
@@ -211,6 +214,36 @@ class TestFitAndPredict:
         assert len(err.strip().splitlines()) == 1
         assert json.loads(err)["error"] == "SingularFitError"
         assert not model_path.exists()
+
+    def test_nan_system_reports_one_json_line(self, tmp_path):
+        # Two covariates of order 1e160 make each X'WX NaN (+inf and
+        # -inf cross products). A child process, so nothing of this one
+        # hides a traceback: one JSON line, exit 1.
+        rng = np.random.default_rng(1)
+        table = ObservationTable(
+            ids=[f"r{i}" for i in range(30)],
+            coords=rng.uniform(0, 10, size=(30, 2)), y=rng.normal(size=30),
+            covariates=rng.normal(size=(30, 2)) * 1e160,
+            covariate_names=["x1", "x2"])
+        data, schema = tmp_path / "nan.csv", tmp_path / "nan.json"
+        write_csv(table, data)
+        write_json(table_schema(table), schema)
+        src = os.path.dirname(os.path.dirname(cwreg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cwreg.cli", "fit", "--model", "gwr",
+             "--data", str(data), "--schema", str(schema), "--r", "1",
+             "--bandwidth", "0.5", "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr) == {
+            "error": "SingularFitError",
+            "message": "local fit at training location 0 cannot be solved, "
+                       "even with the ridge"}
+        assert not (tmp_path / "m.json").exists()
 
     def test_local_fit_query_without_weight_reports_json_error(
             self, tmp_path, capsys):

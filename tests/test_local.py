@@ -1014,6 +1014,17 @@ class TestPredictAt:
             fit_local(huge_covariates(random_table(n=16, p=1, seed=57)),
                       DistanceSpec(r=1.0), h)
 
+    def test_nan_system_names_the_training_location(self):
+        # With two covariates of order 1e160 the cross products overflow
+        # to +inf and -inf, whose sum makes X'WX NaN. The solver flags
+        # such a system without calling eigvalsh on it (which raised
+        # LinAlgError), and its NaN ridge fails it.
+        message = ("local fit at training location 0 cannot be solved, "
+                   "even with the ridge")
+        with pytest.raises(SingularFitError, match=f"^{message}$"):
+            fit_local(huge_covariates(random_table(n=30, p=2, seed=1)),
+                      DistanceSpec(r=1.0), 0.5)
+
     @pytest.mark.parametrize("where, error, message", [
         ("at a training point", SingularFitError,
          "local fit at query 0 cannot be solved, even with the ridge"),

@@ -289,8 +289,43 @@ class TestNormalEquations:
         assert regularized.all()
         assert np.all(N[:, 0, 0] > 1.0) and np.all(N[:, 1, 1] > 1e-13)
 
+    def test_nan_row_fails_without_eigvalsh(self, monkeypatch):
+        # Row 3 holds NaN, as where +inf and -inf cross products meet.
+        # It is flagged without reaching eigvalsh (which raised
+        # LinAlgError on it), its NaN ridge fails it, and every other
+        # row, a ridged one among them, keeps the numbers it has alone.
+        N, c = mixed_systems(3, 9, seed=7)
+        N[5] = N[6]  # the only NaN is row 3's
+        N[3, 0, 1] = N[3, 1, 0] = np.nan
+        judged, eigvalsh = [], np.linalg.eigvalsh
 
-def reference_ill_conditioned(N, inv):
+        def finite_eigvalsh(a):
+            judged.append(np.isfinite(a).all())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", finite_eigvalsh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            betas, regularized, failed = wls.solve_wls_batched(N.copy(), c)
+            others = np.arange(9) != 3
+            rest = wls.solve_wls_batched(N[others].copy(), c[others])
+        assert judged and all(judged)
+        assert failed[3] and not regularized[3]
+        np.testing.assert_array_equal(betas[3], 0.0)
+        assert regularized[others].any() and not failed[others].any()
+        for got, alone in zip((betas, regularized, failed), rest):
+            assert got[others].tobytes() == alone.tobytes()
+
+
+def inverse_factor(N):
+    """(L^-1 of each N = LL' as an (m, p, p) stack, the bound), as the
+    solver's one vectorized pass gives them."""
+    m, p = N.shape[:2]
+    F, bound = wls._factor(N, np.zeros((m, p)))
+    return F[:p].transpose(2, 0, 1), bound
+
+
+def reference_ill_conditioned(N, bound):
     """The condition rule without the Cholesky screen: eigvalsh on every
     row, flagging estimates that are not finite or exceed the limit."""
     eig = np.linalg.eigvalsh(N)
@@ -372,29 +407,32 @@ class TestConditionScreen:
             N = A @ A.transpose(0, 2, 1)
             conds = np.linalg.cond(N)
             assert conds.max() > 1e5
-            bound = wls._condition_bound(N, wls._inverse_factor(N))
+            bound = inverse_factor(N)[1]
             assert np.all(bound >= conds * (1 - 1e-6))
             assert np.all(bound <= conds * p ** 1.5 * (1 + 1e-6))
 
     def test_refused_cholesky_gives_no_bound(self):
-        # Cholesky refuses row 5 alone: its factor, and so its bound,
-        # is NaN, and every other row keeps its own.
+        # The factor refuses row 5 alone (a zero pivot): no cell of its
+        # inverse factor, nor its bound, is finite, and every other row
+        # keeps its own.
         N = np.tile(np.eye(3), (8, 1, 1))
         N[5] = 0.0
-        inv = wls._inverse_factor(N)
-        assert np.isnan(inv[5]).all()
+        inv, bound = inverse_factor(N)
+        assert not np.isfinite(inv[5][np.tril_indices(3)]).any()
         np.testing.assert_array_equal(inv[np.arange(8) != 5],
                                       np.tile(np.eye(3), (7, 1, 1)))
-        bound = wls._condition_bound(N, inv)
-        assert np.isnan(bound[5]) and np.all(bound[np.arange(8) != 5] < 10)
+        assert not np.isfinite(bound[5])
+        assert np.all(bound[np.arange(8) != 5] < 10)
 
     @pytest.mark.parametrize("refused", [[0], [4], [8], [0, 4, 8],
                                          [0, 1, 7, 8]])
     def test_cholesky_refuses_row_by_row(self, refused):
-        # The gufunc np.linalg.cholesky wraps, silenced, gives a NaN
-        # lower triangle for exactly the matrices it refuses (zero,
-        # indefinite or NaN) and np.linalg.cholesky's bits for the rest;
-        # _inverse_factor's rows follow, each as when factored alone.
+        # The vectorized factor refuses exactly the matrices with a pivot
+        # that is not positive (zero, indefinite or NaN): NaN in their
+        # L^-1 and bound, none in the rest, so eigvalsh judges them and
+        # LU solves them. A kept row's L^-1 agrees with the inverse of
+        # np.linalg.cholesky's factor to a few ulps times cond(L), and is
+        # the row factored alone, bit for bit.
         rng = np.random.default_rng(22)
         A = rng.normal(size=(9, 4, 4))
         N = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
@@ -405,17 +443,22 @@ class TestConditionScreen:
         kept = np.setdiff1d(np.arange(9), refused)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(all="ignore"):
-                L = np.linalg._umath_linalg.cholesky_lo(N)
-            inv = wls._inverse_factor(N)
-        lower = np.tril_indices(4)
-        assert np.isnan(L[refused][:, lower[0], lower[1]]).all()
-        assert np.isnan(inv[refused][:, lower[0], lower[1]]).all()
-        assert not np.isnan(L[kept]).any() and not np.isnan(inv[kept]).any()
-        assert L[kept].tobytes() == np.linalg.cholesky(N[kept]).tobytes()
+            inv, bound = inverse_factor(N)
+        assert np.array_equal(np.isnan(bound), np.isin(np.arange(9), refused))
+        assert all(np.isnan(inv[i]).any() for i in refused)
+        assert np.isfinite(inv[kept]).all()
+        assert np.isfinite(bound[kept]).all()
+        upper = np.triu_indices(4, 1)
+        assert np.all(inv[kept][:, upper[0], upper[1]] == 0.0)
+        L = np.linalg.cholesky(N[kept])
+        expected = np.linalg.inv(L)
+        eps = np.finfo(float).eps
+        tol = 4 * eps * np.linalg.cond(L)[:, None, None] * np.abs(
+            expected).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(inv[kept] - expected) <= tol)
         for i in kept:
-            assert (inv[i].tobytes()
-                    == wls._inverse_factor(N[i:i + 1])[0].tobytes())
+            alone = inverse_factor(N[i:i + 1])[0]
+            assert alone.tobytes() == inv[i:i + 1].tobytes()
 
     def test_refused_rows_alone_go_to_eigvalsh(self, monkeypatch):
         # n = 160, p = 3 with a 1e-300 bandwidth in the grid: under
@@ -482,7 +525,7 @@ class TestConditionScreen:
         N = np.einsum("mi,ij,ik->mjk", W, X, X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bound = wls._condition_bound(N, wls._inverse_factor(N))
+            bound = inverse_factor(N)[1]
             betas, regularized, failed = solve_wls_batched(X, y, W)
         assert bound[0] == np.inf and np.all(np.isfinite(bound[1:]))
         assert regularized[:2].all() and not regularized[2:].any()
@@ -538,3 +581,65 @@ class TestFactorSolve:
         np.testing.assert_array_equal(stacked[1], flagged.ravel())
         for got, pieces in zip(stacked, zip(*parts)):
             assert got.tobytes() == np.concatenate(pieces).tobytes()
+
+
+def mixed_systems(p, m, seed):
+    """(N, c) of m systems N = Q' diag(s) Q, one random orthogonal Q,
+    with condition numbers from 1 to 1e20 and, at rows 1 to 5, a system
+    near the limit (1e12 * (1 +- 1e-3)), an exactly singular one (one s
+    zero), one without weight (N = 0), one indefinite (s = 1 but one
+    -1e-3), which the factor refuses, and one holding NaN."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    conds = 10.0 ** rng.uniform(0, 20, size=m)
+    conds[1] = CONDITION_LIMIT * (1 + rng.uniform(-1e-3, 1e-3))
+    s = conds[:, None] ** -rng.permuted(np.tile(np.linspace(0, 1, p),
+                                                (m, 1)), axis=1)
+    s *= 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    s[2, 0], s[3], s[4], s[4, 0] = 0.0, 0.0, 1.0, -1e-3
+    N = np.einsum("ji,mj,jk->mik", Q, s, Q)
+    N[5, 0, -1] = N[5, -1, 0] = np.nan
+    return N, rng.normal(size=(m, p))
+
+
+class TestBatchIndependence:
+    """A row's numbers are the same alone, in a batch of 17 or of 1000."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_alone_equals_batch_of_17_and_of_1000(self, p):
+        N, c = mixed_systems(p, 1000, seed=p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = wls.solve_wls_batched(N.copy(), c)
+            part = wls.solve_wls_batched(N[:17].copy(), c[:17])
+            rows = list(range(17)) + list(range(17, 1000, 61))
+            alone = [wls.solve_wls_batched(N[i:i + 1].copy(), c[i:i + 1])
+                     for i in rows]
+        # Every kind of row is here: cleared, ridged, failed.
+        assert full[1][:17].any() and (~full[1][:17] & ~full[2][:17]).any()
+        assert full[2][[3, 5]].all() and not full[2][[0, 1, 2, 4]].any()
+        for got, piece in zip(full, part):
+            assert got[:17].tobytes() == piece.tobytes()
+        for k, i in enumerate(rows):
+            for got, one in zip(full, alone[k]):
+                assert got[i:i + 1].tobytes() == one.tobytes()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="np.longdouble is no wider than float64")
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_cleared_rows_match_longdouble_solve(self, p):
+        # A cleared row is off the extended-precision solve of its own N
+        # by at most 2 p cond(N) eps, relative to its largest coefficient.
+        from test_precision import pivoted_solve
+        N, c = mixed_systems(p, 1000, seed=p)
+        betas, regularized, failed = wls.solve_wls_batched(N.copy(), c)
+        cleared = ~regularized & ~failed
+        assert cleared.sum() > 300
+        N, c = N[cleared], c[cleared]
+        exact = pivoted_solve(N.astype(np.longdouble),
+                              c.astype(np.longdouble))
+        eig = np.linalg.eigvalsh(N)
+        cond = eig[:, -1] / eig[:, 0]
+        err = np.abs(betas[cleared] - exact).max(axis=1).astype(float)
+        scale = np.abs(exact).max(axis=1).astype(float)
+        assert np.all(err <= 2 * p * cond * np.finfo(float).eps * scale)
