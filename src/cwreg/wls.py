@@ -8,10 +8,9 @@ at once, the local fits and the search candidates. Matrix products
 (GEMM) build the systems, W @ BatchedDesign.outer and W @
 BatchedDesign.xy per weight row (local._local_systems builds them block
 by block). solve_wls_batched solves a stack in one vectorized Cholesky
-pass, each step one numpy call over all systems (cheaper per system
-than LAPACK in a stack, dearer for one alone at p = 7), which bounds
-each condition number; eigvalsh judges the rows the bound cannot
-clear, and a small ridge solves those above CONDITION_LIMIT.
+pass, one numpy call a step over all systems (cheaper than LAPACK per
+system in a stack, dearer alone at p > 2); eigvalsh judges the rows its
+condition bound cannot clear, and a ridge solves those above CONDITION_LIMIT.
 
 The module keeps no state, so threads may call it at once; how many
 threads OpenBLAS uses is the caller's choice (see local._search_helper).
@@ -112,8 +111,8 @@ def solve_wls_batched(N, c):
     ridges below are written into it in place.
 
     _factor solves each row as beta = L^-T (L^-1 c), N = LL', and bounds
-    cond(N). eigvalsh judges a row whose bound is above CONDITION_LIMIT / 2
-    or not finite (a refused factor's is not): lambda_max / lambda_min,
+    cond(N). eigvalsh judges a row whose bound is above CONDITION_LIMIT /
+    2 or not finite (a refused factor's is not): lambda_max / lambda_min,
     infinite when lambda_min <= 0, above CONDITION_LIMIT flags it; a
     non-finite cell flags it unjudged. So the flags are eigvalsh's alone.
     Flagged rows, in `regularized`, get ridge = RIDGE_SCALE * trace / p
@@ -128,8 +127,8 @@ def solve_wls_batched(N, c):
     if c.ndim != 2 or N.shape != c.shape + c.shape[-1:]:
         raise DimensionError(f"N is {N.shape} but c is {c.shape}")
     m, p = c.shape
-    F, bound = _factor(N, c)
-    bad, betas = _ill_conditioned(N, bound), np.negative(F[p].T, order="C")
+    betas, bound = _factor(N, c)
+    bad = _ill_conditioned(N, bound)
     lu, failed = bad | ~np.isfinite(bound), np.zeros(m, dtype=bool)
     if lu.any():
         traces = np.einsum("ikk->i", N)
@@ -141,41 +140,42 @@ def solve_wls_batched(N, c):
         with np.errstate(all="ignore"):
             betas[lu] = np.linalg._umath_linalg.solve(N[lu],
                                                       c[lu, :, None])[..., 0]
-    failed |= ~np.all(np.isfinite(betas), axis=1)
+    failed |= ~np.isfinite(betas).all(axis=1)
     betas[failed] = 0.0
     return betas, bad & ~failed, failed
 
 
-def _factor(N, c):
-    """(F, bound) of N (m, p, p), c (m, p). F (p + 1, p, m) starts as N
-    over c', each cell an m-vector, and each step is one elementwise
-    numpy operation over all m systems, so no row's F depends on its
-    batch. Column j of L = chol(N) turns row j into row j of L^-1 and
-    updates the rows below: the trailing factor, their L^-1 and c',
-    which ends as -beta' = -(L^-T L^-1 c)'. F[:p] is L^-1, zero above
-    its diagonal; bound ||N||_F ||L^-1||_F^2, in [cond_2(N), p^1.5
-    cond_2(N)], may round by batch, which moves no flag. A pivot that
-    is not positive gives a row NaN or inf from there on, and in bound."""
+def _factor(N, c, F=None):
+    """(betas, bound) of N (m, p, p), c (m, p). F (p, p, m), new unless
+    given, starts as N and Y (p, m) as -c', each cell an m-vector; each
+    step is one elementwise numpy operation over all m systems, so no
+    row's betas depend on its batch. Column j of L = chol(N) turns row j
+    of F into L^-1's and updates the rows below and Y, which ends as
+    (L^-T L^-1 c)'; products go through one (p, m) scratch S. A pivot
+    not positive leaves a row NaN or inf. bound ||N||_F ||L^-1||_F^2 is
+    in [cond_2(N), p^1.5 cond_2(N)]; its last bits may vary by batch."""
     m, p = c.shape
-    F = np.empty((p + 1, p, m))
-    F[:-1], F[-1] = N.transpose(1, 2, 0), c.T
+    F = np.empty((p, p, m)) if F is None else F
+    S, Y = np.empty((p, m)), np.negative(c.T, order="C")
+    F[:] = N.transpose(1, 2, 0)
     with np.errstate(all="ignore"):
         for j in range(p):
-            d = np.sqrt(F[j, j], out=F[j, j])
-            # Row j: L^-1's left of the diagonal, L's column j right of
-            # it. Each row below, c' too, loses its entry of L times it.
-            np.divide(F[j + 1:p, j], d, out=F[j, j + 1:])
-            z = F[p, j] / d
-            F[j + 1:, j] = 0.0
-            F[j, :j] /= d
-            np.reciprocal(d, out=d)
+            d = np.sqrt(F[j, j], out=S[0])
+            # Row j: L^-1's left of the diagonal, L's column j right of it.
+            np.divide(F[j + 1:, j], d, out=F[j, j + 1:])
+            Y[j] /= d
+            F[j + 1:, j], F[j, j] = 0.0, 1.0
+            F[j, :j + 1] /= d
             for i in range(j + 1, p):
-                F[i, :i + 1] -= F[j, i] * F[j, :i + 1]
-            F[p] -= z * F[j]
-            F[j, j + 1:] = 0.0
-        bound = np.sqrt(np.einsum("mij,mij->m", N, N))
-        bound *= np.einsum("ijm,ijm->m", F[:-1], F[:-1])
-    return F, bound
+                F[i, :i + 1] -= np.multiply(F[j, i], F[j, :i + 1],
+                                            out=S[:i + 1])
+            np.multiply(Y[j], F[j], out=S)
+            Y[j], F[j, j + 1:] = 0.0, 0.0
+            Y -= S
+        bound = np.einsum("ijm,ijm->m", F, F, out=S[0])
+        del F
+        bound *= np.sqrt(np.einsum("mij,mij->m", N, N))
+    return np.ascontiguousarray(Y.T), bound
 
 
 def _ill_conditioned(N, bound):

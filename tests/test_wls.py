@@ -321,8 +321,24 @@ def inverse_factor(N):
     """(L^-1 of each N = LL' as an (m, p, p) stack, the bound), as the
     solver's one vectorized pass gives them."""
     m, p = N.shape[:2]
-    F, bound = wls._factor(N, np.zeros((m, p)))
-    return F[:p].transpose(2, 0, 1), bound
+    F = np.empty((p, p, m))
+    bound = wls._factor(N, np.zeros((m, p)), F)[1]
+    return F.transpose(2, 0, 1), bound
+
+
+def longdouble_inverse_factor(N):
+    """L^-1 of one N = LL', factored and inverted in np.longdouble."""
+    p = len(N)
+    L = np.zeros((p, p), dtype=np.longdouble)
+    for j in range(p):
+        for i in range(j, p):
+            s = N[i, j] - np.dot(L[i, :j], L[j, :j])
+            L[i, j] = np.sqrt(s) if i == j else s / L[j, j]
+    inv = np.zeros_like(L)
+    for i in range(p):
+        inv[i, :i] = -np.dot(L[i, :i], inv[:i, :i]) / L[i, i]
+        inv[i, i] = 1 / L[i, i]
+    return inv
 
 
 def reference_ill_conditioned(N, bound):
@@ -428,37 +444,53 @@ class TestConditionScreen:
                                          [0, 1, 7, 8]])
     def test_cholesky_refuses_row_by_row(self, refused):
         # The vectorized factor refuses exactly the matrices with a pivot
-        # that is not positive (zero, indefinite or NaN): NaN in their
-        # L^-1 and bound, none in the rest, so eigvalsh judges them and
-        # LU solves them. A kept row's L^-1 agrees with the inverse of
-        # np.linalg.cholesky's factor to a few ulps times cond(L), and is
-        # the row factored alone, bit for bit.
+        # that is not positive (zero, indefinite or NaN): their L^-1 is
+        # finite above that pivot's row and nowhere on or below it, and
+        # their bound is NaN, so eigvalsh judges them and LU solves
+        # them. The rest are finite, and each is the row factored
+        # alone, bit for bit. Above the diagonal every row is zero.
         rng = np.random.default_rng(22)
         A = rng.normal(size=(9, 4, 4))
         N = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
-        bad = [np.zeros((4, 4)), -np.eye(4), np.full((4, 4), np.nan),
-               np.diag([1.0, 1.0, -1e-3, 1.0])]
+        bad = [(np.zeros((4, 4)), 0), (-np.eye(4), 0),
+               (np.full((4, 4), np.nan), 0),
+               (np.diag([1.0, 1.0, -1e-3, 1.0]), 2)]
+        stops = {}
         for i, row in enumerate(refused):
-            N[row] = bad[i % len(bad)]
+            N[row], stops[row] = bad[i % len(bad)]
         kept = np.setdiff1d(np.arange(9), refused)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inv, bound = inverse_factor(N)
         assert np.array_equal(np.isnan(bound), np.isin(np.arange(9), refused))
-        assert all(np.isnan(inv[i]).any() for i in refused)
-        assert np.isfinite(inv[kept]).all()
-        assert np.isfinite(bound[kept]).all()
-        upper = np.triu_indices(4, 1)
-        assert np.all(inv[kept][:, upper[0], upper[1]] == 0.0)
-        L = np.linalg.cholesky(N[kept])
-        expected = np.linalg.inv(L)
-        eps = np.finfo(float).eps
-        tol = 4 * eps * np.linalg.cond(L)[:, None, None] * np.abs(
-            expected).max(axis=(1, 2), keepdims=True)
-        assert np.all(np.abs(inv[kept] - expected) <= tol)
+        lower = np.tril(np.ones((4, 4), dtype=bool))
+        for row, stop in stops.items():
+            assert np.isfinite(inv[row, :stop]).all()
+            assert not np.isfinite(inv[row, stop:][lower[stop:]]).any()
+        assert np.isfinite(inv[kept]).all() and np.isfinite(bound[kept]).all()
+        assert np.all(inv[:, ~lower] == 0.0)
         for i in kept:
             alone = inverse_factor(N[i:i + 1])[0]
             assert alone.tobytes() == inv[i:i + 1].tobytes()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-16,
+                        reason="np.longdouble is no wider than float64")
+    def test_inverse_factor_as_close_as_lapack(self):
+        # Against L^-1 in extended precision, the factor's L^-1 and the
+        # inverse of np.linalg.cholesky's L are both within eps cond(L)
+        # times its largest cell (each reads about 0.5 of it here). Per
+        # cell neither is within a few ulps: LAPACK's is up to 128 off.
+        rng = np.random.default_rng(22)
+        A = rng.normal(size=(9, 4, 4))
+        N = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        inv = inverse_factor(N)[0]
+        L = np.linalg.cholesky(N)
+        exact = np.array([longdouble_inverse_factor(n) for n in N])
+        tol = (np.finfo(float).eps * np.linalg.cond(L)
+               * np.abs(exact).max(axis=(1, 2)).astype(float))
+        for got in (inv, np.linalg.inv(L)):
+            err = np.abs(got - exact).max(axis=(1, 2)).astype(float)
+            assert np.all(err <= tol)
 
     def test_refused_rows_alone_go_to_eigvalsh(self, monkeypatch):
         # n = 160, p = 3 with a 1e-300 bandwidth in the grid: under
