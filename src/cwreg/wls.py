@@ -161,10 +161,11 @@ def _factor(N, c, F=None):
     with np.errstate(all="ignore"):
         for j in range(p):
             d = np.sqrt(F[j, j], out=S[0])
-            # Row j: L^-1's left of the diagonal, L's column j right of it.
-            np.divide(F[j + 1:, j], d, out=F[j, j + 1:])
+            if j + 1 < p:  # L's column j, right of row j's diagonal
+                np.divide(F[j + 1:, j], d, out=F[j, j + 1:])
+                F[j + 1:, j] = 0.0
             Y[j] /= d
-            F[j + 1:, j], F[j, j] = 0.0, 1.0
+            F[j, j] = 1.0
             F[j, :j + 1] /= d
             for i in range(j + 1, p):
                 F[i, :i + 1] -= np.multiply(F[j, i], F[j, :i + 1],
@@ -185,8 +186,7 @@ def _ill_conditioned(N, bound):
     bad = ~(bound <= CONDITION_LIMIT / 2)
     if bad.any():
         judged = np.flatnonzero(bad)[np.isfinite(N[bad]).all(axis=(1, 2))]
-        eig = np.linalg.eigvalsh(N[judged])
-        lo, hi = eig[:, 0], eig[:, -1]
+        lo, hi = np.linalg.eigvalsh(N[judged])[:, [0, -1]].T
         with np.errstate(all="ignore"):
             conds = np.where(lo > 0, hi / lo, np.inf)
         bad[judged] = ~np.isfinite(conds) | (conds > CONDITION_LIMIT)
