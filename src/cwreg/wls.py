@@ -174,7 +174,7 @@ def _factor(N, c, F=None):
             Y[j], F[j, j + 1:] = 0.0, 0.0
             Y -= S
         bound = np.einsum("ijm,ijm->m", F, F, out=S[0])
-        del F
+        del F  # before betas are copied: one stack is held at a time
         bound *= np.sqrt(np.einsum("mij,mij->m", N, N))
     return np.ascontiguousarray(Y.T), bound
 
